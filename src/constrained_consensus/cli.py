@@ -18,6 +18,7 @@ Parameters come from flags or from a flat ``key = value`` config file
 from __future__ import annotations
 
 import argparse
+import math
 import statistics
 import sys
 
@@ -92,7 +93,7 @@ SCHEMAS: dict[str, dict[str, tuple[type, object]]] = {
 }
 
 _POSITIVE = {"n", "q", "trials", "realizations", "cycles", "pocs_cycles",
-             "max_iters", "max_attempts", "rho", "epsilon", "step_size",
+             "max_iters", "max_attempts", "rho", "rho_max", "epsilon", "step_size",
              "fiedler_cut", "debug_step_scale"}
 
 
@@ -162,6 +163,8 @@ def _validate_ranges(command: str, cfg: dict) -> None:
     for key, value in cfg.items():
         if value is None:
             continue
+        if SCHEMAS[command][key][0] is float and not math.isfinite(value):
+            raise ConfigError(f"{key} must be finite, got {value}")
         if key in _POSITIVE and value <= 0:
             raise ConfigError(f"{key} must be positive, got {value}")
     if cfg.get("n") is not None and cfg["n"] < 2:

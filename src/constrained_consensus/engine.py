@@ -168,12 +168,13 @@ def _select_winners(inst: GameInstance, metrics: np.ndarray) -> np.ndarray:
     attaining that maximum.  Comparisons are exact floating point.
     Requires every node to have at least one neighbor.
     """
-    targets, sources, starts = inst.neighbor_flat
-    nb_metrics = metrics[targets]
+    indptr, indices, rows = inst.graph.csr
+    starts = indptr[:-1]
+    nb_metrics = metrics[indices]
     nb_max = np.maximum.reduceat(nb_metrics, starts)
-    tied_ids = np.where(nb_metrics == nb_max[sources], targets, -1)
+    tied_ids = np.where(nb_metrics == nb_max[rows], indices, -1)
     nb_argmax_id = np.maximum.reduceat(tied_ids, starts)
-    ids = inst.node_ids
+    ids = np.arange(inst.n)
     return (metrics > nb_max) | ((metrics == nb_max) & (ids > nb_argmax_id))
 
 
@@ -225,7 +226,7 @@ def run(state: EngineState, algo: str, max_iters: int | None = None,
         max_iters = 100 * inst.n
     if max_iters < 1:
         raise ValueError(f"max_iters must be positive, got {max_iters}")
-    if threshold < 0:
+    if not threshold >= 0:
         raise ValueError(f"threshold must be nonnegative, got {threshold}")
 
     prof = as_profile(inst, state.profile).copy()
@@ -288,9 +289,9 @@ def _assert_feasible(inst: GameInstance, prof: np.ndarray, tol: Tolerances, when
 
 
 def _assert_independent(inst: GameInstance, win: np.ndarray) -> None:
-    winners = np.flatnonzero(win)
-    if winners.size > 1 and inst.adjacency[np.ix_(winners, winners)].any():
-        raise InvariantError(f"adjacent winners in round update: {winners.tolist()}")
+    _, indices, rows = inst.graph.csr
+    if (win[indices] & win[rows]).any():
+        raise InvariantError(f"adjacent winners in round update: {np.flatnonzero(win).tolist()}")
 
 
 def pocs_run(inst: GameInstance, x0, cycles: int) -> tuple[np.ndarray, list[float]]:

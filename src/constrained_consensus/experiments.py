@@ -66,33 +66,45 @@ def make_localization_instance(n: int, q: int, rho: float, epsilon: float, seed:
     Each attempt uses the sub-seed (seed, attempt); the first connected
     layout wins, so the result is deterministic per seed.
     """
+    _check_scenario(n, q, rho, epsilon)
+    if max_attempts < 1:
+        raise ValueError(f"max_attempts must be positive, got {max_attempts}")
+    for attempt in range(max_attempts):
+        loc = _localization_from_rng(rng_for(seed, attempt), n, q, rho, epsilon, seed)
+        if loc is not None:
+            return loc
+    raise GenerationError(
+        f"no connected topology for n={n}, q={q}, rho={rho} after {max_attempts} attempts")
+
+
+def _check_scenario(n: int, q: int, rho: float, epsilon: float) -> None:
     if n < 2:
         raise ValueError(f"need at least 2 nodes, got {n}")
     if q < 1:
         raise ValueError(f"dimension must be positive, got {q}")
-    if rho <= 0:
+    if not rho > 0:
         raise ValueError(f"communication range must be positive, got {rho}")
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    if max_attempts < 1:
-        raise ValueError(f"max_attempts must be positive, got {max_attempts}")
-    for attempt in range(max_attempts):
-        rng = rng_for(seed, attempt)
-        positions = rng.random((n, q))
-        graph = graph_from_positions(positions, rho)
-        if not is_connected(graph):
-            continue
-        source = 0.25 + 0.5 * rng.random(q)
-        return LocalizationInstance(
-            layout=GeometricLayout(positions, rho),
-            graph=graph,
-            source=source,
-            epsilon=float(epsilon),
-            sets=localization_sets(positions, source, epsilon),
-            seed=seed,
-        )
-    raise GenerationError(
-        f"no connected topology for n={n}, q={q}, rho={rho} after {max_attempts} attempts")
+
+
+def _localization_from_rng(rng: np.random.Generator, n: int, q: int, rho: float,
+                           epsilon: float, seed: int) -> LocalizationInstance | None:
+    """One rejection-sampling attempt: draw the positions, and only if their
+    graph is connected draw the source.  Returns None when disconnected."""
+    positions = rng.random((n, q))
+    graph = graph_from_positions(positions, rho)
+    if not is_connected(graph):
+        return None
+    source = 0.25 + 0.5 * rng.random(q)
+    return LocalizationInstance(
+        layout=GeometricLayout(positions, rho),
+        graph=graph,
+        source=source,
+        epsilon=float(epsilon),
+        sets=localization_sets(positions, source, epsilon),
+        seed=seed,
+    )
 
 
 @dataclass(eq=False)
@@ -197,6 +209,7 @@ def rate_sweep(n: int, q: int, rho_min: float, rho_max: float, realizations: int
         raise ValueError(f"need rho_min < rho_max, got [{rho_min}, {rho_max}]")
     if realizations < 1:
         raise ValueError(f"realizations must be positive, got {realizations}")
+    _check_scenario(n, q, rho_max, epsilon)
     cap = max_attempts if max_attempts is not None else 200 * realizations + 100
     records: list[SweepRecord] = []
     attempt = 0
@@ -206,34 +219,23 @@ def rate_sweep(n: int, q: int, rho_min: float, rho_max: float, realizations: int
                 f"only {len(records)}/{realizations} connected realizations "
                 f"after {attempt} attempts")
         rng = rng_for(base_seed, attempt)
-        sub_seed = attempt
-        attempt += 1
         rho = rho_min + (rho_max - rho_min) * rng.random()
-        positions = rng.random((n, q))
-        graph = graph_from_positions(positions, rho)
-        if not is_connected(graph):
+        loc = _localization_from_rng(rng, n, q, rho, epsilon, attempt)
+        attempt += 1
+        if loc is None:
             continue
-        source = 0.25 + 0.5 * rng.random(q)
-        loc = LocalizationInstance(
-            layout=GeometricLayout(positions, rho),
-            graph=graph,
-            source=source,
-            epsilon=float(epsilon),
-            sets=localization_sets(positions, source, epsilon),
-            seed=sub_seed,
-        )
         inst = loc.game_instance
 
-        tr_dgtc = run(initial_state(inst, loc.layout, seed=sub_seed),
+        tr_dgtc = run(initial_state(inst, loc.layout, seed=loc.seed),
                       "dgtc", max_iters, threshold, tol)
         tr_dgpc = run(initial_state(inst, loc.layout, step_size=default_step_size(inst),
-                                    seed=sub_seed),
+                                    seed=loc.seed),
                       "dgpc", max_iters, threshold, tol)
         records.append(SweepRecord(
             trial=len(records),
-            seed=sub_seed,
+            seed=loc.seed,
             rho=float(rho),
-            fiedler=fiedler_value(graph),
+            fiedler=fiedler_value(loc.graph),
             iters_dgtc=tr_dgtc.iterations_used,
             conv_dgtc=tr_dgtc.converged,
             iters_dgpc=tr_dgpc.iterations_used,

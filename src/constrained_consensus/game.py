@@ -59,53 +59,32 @@ class GameInstance:
     def n(self) -> int:
         return self.graph.n
 
-    # dense helpers are cached; instances are small (desk scale, N <= a few hundred)
     @cached_property
     def degrees(self) -> np.ndarray:
         d = self.graph.degrees()
         d.flags.writeable = False
         return d
 
+    # Dense on purpose: the engine's neighbor sums are ``adjacency @ prof``,
+    # whose BLAS summation order fixes the bits of every recorded trace; a
+    # sparse sum over ``graph.csr`` gives different last bits.
     @cached_property
     def adjacency(self) -> np.ndarray:
+        _, indices, rows = self.graph.csr
         a = np.zeros((self.n, self.n))
-        for i, k in self.graph.edges():
-            a[i, k] = a[k, i] = 1.0
+        a[rows, indices] = 1.0
         a.flags.writeable = False
         return a
 
     @cached_property
-    def edge_index(self) -> tuple[np.ndarray, np.ndarray]:
-        """Undirected edge endpoints as two index arrays (i < k)."""
-        pairs = list(self.graph.edges())
-        ei = np.array([i for i, _ in pairs], dtype=int)
-        ek = np.array([k for _, k in pairs], dtype=int)
-        return ei, ek
-
-    @cached_property
     def edge_gather(self) -> tuple[np.ndarray, np.ndarray]:
-        """Flattened per-coordinate edge indices into profile.ravel()."""
-        ei, ek = self.edge_index
+        """Flattened per-coordinate edge indices into profile.ravel(), one
+        pair per undirected edge (i < k)."""
+        _, indices, rows = self.graph.csr
+        upper = rows < indices
         cols = np.arange(self.q)
-        return ((ei[:, None] * self.q + cols).ravel(),
-                (ek[:, None] * self.q + cols).ravel())
-
-    @cached_property
-    def neighbor_flat(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Concatenated neighbor lists, their source node per entry, and the
-        per-node segment starts, for reductions over neighborhoods (only
-        meaningful when every degree is positive)."""
-        targets = np.concatenate([np.array(nbrs, dtype=int) for nbrs in self.graph.neighbors]) \
-            if self.graph.edge_count else np.empty(0, dtype=int)
-        sources = np.repeat(np.arange(self.n), self.degrees)
-        starts = np.concatenate(([0], np.cumsum(self.degrees)[:-1]))
-        return targets, sources, starts
-
-    @cached_property
-    def node_ids(self) -> np.ndarray:
-        ids = np.arange(self.n)
-        ids.flags.writeable = False
-        return ids
+        return ((rows[upper][:, None] * self.q + cols).ravel(),
+                (indices[upper][:, None] * self.q + cols).ravel())
 
     @cached_property
     def projector(self) -> RowProjector:

@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -55,19 +57,35 @@ class Graph:
     def degree(self, i: int) -> int:
         return len(self.neighbors[i])
 
+    @cached_property
+    def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only CSR encoding ``(indptr, indices, rows)`` of the neighbor lists.
+
+        ``indices[indptr[i]:indptr[i + 1]]`` are node i's sorted neighbors and
+        ``rows[j]`` is the node that entry j belongs to, so ``(rows, indices)``
+        lists every directed edge once.  Every other graph array derives
+        from this one.
+        """
+        deg = np.fromiter(map(len, self.neighbors), dtype=np.intp, count=self.n)
+        indptr = np.concatenate(([0], np.cumsum(deg)))
+        indices = np.fromiter(chain.from_iterable(self.neighbors), dtype=np.intp, count=int(indptr[-1]))
+        rows = np.repeat(np.arange(self.n), deg)
+        for a in (indptr, indices, rows):
+            a.flags.writeable = False
+        return indptr, indices, rows
+
     def degrees(self) -> np.ndarray:
-        return np.array([len(nbrs) for nbrs in self.neighbors])
+        return np.diff(self.csr[0])
 
     def edges(self):
         """Iterate undirected edges once, as (i, k) with i < k."""
-        for i, nbrs in enumerate(self.neighbors):
-            for k in nbrs:
-                if i < k:
-                    yield i, k
+        _, indices, rows = self.csr
+        upper = rows < indices
+        return zip(rows[upper].tolist(), indices[upper].tolist())
 
     @property
     def edge_count(self) -> int:
-        return sum(len(nbrs) for nbrs in self.neighbors) // 2
+        return self.csr[1].size // 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,13 +124,9 @@ def generate_rgg(n: int, q: int, rho: float, seed: int) -> tuple[Graph, Geometri
         raise ValueError(f"need at least 2 nodes, got {n}")
     if q < 1:
         raise ValueError(f"dimension must be positive, got {q}")
-    if rho <= 0:
+    if not rho > 0:
         raise ValueError(f"communication range must be positive, got {rho}")
-    return _rgg_from_rng(n, q, rho, rng_for(seed))
-
-
-def _rgg_from_rng(n: int, q: int, rho: float, rng: np.random.Generator):
-    positions = rng.random((n, q))
+    positions = rng_for(seed).random((n, q))
     return graph_from_positions(positions, rho), GeometricLayout(positions, rho)
 
 
@@ -133,13 +147,12 @@ def is_connected(g: Graph) -> bool:
 
 
 def laplacian(g: Graph) -> np.ndarray:
-    """Combinatorial Laplacian L = D - A (built in integers, returned float)."""
-    lap = np.zeros((g.n, g.n), dtype=int)
-    for i, nbrs in enumerate(g.neighbors):
-        lap[i, i] = len(nbrs)
-        for k in nbrs:
-            lap[i, k] = -1
-    return lap.astype(float)
+    """Combinatorial Laplacian L = D - A."""
+    _, indices, rows = g.csr
+    lap = np.zeros((g.n, g.n))
+    lap[rows, indices] = -1.0
+    np.fill_diagonal(lap, g.degrees())
+    return lap
 
 
 def jacobi_eigenvalues(matrix: np.ndarray, tol: float = DEFAULT.jacobi_offdiag,

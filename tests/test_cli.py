@@ -95,6 +95,20 @@ def test_usage_errors(tmp_path, capsys):
     capsys.readouterr()
     assert main(["sweep", "--realizations", "0"]) == EXIT_USAGE
     capsys.readouterr()
+    assert main(["run", "--epsilon", "nan"]) == EXIT_USAGE
+    capsys.readouterr()
+    assert main(["run", "--step-size", "nan"]) == EXIT_USAGE
+    capsys.readouterr()
+    assert main(["run", "--threshold", "nan"]) == EXIT_USAGE
+    capsys.readouterr()
+    assert main(["run", "--rho", "nan"]) == EXIT_USAGE
+    capsys.readouterr()
+    assert main(["pocs", "--rho", "inf"]) == EXIT_USAGE
+    capsys.readouterr()
+    assert main(["sweep", "--rho-max", "inf"]) == EXIT_USAGE
+    capsys.readouterr()
+    assert main(["sweep", "--rho-min", "-0.5", "--rho-max", "-0.1"]) == EXIT_USAGE
+    assert "must be" in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
         main(["run", "--not-a-flag", "1"])
     assert exc.value.code == EXIT_USAGE

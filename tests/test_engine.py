@@ -6,6 +6,8 @@ import pytest
 from conftest import rand_feasible_instance
 from constrained_consensus.engine import (
     EngineState,
+    InvariantError,
+    _assert_independent,
     StepSizeWarning,
     consensus_metric,
     dgpc_round,
@@ -121,6 +123,18 @@ def test_dgtc_winners_form_independent_set(rng):
                     assert a == b or inst.adjacency[a, b] == 0
 
 
+def test_assert_independent_rejects_adjacent_winners():
+    g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    inst = GameInstance(g, tuple(interval(-1.0, 1.0) for _ in range(4)), 1)
+    with pytest.raises(InvariantError, match="adjacent winners"):
+        _assert_independent(inst, np.array([False, True, True, False]))
+    with pytest.raises(InvariantError, match="adjacent winners"):
+        _assert_independent(inst, np.array([True, True, True, True]))
+    for win in ([True, False, True, False], [True, False, False, True],
+                [False, False, False, False], [False, False, True, False]):
+        _assert_independent(inst, np.array(win))
+
+
 def test_dgpc_hand_step():
     inst = two_node_instance()
     state = EngineState(inst, start_profile(), step_size=0.1)
@@ -210,6 +224,8 @@ def test_run_validation():
         run(state, "dgtc", max_iters=0)
     with pytest.raises(ValueError):
         run(state, "dgtc", threshold=-1.0)
+    with pytest.raises(ValueError):
+        run(state, "dgtc", threshold=float("nan"))
     with pytest.raises(ValueError):
         run(state, "dgpc")
 

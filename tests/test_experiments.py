@@ -57,6 +57,10 @@ def test_instance_parameter_validation():
         make_localization_instance(10, 2, -0.3, 0.01, seed=0)
     with pytest.raises(ValueError):
         make_localization_instance(10, 2, 0.3, 0.0, seed=0)
+    with pytest.raises(ValueError):
+        make_localization_instance(10, 2, float("nan"), 0.01, seed=0)
+    with pytest.raises(ValueError):
+        make_localization_instance(10, 2, 0.3, float("nan"), seed=0)
 
 
 def test_validation_study_small():
@@ -136,6 +140,12 @@ def test_rate_sweep_validation():
         rate_sweep(n=10, q=2, rho_min=0.5, rho_max=0.4, realizations=2)
     with pytest.raises(ValueError):
         rate_sweep(n=10, q=2, rho_min=0.3, rho_max=0.5, realizations=0)
+    with pytest.raises(ValueError):
+        rate_sweep(n=10, q=2, rho_min=0.3, rho_max=float("nan"), realizations=2)
+    with pytest.raises(ValueError):
+        rate_sweep(n=10, q=2, rho_min=-0.5, rho_max=-0.1, realizations=2)
+    with pytest.raises(ValueError):
+        rate_sweep(n=10, q=2, rho_min=0.3, rho_max=0.5, realizations=2, epsilon=float("nan"))
 
 
 def test_median_split():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import rand_connected_graph
+from constrained_consensus.game import GameInstance
 from constrained_consensus.graphs import (
     Graph,
     edge_list_text,
@@ -15,6 +16,7 @@ from constrained_consensus.graphs import (
     laplacian,
     write_edge_list,
 )
+from constrained_consensus.sets import Ball
 
 K2 = Graph.from_edges(2, [(0, 1)])
 PATH3 = Graph.from_edges(3, [(0, 1), (1, 2)])
@@ -159,6 +161,8 @@ def test_rgg_validation():
         generate_rgg(5, 0, 0.3, seed=0)
     with pytest.raises(ValueError):
         generate_rgg(5, 2, 0.0, seed=0)
+    with pytest.raises(ValueError):
+        generate_rgg(5, 2, float("nan"), seed=0)
 
 
 def test_graph_validation():
@@ -184,3 +188,39 @@ def test_graph_degree_helpers():
     assert np.array_equal(PATH3.degrees(), [1, 2, 1])
     assert list(PATH3.edges()) == [(0, 1), (1, 2)]
     assert PATH3.edge_count == 2
+
+
+def test_csr_agrees_with_neighbor_lists(rng):
+    graphs = [Graph(3, ((), (), ())), Graph.from_edges(4, [(0, 2), (1, 2)]), K2, PATH3]
+    for _ in range(20):
+        n = int(rng.integers(1, 12))
+        p = rng.uniform(0.0, 0.6)
+        graphs.append(Graph.from_edges(
+            n, [(i, k) for i in range(n) for k in range(i + 1, n) if rng.random() < p]))
+    assert any(0 in g.degrees() for g in graphs[4:])
+    for g in graphs:
+        indptr, indices, rows = g.csr
+        assert all(not a.flags.writeable for a in g.csr)
+        with pytest.raises(ValueError):
+            indptr[0] = 1
+        assert indptr[0] == 0 and indptr[-1] == indices.size == rows.size
+        for i, nbrs in enumerate(g.neighbors):
+            assert indices[indptr[i]:indptr[i + 1]].tolist() == list(nbrs)
+            assert rows[indptr[i]:indptr[i + 1]].tolist() == [i] * len(nbrs)
+
+        # per-edge loop reference
+        ref_edges = [(i, k) for i, nbrs in enumerate(g.neighbors) for k in nbrs if i < k]
+        ref_adj = np.zeros((g.n, g.n))
+        for i, k in ref_edges:
+            ref_adj[i, k] = ref_adj[k, i] = 1.0
+        assert list(g.edges()) == ref_edges
+        assert g.edge_count == len(ref_edges)
+        assert g.degrees().tolist() == [len(nbrs) for nbrs in g.neighbors]
+        assert np.array_equal(laplacian(g), np.diag(ref_adj.sum(axis=1)) - ref_adj)
+
+        q = int(rng.integers(1, 4))
+        inst = GameInstance(g, tuple(Ball(np.zeros(q), 1.0) for _ in range(g.n)), q)
+        assert np.array_equal(inst.adjacency, ref_adj)
+        gi, gk = inst.edge_gather
+        assert gi.tolist() == [i * q + c for i, _ in ref_edges for c in range(q)]
+        assert gk.tolist() == [k * q + c for _, k in ref_edges for c in range(q)]

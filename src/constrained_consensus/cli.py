@@ -22,6 +22,7 @@ import math
 import statistics
 import sys
 
+from .engine import float_text
 from .experiments import (
     GenerationError,
     median_split,
@@ -93,7 +94,7 @@ SCHEMAS: dict[str, dict[str, tuple[type, object]]] = {
 }
 
 _POSITIVE = {"n", "q", "trials", "realizations", "cycles", "pocs_cycles",
-             "max_iters", "max_attempts", "rho", "rho_max", "epsilon", "step_size",
+             "max_iters", "max_attempts", "rho", "rho_min", "rho_max", "epsilon", "step_size",
              "fiedler_cut", "debug_step_scale"}
 
 
@@ -167,6 +168,8 @@ def _validate_ranges(command: str, cfg: dict) -> None:
             raise ConfigError(f"{key} must be finite, got {value}")
         if key in _POSITIVE and value <= 0:
             raise ConfigError(f"{key} must be positive, got {value}")
+    if cfg["seed"] < 0:
+        raise ConfigError(f"seed must be nonnegative, got {cfg['seed']}")
     if cfg.get("n") is not None and cfg["n"] < 2:
         raise ConfigError(f"n must be at least 2, got {cfg['n']}")
     if cfg.get("threshold") is not None and cfg["threshold"] < 0:
@@ -247,7 +250,7 @@ def cmd_pocs(cfg: dict) -> int:
         for cycle in range(1, cfg["cycles"] + 1):
             x, disp = pocs_run(inst, x, 1)
             dmax = float(max(s.distance_to(x) for s in inst.sets))
-            lines.append(f"{trial},{seed},{cycle},{repr(disp[0])},{repr(dmax)}")
+            lines.append(f"{trial},{seed},{cycle},{float_text(disp[0])},{float_text(dmax)}")
         finals.append(dmax)
     write_text("\n".join(lines) + "\n", cfg["out"])
     print(f"trials: {cfg['trials']}, cycles: {cfg['cycles']}")

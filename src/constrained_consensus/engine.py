@@ -35,7 +35,7 @@ from .game import (
     potential,
 )
 from .graphs import GeometricLayout
-from .tolerances import DEFAULT, Tolerances
+from .tolerances import DEFAULT
 
 
 class InvariantError(RuntimeError):
@@ -54,7 +54,6 @@ class EngineState:
     profile: np.ndarray
     t: int = 0
     step_size: float | None = None
-    seed: int | None = None
 
 
 @dataclass(frozen=True)
@@ -78,7 +77,6 @@ class Trace:
     iterations_used: int
     # True when the run stopped at a literal best-response fixed point
     fixed_point: bool = False
-    seed: int | None = None
 
     @property
     def consensus_curve(self) -> np.ndarray:
@@ -91,7 +89,8 @@ class Trace:
     def csv_text(self) -> str:
         lines = ["t,consensus_metric,potential,num_updated"]
         for r in self.records:
-            lines.append(f"{r.t},{_fmt(r.consensus_metric)},{_fmt(r.potential)},{len(r.updated)}")
+            lines.append(f"{r.t},{float_text(r.consensus_metric)},{float_text(r.potential)},"
+                         f"{len(r.updated)}")
         return "\n".join(lines) + "\n"
 
     def write_csv(self, path) -> None:
@@ -99,7 +98,8 @@ class Trace:
             fh.write(self.csv_text())
 
 
-def _fmt(x: float) -> str:
+def float_text(x: float) -> str:
+    """Shortest round-trip text of a float, as every CSV column writes it."""
     return repr(float(x))
 
 
@@ -125,14 +125,14 @@ def initialize(inst: GameInstance, layout: GeometricLayout | None = None) -> np.
 
 
 def initial_state(inst: GameInstance, layout: GeometricLayout | None = None,
-                  step_size: float | None = None, seed: int | None = None) -> EngineState:
+                  step_size: float | None = None) -> EngineState:
     """Build a validated engine state with the deterministic initial profile."""
     if step_size is not None:
-        _check_step(inst, step_size)
-    return EngineState(inst, initialize(inst, layout), 0, step_size, seed)
+        _check_step(inst, step_size, stacklevel=3)
+    return EngineState(inst, initialize(inst, layout), 0, step_size)
 
 
-def _check_step(inst: GameInstance, s: float) -> None:
+def _check_step(inst: GameInstance, s: float, stacklevel: int) -> None:
     if not s > 0:
         raise ValueError(f"step size must be positive, got {s}")
     bound = max_step_size(inst)
@@ -141,14 +141,27 @@ def _check_step(inst: GameInstance, s: float) -> None:
             f"step size {s:.6g} is at or above the sufficient bound {bound:.6g}; "
             "convergence is no longer guaranteed",
             StepSizeWarning,
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
 
 
-def _require_no_isolated(inst: GameInstance) -> None:
+def _checked_profile(state: EngineState, algo: str) -> np.ndarray:
+    """The state's profile, once the state is valid for ``algo`` rounds: a
+    known algorithm, no isolated node, a feasible profile and a step size."""
+    if algo not in ("dgtc", "dgpc"):
+        raise ValueError(f"unknown algorithm {algo!r} (expected 'dgtc' or 'dgpc')")
+    inst = state.instance
     if np.any(inst.degrees == 0):
         isolated = int(np.argmin(inst.degrees))
         raise DegenerateNodeError(f"node {isolated} has no neighbors")
+    prof = as_profile(inst, state.profile)
+    _assert_feasible(inst, prof, when="in the starting profile")
+    if algo == "dgpc":
+        if state.step_size is None:
+            raise ValueError("gradient-projection rounds need a step size")
+        # frames: warn <- _check_step <- here <- run / dgpc_round <- caller
+        _check_step(inst, state.step_size, stacklevel=4)
+    return prof
 
 
 def _best_response_all(inst: GameInstance, prof: np.ndarray):
@@ -178,64 +191,60 @@ def _select_winners(inst: GameInstance, metrics: np.ndarray) -> np.ndarray:
     return (metrics > nb_max) | ((metrics == nb_max) & (ids > nb_argmax_id))
 
 
-def dgtc_round(state: EngineState) -> EngineState:
-    """One synchronous best-response round (winner-rule dynamics)."""
-    inst = state.instance
-    _require_no_isolated(inst)
-    prof = as_profile(inst, state.profile)
+def _dgtc_kernel(inst: GameInstance, prof: np.ndarray, t: int):
+    """Best-response round ``t``: the new profile, the winner ids and the
+    largest update metric.  Asserts winner independence and feasibility."""
     responses, metrics = _best_response_all(inst, prof)
     win = _select_winners(inst, metrics)
+    _assert_independent(inst, win)
     new_prof = np.where(win[:, None], responses, prof)
+    _assert_feasible(inst, new_prof, when=f"after round {t}")
+    return new_prof, tuple(np.flatnonzero(win).tolist()), float(metrics.max())
+
+
+def _dgpc_kernel(inst: GameInstance, prof: np.ndarray, s: float, t: int) -> np.ndarray:
+    """Gradient-projection round ``t`` with step ``s``; asserts feasibility."""
+    lap_p = inst.degrees[:, None] * prof - inst.adjacency @ prof
+    new_prof = inst.projector.project(prof - 2.0 * s * lap_p)
+    _assert_feasible(inst, new_prof, when=f"after round {t}")
+    return new_prof
+
+
+def dgtc_round(state: EngineState) -> EngineState:
+    """One synchronous best-response round, checked as in ``run``."""
+    prof = _checked_profile(state, "dgtc")
+    new_prof, _, _ = _dgtc_kernel(state.instance, prof, state.t + 1)
     return replace(state, profile=new_prof, t=state.t + 1)
 
 
 def dgpc_round(state: EngineState) -> EngineState:
-    """One simultaneous gradient-projection round with constant step size."""
-    inst = state.instance
-    if state.step_size is None:
-        raise ValueError("gradient-projection rounds need a step size")
-    _check_step(inst, state.step_size)
-    prof = as_profile(inst, state.profile)
-    new_prof = _gradient_projection_step(inst, prof, state.step_size)
+    """One simultaneous gradient-projection round, checked as in ``run``."""
+    prof = _checked_profile(state, "dgpc")
+    new_prof = _dgpc_kernel(state.instance, prof, state.step_size, state.t + 1)
     return replace(state, profile=new_prof, t=state.t + 1)
 
 
-def _gradient_projection_step(inst: GameInstance, prof: np.ndarray, s: float) -> np.ndarray:
-    lap_p = inst.degrees[:, None] * prof - inst.adjacency @ prof
-    return inst.projector.project(prof - 2.0 * s * lap_p)
-
-
 def run(state: EngineState, algo: str, max_iters: int | None = None,
-        threshold: float = DEFAULT.convergence_threshold,
-        tol: Tolerances = DEFAULT) -> Trace:
+        threshold: float = DEFAULT.convergence_threshold) -> Trace:
     """Iterate rounds until the consensus metric reaches ``threshold``.
 
     Stops after ``max_iters`` rounds (default 100 * N) or, for the
     best-response dynamics, at a literal fixed point: once every update
-    metric is at most ``tol.fixed_point`` the profile can never change
+    metric is at most ``DEFAULT.fixed_point`` the profile can never change
     again, so looping further would be vacuous.
 
     Per-round invariants (feasibility, winner independence, potential
     monotonicity) are asserted; see module docstring.
     """
-    if algo not in ("dgtc", "dgpc"):
-        raise ValueError(f"unknown algorithm {algo!r} (expected 'dgtc' or 'dgpc')")
+    prof = _checked_profile(state, algo).copy()
     inst = state.instance
-    _require_no_isolated(inst)
     if max_iters is None:
         max_iters = 100 * inst.n
     if max_iters < 1:
         raise ValueError(f"max_iters must be positive, got {max_iters}")
     if not threshold >= 0:
         raise ValueError(f"threshold must be nonnegative, got {threshold}")
-
-    prof = as_profile(inst, state.profile).copy()
-    _assert_feasible(inst, prof, tol, when="after initialization")
-    if algo == "dgpc":
-        if state.step_size is None:
-            raise ValueError("gradient-projection runs need a step size")
-        _check_step(inst, state.step_size)
-        all_ids = tuple(range(inst.n))
+    all_ids = tuple(range(inst.n))  # one tuple shared by every gradient-projection record
 
     phi = potential(inst, prof)
     metric = consensus_metric(prof)
@@ -245,24 +254,18 @@ def run(state: EngineState, algo: str, max_iters: int | None = None,
 
     while metric > threshold and t < max_iters:
         if algo == "dgtc":
-            responses, metrics = _best_response_all(inst, prof)
-            max_metric = float(metrics.max())
-            if max_metric <= tol.fixed_point:
+            new_prof, updated, max_metric = _dgtc_kernel(inst, prof, t + 1)
+            if max_metric <= DEFAULT.fixed_point:
                 fixed_point = True
                 break
-            win = _select_winners(inst, metrics)
-            _assert_independent(inst, win)
-            prof = np.where(win[:, None], responses, prof)
-            updated = tuple(np.flatnonzero(win).tolist())
+            prof = new_prof
         else:
-            prof = _gradient_projection_step(inst, prof, state.step_size)
-            updated = all_ids
-            max_metric = None
+            prof = _dgpc_kernel(inst, prof, state.step_size, t + 1)
+            updated, max_metric = all_ids, None
         t += 1
 
-        _assert_feasible(inst, prof, tol, when=f"after round {t}")
         new_phi = potential(inst, prof)
-        if algo == "dgtc" and new_phi < phi - tol.monotonicity:
+        if algo == "dgtc" and new_phi < phi - DEFAULT.monotonicity:
             raise InvariantError(
                 f"potential decreased in round {t}: {phi!r} -> {new_phi!r}")
         phi = new_phi
@@ -276,13 +279,12 @@ def run(state: EngineState, algo: str, max_iters: int | None = None,
         converged=metric <= threshold,
         iterations_used=t,
         fixed_point=fixed_point,
-        seed=state.seed,
     )
 
 
-def _assert_feasible(inst: GameInstance, prof: np.ndarray, tol: Tolerances, when: str) -> None:
+def _assert_feasible(inst: GameInstance, prof: np.ndarray, when: str) -> None:
     dists = inst.projector.distances(prof)
-    if dists.max() > tol.membership:
+    if dists.max() > DEFAULT.membership:
         worst = int(np.argmax(dists))
         raise InvariantError(
             f"strategy of node {worst} left its set {when}: distance {dists[worst]:.3e}")

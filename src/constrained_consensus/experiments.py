@@ -25,12 +25,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .engine import Trace, initial_state, pocs_run, run
+from .engine import Trace, float_text, initial_state, pocs_run, run
 from .game import GameInstance, default_step_size
 from .graphs import GeometricLayout, Graph, fiedler_value, graph_from_positions, is_connected
 from .seeding import rng_for
 from .sets import Ball
-from .tolerances import DEFAULT, Tolerances
+from .tolerances import DEFAULT
 
 
 class GenerationError(RuntimeError):
@@ -147,8 +147,7 @@ def validation_study(n: int, q: int, rho: float, epsilon: float, trials: int,
                      max_iters: int | None = None,
                      threshold: float = DEFAULT.convergence_threshold,
                      base_seed: int = 0, step_size: float | None = None,
-                     pocs_cycles: int = 40, max_attempts: int = 100,
-                     tol: Tolerances = DEFAULT) -> ValidationResult:
+                     pocs_cycles: int = 40, max_attempts: int = 100) -> ValidationResult:
     """Monte-Carlo convergence runs on `trials` connected instances.
 
     Trial i uses instance seed base_seed + i.  Both distributed algorithms
@@ -164,18 +163,24 @@ def validation_study(n: int, q: int, rho: float, epsilon: float, trials: int,
         loc = make_localization_instance(n, q, rho, epsilon, seed, max_attempts)
         inst = loc.game_instance
         seeds.append(seed)
-
-        state = initial_state(inst, loc.layout, seed=seed)
-        dgtc_traces.append(run(state, "dgtc", max_iters, threshold, tol))
-
-        s = step_size if step_size is not None else default_step_size(inst)
-        state = initial_state(inst, loc.layout, step_size=s, seed=seed)
-        dgpc_traces.append(run(state, "dgpc", max_iters, threshold, tol))
-
+        tr_dgtc, tr_dgpc = _run_pair(loc, max_iters, threshold, step_size)
+        dgtc_traces.append(tr_dgtc)
+        dgpc_traces.append(tr_dgpc)
         x, disp = pocs_run(inst, np.zeros(q), pocs_cycles)
         pocs_results.append(PocsResult(x, disp, float(np.max(inst.projector.distances(
             np.broadcast_to(x, (inst.n, q)))))))
     return ValidationResult(base_seed, seeds, dgtc_traces, dgpc_traces, pocs_results)
+
+
+def _run_pair(loc: LocalizationInstance, max_iters: int | None, threshold: float,
+              step_size: float | None = None) -> tuple[Trace, Trace]:
+    """Both distributed algorithms on one scenario, each started from the
+    layout anchors; the gradient step defaults to ``default_step_size``."""
+    inst = loc.game_instance
+    tr_dgtc = run(initial_state(inst, loc.layout), "dgtc", max_iters, threshold)
+    s = step_size if step_size is not None else default_step_size(inst)
+    tr_dgpc = run(initial_state(inst, loc.layout, step_size=s), "dgpc", max_iters, threshold)
+    return tr_dgtc, tr_dgpc
 
 
 @dataclass(frozen=True)
@@ -195,8 +200,7 @@ class SweepRecord:
 def rate_sweep(n: int, q: int, rho_min: float, rho_max: float, realizations: int,
                threshold: float = DEFAULT.convergence_threshold, base_seed: int = 0,
                epsilon: float = 0.01, max_iters: int | None = None,
-               max_attempts: int | None = None,
-               tol: Tolerances = DEFAULT) -> list[SweepRecord]:
+               max_attempts: int | None = None) -> list[SweepRecord]:
     """Iterations-to-threshold across network densities.
 
     Every attempt draws a fresh communication range uniform in
@@ -209,7 +213,7 @@ def rate_sweep(n: int, q: int, rho_min: float, rho_max: float, realizations: int
         raise ValueError(f"need rho_min < rho_max, got [{rho_min}, {rho_max}]")
     if realizations < 1:
         raise ValueError(f"realizations must be positive, got {realizations}")
-    _check_scenario(n, q, rho_max, epsilon)
+    _check_scenario(n, q, rho_min, epsilon)
     cap = max_attempts if max_attempts is not None else 200 * realizations + 100
     records: list[SweepRecord] = []
     attempt = 0
@@ -224,13 +228,7 @@ def rate_sweep(n: int, q: int, rho_min: float, rho_max: float, realizations: int
         attempt += 1
         if loc is None:
             continue
-        inst = loc.game_instance
-
-        tr_dgtc = run(initial_state(inst, loc.layout, seed=loc.seed),
-                      "dgtc", max_iters, threshold, tol)
-        tr_dgpc = run(initial_state(inst, loc.layout, step_size=default_step_size(inst),
-                                    seed=loc.seed),
-                      "dgpc", max_iters, threshold, tol)
+        tr_dgtc, tr_dgpc = _run_pair(loc, max_iters, threshold)
         records.append(SweepRecord(
             trial=len(records),
             seed=loc.seed,
@@ -241,6 +239,7 @@ def rate_sweep(n: int, q: int, rho_min: float, rho_max: float, realizations: int
             iters_dgpc=tr_dgpc.iterations_used,
             conv_dgpc=tr_dgpc.converged,
         ))
+        del tr_dgtc, tr_dgpc  # kept into the next pair's runs, they would raise peak memory
     return records
 
 
@@ -257,10 +256,6 @@ def median_split(records: list[SweepRecord], fiedler_cut: float) -> dict[str, fl
     return out
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def validation_csv_text(result: ValidationResult) -> str:
     """CSV of all traces: algo,trial,seed,t,consensus_metric,potential.
 
@@ -273,11 +268,12 @@ def validation_csv_text(result: ValidationResult) -> str:
         for trial, tr in enumerate(traces):
             seed = result.seeds[trial]
             for r in tr.records:
-                lines.append(f"{algo},{trial},{seed},{r.t},{_fmt(r.consensus_metric)},{_fmt(r.potential)}")
+                lines.append(f"{algo},{trial},{seed},{r.t},"
+                             f"{float_text(r.consensus_metric)},{float_text(r.potential)}")
     for trial, pr in enumerate(result.pocs):
         seed = result.seeds[trial]
         for cycle, disp in enumerate(pr.displacements, start=1):
-            lines.append(f"pocs,{trial},{seed},{cycle},{_fmt(disp)},nan")
+            lines.append(f"pocs,{trial},{seed},{cycle},{float_text(disp)},nan")
     return "\n".join(lines) + "\n"
 
 
@@ -286,7 +282,7 @@ def sweep_csv_text(records: list[SweepRecord]) -> str:
     lines = ["trial,seed,rho,fiedler,iters_dgtc,conv_dgtc,iters_dgpc,conv_dgpc"]
     for r in records:
         lines.append(
-            f"{r.trial},{r.seed},{_fmt(r.rho)},{_fmt(r.fiedler)},"
+            f"{r.trial},{r.seed},{float_text(r.rho)},{float_text(r.fiedler)},"
             f"{r.iters_dgtc},{int(r.conv_dgtc)},{r.iters_dgpc},{int(r.conv_dgpc)}")
     return "\n".join(lines) + "\n"
 

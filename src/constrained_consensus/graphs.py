@@ -155,12 +155,12 @@ def laplacian(g: Graph) -> np.ndarray:
     return lap
 
 
-def jacobi_eigenvalues(matrix: np.ndarray, tol: float = DEFAULT.jacobi_offdiag,
-                       max_sweeps: int = 100) -> np.ndarray:
+def jacobi_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations, ascending.
 
     Sweeps the upper triangle until the off-diagonal Frobenius norm drops to
-    ``tol`` (or ``max_sweeps`` is hit).  Deterministic, O(n^3) per sweep.
+    ``DEFAULT.jacobi_offdiag`` (or 100 sweeps are done).  Deterministic,
+    O(n^3) per sweep.
     """
     a = np.array(matrix, dtype=float)
     n = a.shape[0]
@@ -172,8 +172,9 @@ def jacobi_eigenvalues(matrix: np.ndarray, tol: float = DEFAULT.jacobi_offdiag,
         return a.diagonal().copy()
 
     # rotating every |a_pq| above tol/n leaves the off-diagonal norm below tol
+    tol = DEFAULT.jacobi_offdiag
     rotate_above = tol / n
-    for _ in range(max_sweeps):
+    for _ in range(100):
         if _offdiag_norm(a) <= tol:
             break
         for p in range(n - 1):
@@ -198,14 +199,14 @@ def _offdiag_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(off))
 
 
-def fiedler_value(g: Graph, tol: float = DEFAULT.jacobi_offdiag) -> float:
+def fiedler_value(g: Graph) -> float:
     """Second-smallest Laplacian eigenvalue, clamped at 0 from below.
 
     Positive iff the graph is connected (for n >= 2).
     """
     if g.n < 2:
         return 0.0
-    eig = jacobi_eigenvalues(laplacian(g), tol=tol)
+    eig = jacobi_eigenvalues(laplacian(g))
     return max(0.0, float(eig[1]))
 
 

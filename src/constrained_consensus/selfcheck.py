@@ -16,7 +16,7 @@ import numpy as np
 
 from . import engine, game, graphs, sets
 from .seeding import rng_for
-from .tolerances import DEFAULT, Tolerances
+from .tolerances import DEFAULT
 
 
 @dataclass(frozen=True)
@@ -55,13 +55,13 @@ def random_set(rng: np.random.Generator, q: int, kind: str | None = None,
     raise ValueError(f"unknown set kind {kind!r}")
 
 
-def sample_in(s: sets.ConvexSet, rng: np.random.Generator, rejections: int = 100) -> np.ndarray:
-    """Random point of the set: rejection inside its bounding box, with a
-    projection fallback (also the path for unbounded sets)."""
+def sample_in(s: sets.ConvexSet, rng: np.random.Generator) -> np.ndarray:
+    """Random point of the set: up to 100 rejection draws inside its bounding
+    box, with a projection fallback (also the path for unbounded sets)."""
     box = s.bounding_box()
     if box is not None:
         lower, upper = box
-        for _ in range(rejections):
+        for _ in range(100):
             x = rng.uniform(lower, upper)
             if s.contains(x, tol=0.0):
                 return x
@@ -102,7 +102,7 @@ def random_feasible_profile(inst: game.GameInstance, rng: np.random.Generator) -
 # ---------------------------------------------------------------------------
 # convex-set checks
 
-def check_projection_idempotent(rng, tol: Tolerances, **_):
+def check_projection_idempotent(rng, **_):
     worst = 0.0
     for _ in range(300):
         q = int(rng.integers(1, 5))
@@ -111,10 +111,10 @@ def check_projection_idempotent(rng, tol: Tolerances, **_):
         once = s.project(x)
         twice = s.project(once)
         worst = max(worst, float(np.max(np.abs(twice - once))))
-    return worst <= tol.idempotence, f"max per-coordinate drift {worst:.2e}"
+    return worst <= DEFAULT.idempotence, f"max per-coordinate drift {worst:.2e}"
 
 
-def check_projection_nonexpansive(rng, tol: Tolerances, **_):
+def check_projection_nonexpansive(rng, **_):
     worst = -np.inf
     for _ in range(300):
         q = int(rng.integers(1, 5))
@@ -122,19 +122,19 @@ def check_projection_nonexpansive(rng, tol: Tolerances, **_):
         x, y = rng.uniform(-5, 5, q), rng.uniform(-5, 5, q)
         gap = float(np.linalg.norm(s.project(x) - s.project(y)) - np.linalg.norm(x - y))
         worst = max(worst, gap)
-    return worst <= tol.nonexpansive, f"max expansion {worst:.2e}"
+    return worst <= DEFAULT.nonexpansive, f"max expansion {worst:.2e}"
 
 
-def check_projection_membership(rng, tol: Tolerances, **_):
+def check_projection_membership(rng, **_):
     worst = 0.0
     for _ in range(300):
         q = int(rng.integers(1, 5))
         s = random_set(rng, q)
         worst = max(worst, s.distance_to(s.project(rng.uniform(-5, 5, q))))
-    return worst <= tol.membership, f"max residual distance {worst:.2e}"
+    return worst <= DEFAULT.membership, f"max residual distance {worst:.2e}"
 
 
-def check_projection_variational(rng, tol: Tolerances, **_):
+def check_projection_variational(rng, **_):
     """(x - Px) . (y - Px) <= 0 for every y in the set."""
     worst = -np.inf
     for _ in range(300):
@@ -144,13 +144,13 @@ def check_projection_variational(rng, tol: Tolerances, **_):
         px = s.project(x)
         y = sample_in(s, rng)
         worst = max(worst, float((x - px) @ (y - px)))
-    return worst <= tol.variational, f"max inner product {worst:.2e}"
+    return worst <= DEFAULT.variational, f"max inner product {worst:.2e}"
 
 
 # ---------------------------------------------------------------------------
 # graph checks
 
-def check_laplacian_row_sums(rng, tol: Tolerances, **_):
+def check_laplacian_row_sums(rng, **_):
     for _ in range(50):
         g = random_connected_graph(rng, int(rng.integers(2, 15)))
         if np.any(graphs.laplacian(g).sum(axis=1) != 0.0):
@@ -158,14 +158,14 @@ def check_laplacian_row_sums(rng, tol: Tolerances, **_):
     return True, "row sums exactly zero on 50 graphs"
 
 
-def check_fiedler_connectivity(rng, tol: Tolerances, **_):
+def check_fiedler_connectivity(rng, **_):
     """fiedler > 0 iff connected, over random graphs with n <= 20."""
     for _ in range(60):
         n = int(rng.integers(2, 21))
         p = rng.uniform(0.05, 0.6)
         edges = [(i, k) for i in range(n) for k in range(i + 1, n) if rng.random() < p]
         g = graphs.Graph.from_edges(n, edges)
-        positive = graphs.fiedler_value(g) > tol.connectivity
+        positive = graphs.fiedler_value(g) > DEFAULT.connectivity
         if positive != graphs.is_connected(g):
             return False, f"mismatch on n={n} graph with {len(edges)} edges"
     return True, "matches BFS connectivity on 60 graphs"
@@ -183,7 +183,7 @@ def _charpoly_eigenvalues(a: np.ndarray) -> np.ndarray:
     return np.sort(np.roots(coeffs).real)
 
 
-def check_jacobi_charpoly(rng, tol: Tolerances, **_):
+def check_jacobi_charpoly(rng, **_):
     worst = 0.0
     for _ in range(100):
         n = int(rng.integers(2, 5))
@@ -195,7 +195,7 @@ def check_jacobi_charpoly(rng, tol: Tolerances, **_):
     return worst <= 1e-8, f"max eigenvalue deviation {worst:.2e}"
 
 
-def check_rgg_reproducible(rng, tol: Tolerances, **_):
+def check_rgg_reproducible(rng, **_):
     seed = int(rng.integers(2**31))
     g1, l1 = graphs.generate_rgg(30, 2, 0.3, seed)
     g2, l2 = graphs.generate_rgg(30, 2, 0.3, seed)
@@ -216,7 +216,7 @@ def _rel_close(a: float, b: float, tol: float) -> bool:
     return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
 
 
-def check_exact_potential(rng, tol: Tolerances, **_):
+def check_exact_potential(rng, **_):
     """Single-node deviations move the potential by the deviator's utility change."""
     for _ in range(1000):
         inst, _ = random_feasible_instance(rng)
@@ -226,12 +226,12 @@ def check_exact_potential(rng, tol: Tolerances, **_):
         p2[n] = sample_in(inst.sets[n], rng)
         dphi = game.potential(inst, p2) - game.potential(inst, p1)
         dutil = game.utility(inst, p2, n) - game.utility(inst, p1, n)
-        if not _rel_close(dphi, dutil, tol.potential_exact):
+        if not _rel_close(dphi, dutil, DEFAULT.potential_exact):
             return False, f"dphi={dphi!r} dU={dutil!r}"
     return True, "1000 single-node deviations"
 
 
-def check_independent_set_decomposition(rng, tol: Tolerances, **_):
+def check_independent_set_decomposition(rng, **_):
     """Simultaneous deviations of pairwise non-adjacent nodes add up."""
     for _ in range(200):
         inst, _ = random_feasible_instance(rng)
@@ -246,12 +246,12 @@ def check_independent_set_decomposition(rng, tol: Tolerances, **_):
             p2[n] = sample_in(inst.sets[n], rng)
         dphi = game.potential(inst, p2) - game.potential(inst, p1)
         dutil = sum(game.utility(inst, p2, n) - game.utility(inst, p1, n) for n in chosen)
-        if not _rel_close(dphi, dutil, tol.potential_exact):
+        if not _rel_close(dphi, dutil, DEFAULT.potential_exact):
             return False, f"|K|={len(chosen)} dphi={dphi!r} sum dU={dutil!r}"
     return True, "200 independent-set deviations"
 
 
-def check_gradient_block_identity(rng, tol: Tolerances, **_):
+def check_gradient_block_identity(rng, **_):
     for _ in range(100):
         inst, _ = random_feasible_instance(rng)
         p = random_feasible_profile(inst, rng)
@@ -263,7 +263,7 @@ def check_gradient_block_identity(rng, tol: Tolerances, **_):
     return True, "blocks equal -utility gradient exactly"
 
 
-def check_gradient_finite_difference(rng, tol: Tolerances, **_):
+def check_gradient_finite_difference(rng, **_):
     h = 1e-6
     for _ in range(100):
         inst, _ = random_feasible_instance(rng)
@@ -278,12 +278,12 @@ def check_gradient_finite_difference(rng, tol: Tolerances, **_):
             fd[j] = (-game.potential(inst, forward.reshape(p.shape))
                      + game.potential(inst, backward.reshape(p.shape))) / (2 * h)
         scale = max(1.0, float(np.linalg.norm(grad)))
-        if np.linalg.norm(grad - fd) / scale > tol.gradient_fd:
+        if np.linalg.norm(grad - fd) / scale > DEFAULT.gradient_fd:
             return False, f"relative error {np.linalg.norm(grad - fd) / scale:.2e}"
     return True, "100 random profiles vs central differences"
 
 
-def check_best_response_optimality(rng, tol: Tolerances, **_):
+def check_best_response_optimality(rng, **_):
     worst = -np.inf
     for _ in range(20):
         inst, _ = random_feasible_instance(rng)
@@ -297,10 +297,10 @@ def check_best_response_optimality(rng, tol: Tolerances, **_):
             p_cand = p.copy()
             p_cand[n] = sample_in(inst.sets[n], rng)
             worst = max(worst, game.utility(inst, p_cand, n) - u_br)
-    return worst <= tol.optimality, f"max utility shortfall {worst:.2e} over 1000 candidates"
+    return worst <= DEFAULT.optimality, f"max utility shortfall {worst:.2e} over 1000 candidates"
 
 
-def check_lipschitz_inequality(rng, tol: Tolerances, **_):
+def check_lipschitz_inequality(rng, **_):
     worst = -np.inf
     for _ in range(20):
         inst, _ = random_feasible_instance(rng)
@@ -311,10 +311,10 @@ def check_lipschitz_inequality(rng, tol: Tolerances, **_):
             lhs = float(np.linalg.norm(game.cost_gradient(inst, x) - game.cost_gradient(inst, y)))
             rhs = lip * float(np.linalg.norm(x - y))
             worst = max(worst, lhs - rhs)
-    return worst <= tol.lipschitz, f"max violation {worst:.2e} over 1000 pairs"
+    return worst <= DEFAULT.lipschitz, f"max violation {worst:.2e} over 1000 pairs"
 
 
-def check_potential_concavity(rng, tol: Tolerances, **_):
+def check_potential_concavity(rng, **_):
     for _ in range(300):
         inst, _ = random_feasible_instance(rng)
         x = random_feasible_profile(inst, rng)
@@ -322,7 +322,7 @@ def check_potential_concavity(rng, tol: Tolerances, **_):
         lam = float(rng.random())
         mix = game.potential(inst, lam * x + (1 - lam) * y)
         bound = lam * game.potential(inst, x) + (1 - lam) * game.potential(inst, y)
-        if mix < bound - tol.variational:
+        if mix < bound - DEFAULT.variational:
             return False, f"phi(mix)={mix!r} < bound={bound!r}"
     return True, "300 random chords"
 
@@ -330,7 +330,7 @@ def check_potential_concavity(rng, tol: Tolerances, **_):
 # ---------------------------------------------------------------------------
 # engine checks
 
-def check_dgtc_structure(rng, tol: Tolerances, **_):
+def check_dgtc_structure(rng, **_):
     """Winner independence, potential monotonicity and feasibility per round.
 
     The engine asserts these internally (raising InvariantError); the trace
@@ -339,22 +339,22 @@ def check_dgtc_structure(rng, tol: Tolerances, **_):
     for _ in range(25):
         inst, _ = random_feasible_instance(rng)
         trace = engine.run(engine.initial_state(inst), "dgtc", threshold=0.0,
-                           max_iters=50 * inst.n, tol=tol)
+                           max_iters=50 * inst.n)
         prev_phi = -np.inf
         for rec in trace.records:
-            if rec.potential < prev_phi - tol.monotonicity:
+            if rec.potential < prev_phi - DEFAULT.monotonicity:
                 return False, f"potential dropped at t={rec.t}"
             prev_phi = rec.potential
             for a in rec.updated:
                 for b in rec.updated:
                     if a != b and inst.adjacency[a, b]:
                         return False, f"adjacent winners {a},{b} at t={rec.t}"
-        if game.max_set_distance(inst, trace.final_profile) > tol.membership:
+        if game.max_set_distance(inst, trace.final_profile) > DEFAULT.membership:
             return False, "final profile infeasible"
     return True, "25 best-response runs"
 
 
-def check_dgpc_matches_centralized(rng, tol: Tolerances, step_scale: float = 1.0, **_):
+def check_dgpc_matches_centralized(rng, step_scale: float = 1.0, **_):
     """Per-node rounds equal the stacked projected-gradient update."""
     for _ in range(50):
         inst, _ = random_feasible_instance(rng)
@@ -372,7 +372,7 @@ def check_dgpc_matches_centralized(rng, tol: Tolerances, step_scale: float = 1.0
     return True, "50 random rounds, per-coordinate 1e-12"
 
 
-def check_dgpc_cost_descent(rng, tol: Tolerances, step_scale: float = 1.0, **_):
+def check_dgpc_cost_descent(rng, step_scale: float = 1.0, **_):
     """Observed: the consensus cost does not increase along admissible-step
     runs.  Not guaranteed once the step exceeds its sufficient bound."""
     for _ in range(25):
@@ -385,34 +385,34 @@ def check_dgpc_cost_descent(rng, tol: Tolerances, step_scale: float = 1.0, **_):
             for _ in range(60):
                 state = engine.dgpc_round(state)
                 cost = -game.potential(inst, state.profile)
-                if cost > prev + tol.monotonicity:
+                if cost > prev + DEFAULT.monotonicity:
                     return False, f"cost rose {prev!r} -> {cost!r} (step {s:.3g})"
                 prev = cost
     return True, "25 runs x 60 rounds"
 
 
-def check_fixed_point_consensus(rng, tol: Tolerances, **_):
+def check_fixed_point_consensus(rng, **_):
     """Rounds whose largest update metric is tiny are near-consensus states."""
     seen = 0
     for _ in range(25):
         inst, _ = random_feasible_instance(rng)
         trace = engine.run(engine.initial_state(inst), "dgtc", threshold=0.0,
-                           max_iters=60 * inst.n, tol=tol)
+                           max_iters=60 * inst.n)
         for rec in trace.records:
-            if rec.max_metric is not None and rec.max_metric <= tol.fixed_point_report:
+            if rec.max_metric is not None and rec.max_metric <= DEFAULT.fixed_point_report:
                 seen += 1
-                if rec.consensus_metric > tol.consensus_at_fixed_point:
+                if rec.consensus_metric > DEFAULT.consensus_at_fixed_point:
                     return False, (f"max metric {rec.max_metric!r} but consensus "
                                    f"{rec.consensus_metric!r} at t={rec.t}")
     return True, f"{seen} tiny-update rounds, all near consensus"
 
 
-def check_near_consensus_feasibility(rng, tol: Tolerances, **_):
+def check_near_consensus_feasibility(rng, **_):
     """The mean point is within the consensus metric of every node's set."""
     for _ in range(25):
         inst, _ = random_feasible_instance(rng)
         trace = engine.run(engine.initial_state(inst), "dgtc",
-                           threshold=1e-8, max_iters=60 * inst.n, tol=tol)
+                           threshold=1e-8, max_iters=60 * inst.n)
         mu = trace.final_profile.mean(axis=0)
         c = engine.consensus_metric(trace.final_profile)
         for s in inst.sets:
@@ -421,7 +421,7 @@ def check_near_consensus_feasibility(rng, tol: Tolerances, **_):
     return True, "25 converged runs"
 
 
-def check_pocs_displacement(rng, tol: Tolerances, **_):
+def check_pocs_displacement(rng, **_):
     """Cycle displacements never increase and vanish on feasible instances."""
     for _ in range(50):
         inst, common = random_feasible_instance(rng)
@@ -470,8 +470,7 @@ SUITES: dict[str, dict] = {
 }
 
 
-def run_checks(suites=None, seed: int = 0, step_scale: float = 1.0,
-               tol: Tolerances = DEFAULT) -> list[CheckResult]:
+def run_checks(suites=None, seed: int = 0, step_scale: float = 1.0) -> list[CheckResult]:
     """Run the selected suites (all by default) and collect results."""
     if suites is None:
         suites = list(SUITES)
@@ -483,7 +482,7 @@ def run_checks(suites=None, seed: int = 0, step_scale: float = 1.0,
         for name, fn in SUITES[suite].items():
             rng = rng_for(seed, _stable_key(suite), _stable_key(name))
             try:
-                passed, detail = fn(rng, tol, step_scale=step_scale)
+                passed, detail = fn(rng, step_scale=step_scale)
             except engine.InvariantError as exc:
                 passed, detail = False, f"invariant violated: {exc}"
             results.append(CheckResult(suite, name, bool(passed), detail))

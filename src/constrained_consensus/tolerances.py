@@ -1,10 +1,10 @@
 """Shared numeric tolerance table.
 
 Every fixed tolerance used by the library and its self-checks lives here so
-that there is a single place to audit (and override) them.
+that there is a single place to audit them.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -37,9 +37,6 @@ class Tolerances:
     jacobi_offdiag: float = 1e-12
     # eigenvalue level separating "connected" from "disconnected"
     connectivity: float = 1e-9
-
-    def override(self, **kwargs) -> "Tolerances":
-        return replace(self, **kwargs)
 
 
 DEFAULT = Tolerances()

@@ -1,3 +1,7 @@
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
 from constrained_consensus.cli import (
@@ -109,6 +113,13 @@ def test_usage_errors(tmp_path, capsys):
     capsys.readouterr()
     assert main(["sweep", "--rho-min", "-0.5", "--rho-max", "-0.1"]) == EXIT_USAGE
     assert "must be" in capsys.readouterr().err
+    assert main(["sweep", "--rho-min", "0", "--rho-max", "0.5"]) == EXIT_USAGE
+    assert "rho_min must be positive" in capsys.readouterr().err
+    assert main(["run", "--seed", "-1", "--n", "10", "--rho", "0.5", "--trials", "1",
+                 "--out", str(tmp_path / "x.csv")]) == EXIT_USAGE
+    assert "seed must be nonnegative" in capsys.readouterr().err
+    assert main(["validate", "--seed", "-1"]) == EXIT_USAGE
+    assert "seed must be nonnegative" in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
         main(["run", "--not-a-flag", "1"])
     assert exc.value.code == EXIT_USAGE
@@ -154,3 +165,15 @@ def test_config_parse_errors():
         parse_config_text("key =\n")
     with pytest.raises(ConfigError):
         coerce_config("run", {"n": "ten"})
+
+
+def test_smoke_csv_matches_benchmark_reference(tmp_path):
+    # the benchmark's byte gate, in-process on its tiny smoke workload: any
+    # change to the output bits fails here as well as in the benchmark
+    reference = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+    smoke = json.loads(reference.read_text(encoding="utf-8"))["workloads"]["smoke"]
+    for inputs in ("default", "held_out"):
+        entry = smoke["seeds"][inputs]
+        out = tmp_path / f"{inputs}.csv"
+        assert main([*smoke["argv"], "--seed", str(entry["seed"]), "--out", str(out)]) == EXIT_OK
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == entry["sha256"], inputs

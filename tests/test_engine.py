@@ -17,7 +17,12 @@ from constrained_consensus.engine import (
     pocs_run,
     run,
 )
-from constrained_consensus.game import GameInstance, default_step_size, max_set_distance
+from constrained_consensus.game import (
+    DegenerateNodeError,
+    GameInstance,
+    default_step_size,
+    max_set_distance,
+)
 from constrained_consensus.graphs import GeometricLayout, Graph
 from constrained_consensus.sets import Ball, interval
 
@@ -133,6 +138,19 @@ def test_assert_independent_rejects_adjacent_winners():
     for win in ([True, False, True, False], [True, False, False, True],
                 [False, False, False, False], [False, False, True, False]):
         _assert_independent(inst, np.array(win))
+
+
+def test_single_rounds_make_the_run_checks():
+    # an infeasible incoming profile is rejected, as run rejects it
+    path = Graph.from_edges(3, [(0, 1), (1, 2)])
+    inst = GameInstance(path, tuple(interval(0.0, 1.0) for _ in range(3)), 1)
+    with pytest.raises(InvariantError, match="left its set"):
+        dgtc_round(EngineState(inst, np.array([[1.1], [-5.0], [1.0]])))
+    # an isolated node is rejected before any arithmetic, as run does
+    g = Graph.from_edges(3, [(0, 1)])
+    inst = GameInstance(g, tuple(interval(0.0, 1.0) for _ in range(3)), 1)
+    with pytest.raises(DegenerateNodeError):
+        dgpc_round(EngineState(inst, np.zeros((3, 1)), step_size=0.1))
 
 
 def test_dgpc_hand_step():

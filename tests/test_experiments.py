@@ -145,6 +145,10 @@ def test_rate_sweep_validation():
     with pytest.raises(ValueError):
         rate_sweep(n=10, q=2, rho_min=-0.5, rho_max=-0.1, realizations=2)
     with pytest.raises(ValueError):
+        rate_sweep(n=10, q=2, rho_min=0.0, rho_max=0.5, realizations=2)
+    with pytest.raises(ValueError):
+        rate_sweep(n=10, q=2, rho_min=-3.0, rho_max=0.5, realizations=2)
+    with pytest.raises(ValueError):
         rate_sweep(n=10, q=2, rho_min=0.3, rho_max=0.5, realizations=2, epsilon=float("nan"))
 
 

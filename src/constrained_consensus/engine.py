@@ -22,6 +22,7 @@ never decreases under best-response rounds.  Violations raise
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 
@@ -106,7 +107,9 @@ def float_text(x: float) -> str:
 def consensus_metric(p) -> float:
     """Root-sum-square deviation of all strategies from their coordinate mean."""
     prof = np.asarray(p, dtype=float)
-    return float(np.linalg.norm(prof - prof.mean(axis=0)))
+    # np.linalg.norm's own arithmetic: a dot product in memory order
+    dev = (prof - np.add.reduce(prof, axis=0) / len(prof)).ravel(order="K")
+    return math.sqrt(dev @ dev)
 
 
 def initialize(inst: GameInstance, layout: GeometricLayout | None = None) -> np.ndarray:
@@ -155,7 +158,7 @@ def _checked_profile(state: EngineState, algo: str) -> np.ndarray:
         isolated = int(np.argmin(inst.degrees))
         raise DegenerateNodeError(f"node {isolated} has no neighbors")
     prof = as_profile(inst, state.profile)
-    _assert_feasible(inst, prof, when="in the starting profile")
+    _assert_feasible(inst, prof, None)
     if algo == "dgpc":
         if state.step_size is None:
             raise ValueError("gradient-projection rounds need a step size")
@@ -166,11 +169,10 @@ def _checked_profile(state: EngineState, algo: str) -> np.ndarray:
 
 def _best_response_all(inst: GameInstance, prof: np.ndarray):
     """Vectorized best responses and squared update metrics for every node."""
-    deg = inst.degrees
-    centroids = (inst.adjacency @ prof) / deg[:, None]
+    centroids = (inst.adjacency @ prof) / inst.degree_column
     responses = inst.projector.project(centroids)
-    metrics = ((responses - prof) ** 2).sum(axis=1)
-    return responses, metrics
+    moves = responses - prof
+    return responses, np.add.reduce(moves * moves, axis=1)
 
 
 def _select_winners(inst: GameInstance, metrics: np.ndarray) -> np.ndarray:
@@ -179,16 +181,15 @@ def _select_winners(inst: GameInstance, metrics: np.ndarray) -> np.ndarray:
     A node updates iff its metric strictly beats every neighbor's, or ties
     the neighborhood maximum while its id exceeds the highest-id neighbor
     attaining that maximum.  Comparisons are exact floating point.
-    Requires every node to have at least one neighbor.
+    Requires every node to have at least one neighbor and finite metrics.
+
+    A stable sort ranks the nodes by (metric, id), so the rule reads: a node
+    updates iff its rank exceeds every neighbor's.
     """
-    indptr, indices, rows = inst.graph.csr
-    starts = indptr[:-1]
-    nb_metrics = metrics[indices]
-    nb_max = np.maximum.reduceat(nb_metrics, starts)
-    tied_ids = np.where(nb_metrics == nb_max[rows], indices, -1)
-    nb_argmax_id = np.maximum.reduceat(tied_ids, starts)
-    ids = np.arange(inst.n)
-    return (metrics > nb_max) | ((metrics == nb_max) & (ids > nb_argmax_id))
+    indptr, indices, _ = inst.graph.csr
+    rank = np.empty(inst.n, dtype=np.intp)
+    rank[metrics.argsort(kind="stable")] = inst.node_ids
+    return rank > np.maximum.reduceat(rank[indices], indptr[:-1])
 
 
 def _dgtc_kernel(inst: GameInstance, prof: np.ndarray, t: int):
@@ -198,15 +199,15 @@ def _dgtc_kernel(inst: GameInstance, prof: np.ndarray, t: int):
     win = _select_winners(inst, metrics)
     _assert_independent(inst, win)
     new_prof = np.where(win[:, None], responses, prof)
-    _assert_feasible(inst, new_prof, when=f"after round {t}")
-    return new_prof, tuple(np.flatnonzero(win).tolist()), float(metrics.max())
+    _assert_feasible(inst, new_prof, t)
+    return new_prof, tuple(win.nonzero()[0].tolist()), float(np.maximum.reduce(metrics))
 
 
 def _dgpc_kernel(inst: GameInstance, prof: np.ndarray, s: float, t: int) -> np.ndarray:
     """Gradient-projection round ``t`` with step ``s``; asserts feasibility."""
-    lap_p = inst.degrees[:, None] * prof - inst.adjacency @ prof
+    lap_p = inst.degree_column * prof - inst.adjacency @ prof
     new_prof = inst.projector.project(prof - 2.0 * s * lap_p)
-    _assert_feasible(inst, new_prof, when=f"after round {t}")
+    _assert_feasible(inst, new_prof, t)
     return new_prof
 
 
@@ -282,10 +283,13 @@ def run(state: EngineState, algo: str, max_iters: int | None = None,
     )
 
 
-def _assert_feasible(inst: GameInstance, prof: np.ndarray, when: str) -> None:
+def _assert_feasible(inst: GameInstance, prof: np.ndarray, t: int | None) -> None:
+    """Every strategy within ``DEFAULT.membership`` of its set after round
+    ``t`` (None: in the starting profile); a NaN distance fails too."""
     dists = inst.projector.distances(prof)
-    if dists.max() > DEFAULT.membership:
+    if not np.maximum.reduce(dists) <= DEFAULT.membership:
         worst = int(np.argmax(dists))
+        when = "in the starting profile" if t is None else f"after round {t}"
         raise InvariantError(
             f"strategy of node {worst} left its set {when}: distance {dists[worst]:.3e}")
 
@@ -308,6 +312,8 @@ def pocs_run(inst: GameInstance, x0, cycles: int) -> tuple[np.ndarray, list[floa
     x = np.array(x0, dtype=float)
     if x.shape != (inst.q,):
         raise ValueError(f"expected a starting point of dimension {inst.q}, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError("starting point coordinates must be finite")
     displacements = []
     for _ in range(cycles):
         start = x

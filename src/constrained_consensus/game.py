@@ -65,6 +65,20 @@ class GameInstance:
         d.flags.writeable = False
         return d
 
+    @cached_property
+    def degree_column(self) -> np.ndarray:
+        """``degrees`` as an (N, 1) float column, to scale profile rows."""
+        col = self.degrees[:, None].astype(float)
+        col.flags.writeable = False
+        return col
+
+    @cached_property
+    def node_ids(self) -> np.ndarray:
+        """``0, ..., N-1``, built once for the winner rule's ranks."""
+        ids = np.arange(self.n)
+        ids.flags.writeable = False
+        return ids
+
     # Dense on purpose: the engine's neighbor sums are ``adjacency @ prof``,
     # whose BLAS summation order fixes the bits of every recorded trace; a
     # sparse sum over ``graph.csr`` gives different last bits.
@@ -95,7 +109,7 @@ def as_profile(inst: GameInstance, p) -> np.ndarray:
     prof = np.asarray(p, dtype=float)
     if prof.shape != (inst.n, inst.q):
         raise ValueError(f"expected a profile of shape {(inst.n, inst.q)}, got {prof.shape}")
-    if not np.all(np.isfinite(prof)):
+    if not np.isfinite(prof).all():
         raise ValueError("profile entries must be finite")
     return prof
 
@@ -124,7 +138,7 @@ def potential(inst: GameInstance, p) -> float:
     """
     prof = as_profile(inst, p)
     gi, gk = inst.edge_gather
-    flat = np.ascontiguousarray(prof).ravel()
+    flat = prof.reshape(-1)
     diffs = flat[gi] - flat[gk]
     return -float(diffs @ diffs)
 

@@ -99,13 +99,14 @@ class GeometricLayout:
         pos = np.array(self.positions, dtype=float)
         if pos.ndim != 2:
             raise ValueError("positions must be an (n, q) array")
-        if np.any(pos < 0.0) or np.any(pos > 1.0):
+        # NaN fails both comparisons, so it is rejected here too
+        if not ((pos >= 0.0) & (pos <= 1.0)).all():
             raise ValueError("positions must lie in the unit box")
         pos.flags.writeable = False
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "range", float(self.range))
-        if self.range <= 0.0:
-            raise ValueError("communication range must be positive")
+        if not self.range > 0.0:  # inf stays legal: the complete graph
+            raise ValueError(f"communication range must be positive, got {self.range}")
 
 
 def graph_from_positions(positions: np.ndarray, rho: float) -> Graph:

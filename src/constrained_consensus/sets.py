@@ -19,6 +19,15 @@ from dataclasses import dataclass
 import numpy as np
 
 
+_TINY = np.finfo(float).tiny
+
+
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row: np.linalg.norm(a, axis=1)'s arithmetic,
+    without its Python-level dispatch."""
+    return np.sqrt(np.add.reduce(a * a, axis=1))
+
+
 class DimensionError(ValueError):
     """A point's dimension does not match the set's."""
 
@@ -168,16 +177,15 @@ class RowProjector:
     def project(self, x: np.ndarray) -> np.ndarray:
         if self._centers is not None:
             diff = x - self._centers
-            d = np.linalg.norm(diff, axis=1)
-            scale = self._radii / np.maximum(d, np.finfo(float).tiny)
+            d = _row_norms(diff)
+            scale = self._radii / np.maximum(d, _TINY)
             # rows already inside keep their exact bit pattern
             return np.where((d <= self._radii)[:, None], x, self._centers + diff * scale[:, None])
         return np.array([s.project(row) for s, row in zip(self.sets, x)])
 
     def distances(self, x: np.ndarray) -> np.ndarray:
         if self._centers is not None:
-            d = np.linalg.norm(x - self._centers, axis=1)
-            return np.maximum(d - self._radii, 0.0)
+            return np.maximum(_row_norms(x - self._centers) - self._radii, 0.0)
         return np.array([s.distance_to(row) for s, row in zip(self.sets, x)])
 
 

@@ -167,13 +167,24 @@ def test_config_parse_errors():
         coerce_config("run", {"n": "ten"})
 
 
-def test_smoke_csv_matches_benchmark_reference(tmp_path):
-    # the benchmark's byte gate, in-process on its tiny smoke workload: any
-    # change to the output bits fails here as well as in the benchmark
+def check_benchmark_workload(tmp_path, name, inputs):
+    # the benchmark's byte gate, in-process: runs the workload's argv through
+    # main and compares the CSV's sha256 with perfbench/reference.json
     reference = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
-    smoke = json.loads(reference.read_text(encoding="utf-8"))["workloads"]["smoke"]
-    for inputs in ("default", "held_out"):
-        entry = smoke["seeds"][inputs]
-        out = tmp_path / f"{inputs}.csv"
-        assert main([*smoke["argv"], "--seed", str(entry["seed"]), "--out", str(out)]) == EXIT_OK
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == entry["sha256"], inputs
+    workload = json.loads(reference.read_text(encoding="utf-8"))["workloads"][name]
+    for seeds in inputs:
+        entry = workload["seeds"][seeds]
+        out = tmp_path / f"{name}-{seeds}.csv"
+        assert main([*workload["argv"], "--seed", str(entry["seed"]), "--out", str(out)]) == EXIT_OK
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == entry["sha256"], (name, seeds)
+
+
+def test_smoke_csv_matches_benchmark_reference(tmp_path):
+    # any change to the output bits fails here in about a second
+    check_benchmark_workload(tmp_path, "smoke", ("default", "held_out"))
+
+
+def test_sweep_csv_matches_benchmark_reference(tmp_path):
+    # the sweep command's bytes: rate_sweep, the Fiedler column and the
+    # threshold stops (default seed only; the run takes about 15 s)
+    check_benchmark_workload(tmp_path, "sweep-n50", ("default",))

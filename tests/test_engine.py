@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import rand_feasible_instance
+from conftest import rand_connected_graph, rand_feasible_instance
 from constrained_consensus.engine import (
     EngineState,
     InvariantError,
+    _assert_feasible,
     _assert_independent,
+    _select_winners,
     StepSizeWarning,
     consensus_metric,
     dgpc_round,
@@ -22,6 +24,7 @@ from constrained_consensus.game import (
     GameInstance,
     default_step_size,
     max_set_distance,
+    potential,
 )
 from constrained_consensus.graphs import GeometricLayout, Graph
 from constrained_consensus.sets import Ball, interval
@@ -140,6 +143,89 @@ def test_assert_independent_rejects_adjacent_winners():
         _assert_independent(inst, np.array(win))
 
 
+def test_assert_feasible_rejects_non_finite():
+    # the all-ball instance takes the vectorized distance path, the interval
+    # instance the per-row one
+    g = Graph.from_edges(2, [(0, 1)])
+    balls = GameInstance(g, (Ball((0.0, 0.0), 1.0), Ball((0.5, 0.0), 1.0)), 2)
+    for inst, good in ((balls, [[0.0, 0.0], [0.5, 0.0]]), (two_node_instance(), [[0.0], [0.5]])):
+        _assert_feasible(inst, np.array(good), 1)
+        for bad in (math.nan, math.inf):
+            prof = np.array(good)
+            prof[0, 0] = bad
+            with pytest.raises(InvariantError, match="node 0 left its set after round 1"):
+                _assert_feasible(inst, prof, 1)
+
+
+def _rand_ball_instance(rng, q):
+    n = int(rng.integers(2, 30))
+    g = rand_connected_graph(rng, n)
+    balls = tuple(Ball(rng.uniform(-1, 1, q), rng.uniform(0.0, 0.8)) for _ in range(n))
+    return GameInstance(g, balls, q)
+
+
+def _rand_ball_profile(inst, rng):
+    # rows inside, outside and exactly at the center of their balls
+    prof = rng.uniform(-2, 2, (inst.n, inst.q))
+    centers = np.array([s.center for s in inst.sets])
+    pick = rng.integers(3, size=inst.n)
+    prof[pick == 1] = centers[pick == 1]
+    near = pick == 2
+    prof[near] = centers[near] + 0.1 * (prof[near] - centers[near])
+    return prof
+
+
+def reference_project(centers, radii, x):
+    diff = x - centers
+    d = np.linalg.norm(diff, axis=1)
+    scale = radii / np.maximum(d, np.finfo(float).tiny)
+    return np.where((d <= radii)[:, None], x, centers + diff * scale[:, None])
+
+
+def reference_distances(centers, radii, x):
+    return np.maximum(np.linalg.norm(x - centers, axis=1) - radii, 0.0)
+
+
+def reference_potential(inst, p):
+    gi, gk = inst.edge_gather
+    flat = np.ascontiguousarray(p).ravel()
+    diffs = flat[gi] - flat[gk]
+    return -float(diffs @ diffs)
+
+
+def reference_winners(inst, metrics):
+    # brute force: a node wins iff its (metric, id) beats every neighbor's
+    return np.array([all((metrics[i], i) > (metrics[k], k) for k in inst.graph.neighbors[i])
+                     for i in range(inst.n)])
+
+
+def test_round_arithmetic_matches_reference_bit_for_bit(rng):
+    # the round path's NumPy calls were rewritten for speed; every result
+    # must equal the straightforward formula exactly, not approximately
+    for q in (1, 2, 3):
+        for _ in range(20):
+            inst = _rand_ball_instance(rng, q)
+            centers = np.array([s.center for s in inst.sets])
+            radii = np.array([s.radius for s in inst.sets])
+            prof = _rand_ball_profile(inst, rng)
+            for p in (prof, np.asfortranarray(prof)):
+                assert consensus_metric(p) == float(np.linalg.norm(p - p.mean(axis=0)))
+                assert potential(inst, p) == reference_potential(inst, p)
+                assert np.array_equal(inst.projector.project(p), reference_project(centers, radii, p))
+                assert np.array_equal(inst.projector.distances(p),
+                                      reference_distances(centers, radii, p))
+
+
+def test_winner_rule_matches_brute_force(rng):
+    for q in (1, 2, 3):
+        for _ in range(30):
+            inst = _rand_ball_instance(rng, q)
+            n = inst.n
+            for metrics in (rng.random(n), rng.integers(0, 3, n).astype(float),
+                            rng.integers(0, 2, n).astype(float), np.zeros(n)):
+                assert np.array_equal(_select_winners(inst, metrics), reference_winners(inst, metrics))
+
+
 def test_single_rounds_make_the_run_checks():
     # an infeasible incoming profile is rejected, as run rejects it
     path = Graph.from_edges(3, [(0, 1), (1, 2)])
@@ -198,6 +284,17 @@ def test_dgpc_step_size_validation():
         dgpc_round(EngineState(inst, start_profile(), step_size=10.0))
     with pytest.warns(StepSizeWarning):
         initial_state(inst, step_size=10.0)
+
+
+def test_pocs_run_validation():
+    inst = two_node_instance()
+    with pytest.raises(ValueError, match="cycles must be positive"):
+        pocs_run(inst, np.array([0.0]), cycles=0)
+    with pytest.raises(ValueError, match="dimension 1"):
+        pocs_run(inst, np.array([0.0, 0.0]), cycles=1)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            pocs_run(inst, np.array([bad]), cycles=1)
 
 
 def test_pocs_hand_trace():

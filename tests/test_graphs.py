@@ -6,6 +6,7 @@ import pytest
 from conftest import rand_connected_graph
 from constrained_consensus.game import GameInstance
 from constrained_consensus.graphs import (
+    GeometricLayout,
     Graph,
     edge_list_text,
     fiedler_value,
@@ -163,6 +164,20 @@ def test_rgg_validation():
         generate_rgg(5, 2, 0.0, seed=0)
     with pytest.raises(ValueError):
         generate_rgg(5, 2, float("nan"), seed=0)
+
+
+def test_layout_validation():
+    # an infinite range is the complete graph, as generate_rgg(rho=inf) builds it
+    layout = GeometricLayout(np.array([[0.0, 1.0], [0.5, 0.5]]), math.inf)
+    assert layout.range == math.inf
+    assert generate_rgg(4, 2, math.inf, seed=0)[0].edge_count == 6
+    for pos in ([[math.nan, 0.5]], [[0.5, math.nan], [0.2, 0.2]], [[-0.1, 0.5]],
+                [[0.5, 1.5]], [[math.inf, 0.5]], [0.5, 0.5]):
+        with pytest.raises(ValueError):
+            GeometricLayout(np.array(pos), 0.3)
+    for r in (0.0, -1.0, math.nan, -math.inf):
+        with pytest.raises(ValueError, match="range must be positive"):
+            GeometricLayout(np.array([[0.5, 0.5]]), r)
 
 
 def test_graph_validation():

@@ -22,7 +22,7 @@ import math
 import statistics
 import sys
 
-from .engine import float_text
+from .engine import InvariantError, float_text
 from .experiments import (
     GenerationError,
     median_split,
@@ -249,7 +249,7 @@ def cmd_pocs(cfg: dict) -> int:
         x = np.zeros(cfg["q"])
         for cycle in range(1, cfg["cycles"] + 1):
             x, disp = pocs_run(inst, x, 1)
-            dmax = float(max(s.distance_to(x) for s in inst.sets))
+            dmax = float(np.maximum.reduce(inst.projector.point_distances(x)))
             lines.append(f"{trial},{seed},{cycle},{float_text(disp[0])},{float_text(dmax)}")
         finals.append(dmax)
     write_text("\n".join(lines) + "\n", cfg["out"])
@@ -291,6 +291,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except InvariantError as exc:
+        print(f"invariant failure: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
     except GenerationError as exc:
         print(f"generation error: {exc}", file=sys.stderr)
         return EXIT_GENERATION

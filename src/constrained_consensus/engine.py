@@ -296,7 +296,7 @@ def _assert_feasible(inst: GameInstance, prof: np.ndarray, t: int | None) -> Non
 
 def _assert_independent(inst: GameInstance, win: np.ndarray) -> None:
     _, indices, rows = inst.graph.csr
-    if (win[indices] & win[rows]).any():
+    if np.logical_or.reduce(win[indices] & win[rows]):
         raise InvariantError(f"adjacent winners in round update: {np.flatnonzero(win).tolist()}")
 
 
@@ -314,10 +314,14 @@ def pocs_run(inst: GameInstance, x0, cycles: int) -> tuple[np.ndarray, list[floa
         raise ValueError(f"expected a starting point of dimension {inst.q}, got shape {x.shape}")
     if not np.isfinite(x).all():
         raise ValueError("starting point coordinates must be finite")
+    # x is checked once above, so the loop calls each set's projection
+    # formula without ConvexSet.project's per-call coercion
+    projections = [s._project for s in inst.sets]
     displacements = []
     for _ in range(cycles):
         start = x
-        for s in inst.sets:
-            x = s.project(x)
-        displacements.append(float(np.linalg.norm(x - start)))
+        for project in projections:
+            x = project(x)
+        v = x - start
+        displacements.append(math.sqrt(v @ v))
     return x, displacements

@@ -109,7 +109,7 @@ def as_profile(inst: GameInstance, p) -> np.ndarray:
     prof = np.asarray(p, dtype=float)
     if prof.shape != (inst.n, inst.q):
         raise ValueError(f"expected a profile of shape {(inst.n, inst.q)}, got {prof.shape}")
-    if not np.isfinite(prof).all():
+    if not np.logical_and.reduce(np.isfinite(prof), axis=None):
         raise ValueError("profile entries must be finite")
     return prof
 

@@ -13,6 +13,7 @@ fixed points.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -60,7 +61,10 @@ class ConvexSet(ABC):
         return self._project(self._coerce(x))
 
     def distance_to(self, x) -> float:
-        return float(np.linalg.norm(self._coerce(x) - self.project(x)))
+        x = self._coerce(x)
+        # np.linalg.norm's arithmetic for a 1-d vector: sqrt of its dot product
+        v = x - self._project(x)
+        return math.sqrt(v @ v)
 
     def contains(self, x, tol: float = 0.0) -> bool:
         """True iff the distance from ``x`` to the set is at most ``tol``."""
@@ -96,7 +100,7 @@ class Ball(ConvexSet):
 
     def _project(self, x):
         diff = x - self.center
-        d = float(np.linalg.norm(diff))
+        d = math.sqrt(diff @ diff)
         if d <= self.radius:
             return x
         return self.center + diff * (self.radius / d)
@@ -161,7 +165,8 @@ def interval(lo: float, hi: float) -> Box:
 
 
 class RowProjector:
-    """Projects row n of an (N, q) array onto sets[n].
+    """Projects row n of an (N, q) array onto sets[n], and measures one
+    point's distance to every set.
 
     All-ball collections (the localization scenario) get a vectorized path;
     anything else falls back to a per-row loop.
@@ -187,6 +192,24 @@ class RowProjector:
         if self._centers is not None:
             return np.maximum(_row_norms(x - self._centers) - self._radii, 0.0)
         return np.array([s.distance_to(row) for s, row in zip(self.sets, x)])
+
+    def point_distances(self, x: np.ndarray) -> np.ndarray:
+        """``[s.distance_to(x) for s in sets]`` for one point x, bit for bit.
+
+        The all-ball path repeats ``Ball.project`` and ``distance_to`` row by
+        row: ``np.vecdot`` sums each row as ``ndarray.dot`` sums a vector,
+        where ``_row_norms`` (``add.reduce``) may differ in the last bit.
+        """
+        if self._centers is None:
+            return np.array([s.distance_to(x) for s in self.sets])
+        diff = x - self._centers
+        d = np.sqrt(np.vecdot(diff, diff))
+        out = np.zeros(len(self.sets))
+        # a point inside its ball projects to itself: distance exactly 0
+        far = ~(d <= self._radii)
+        v = x - (self._centers[far] + diff[far] * (self._radii[far] / d[far])[:, None])
+        out[far] = np.sqrt(np.vecdot(v, v))
+        return out
 
 
 def to_record(s: ConvexSet) -> dict:

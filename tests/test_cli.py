@@ -15,6 +15,7 @@ from constrained_consensus.cli import (
     main,
     parse_config_text,
 )
+from constrained_consensus.engine import StepSizeWarning
 
 
 def test_validate_all_suites_pass(capsys):
@@ -125,6 +126,18 @@ def test_usage_errors(tmp_path, capsys):
     assert exc.value.code == EXIT_USAGE
 
 
+def test_invariant_failure_exit_code(tmp_path, capsys):
+    # a huge gradient step overflows the profile; the engine's feasibility
+    # assert reports it as a clean exit, not a traceback
+    with pytest.warns(StepSizeWarning):
+        code = main(["run", "--n", "5", "--rho", "0.9", "--trials", "1", "--max-iters", "5",
+                     "--step-size", "1e308", "--out", str(tmp_path / "x.csv")])
+    assert code == EXIT_INVARIANT
+    err = capsys.readouterr().err
+    assert err.startswith("invariant failure: ")
+    assert "distance nan" in err
+
+
 def test_io_error_exit_code(tmp_path):
     code = main(["run", "--n", "10", "--rho", "0.5", "--trials", "1",
                  "--out", str(tmp_path / "missing" / "x.csv")])
@@ -188,3 +201,9 @@ def test_sweep_csv_matches_benchmark_reference(tmp_path):
     # the sweep command's bytes: rate_sweep, the Fiedler column and the
     # threshold stops (default seed only; the run takes about 15 s)
     check_benchmark_workload(tmp_path, "sweep-n50", ("default",))
+
+
+def test_pocs_csv_matches_benchmark_reference(tmp_path):
+    # the pocs command's bytes: cyclic projections and the per-cycle largest
+    # set distance (default seed only; the run takes about 2 s)
+    check_benchmark_workload(tmp_path, "pocs-n100", ("default",))

@@ -321,6 +321,40 @@ def test_pocs_displacements_nonincreasing(rng):
         assert max(s.distance_to(x) for s in inst.sets) <= 1e-6
 
 
+def reference_pocs(inst, x0, cycles):
+    # the plain loop: ConvexSet.project per set, np.linalg.norm per cycle
+    x = np.array(x0, dtype=float)
+    displacements = []
+    for _ in range(cycles):
+        start = x
+        for s in inst.sets:
+            x = s.project(x)
+        displacements.append(float(np.linalg.norm(x - start)))
+    return x, displacements
+
+
+def test_pocs_run_matches_reference_bit_for_bit(rng):
+    for q in (1, 2, 3):
+        for _ in range(10):
+            inst = _rand_ball_instance(rng, q)
+            x0 = rng.uniform(-3, 3, q)
+            for cycles in (1, 7):
+                x, disp = pocs_run(inst, x0, cycles)
+                ref_x, ref_disp = reference_pocs(inst, x0, cycles)
+                assert np.array_equal(x, ref_x)
+                assert disp == ref_disp
+    for _ in range(20):
+        n = int(rng.integers(2, 15))
+        lows = rng.uniform(-2, 1, n)
+        inst = GameInstance(rand_connected_graph(rng, n),
+                            tuple(interval(lo, lo + w) for lo, w in zip(lows, rng.uniform(0, 2, n))), 1)
+        x0 = rng.uniform(-4, 4, 1)
+        x, disp = pocs_run(inst, x0, 9)
+        ref_x, ref_disp = reference_pocs(inst, x0, 9)
+        assert np.array_equal(x, ref_x)
+        assert disp == ref_disp
+
+
 def test_run_with_infinite_threshold_does_nothing():
     inst = two_node_instance()
     trace = run(EngineState(inst, start_profile()), "dgtc", threshold=float("inf"))

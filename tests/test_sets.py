@@ -106,6 +106,62 @@ def test_row_projector_mixed_sets_fallback(rng):
         assert np.array_equal(batch[i], s.project(x[i]))
 
 
+def reference_ball_project(b, x):
+    # Ball.project with np.linalg.norm, the formula the scalar path replaced
+    diff = x - b.center
+    d = float(np.linalg.norm(diff))
+    return x if d <= b.radius else b.center + diff * (b.radius / d)
+
+
+def reference_distance(s, x):
+    proj = reference_ball_project(s, x) if isinstance(s, Ball) else s.project(x)
+    return float(np.linalg.norm(x - proj))
+
+
+def _balls_around(rng, x, count):
+    # balls that hold x inside, on the boundary (radius = the exact distance),
+    # outside, and at the center of a radius-0 ball
+    q = x.size
+    balls = [Ball(x, 0.0)]
+    for _ in range(count):
+        center = x + rng.uniform(-2, 2, q)
+        d = float(np.linalg.norm(x - center))
+        for radius in (d, d * rng.uniform(1.0, 2.0), d * rng.uniform(0.0, 1.0), 0.0):
+            balls.append(Ball(center, radius))
+    return balls
+
+
+def test_scalar_set_arithmetic_matches_reference_bit_for_bit(rng):
+    for q in (1, 2, 3, 4):
+        for _ in range(30):
+            x = rng.uniform(-3, 3, q)
+            for b in _balls_around(rng, x, 5):
+                assert np.array_equal(b.project(x), reference_ball_project(b, x))
+                assert b.distance_to(x) == reference_distance(b, x)
+            for s in (Box(x - rng.uniform(-1, 1, q), x + rng.uniform(1, 2, q)),
+                      Halfspace(rng.normal(size=q), rng.uniform(-1, 1))):
+                assert s.distance_to(x) == reference_distance(s, x)
+
+
+def test_point_distances_match_distance_to_bit_for_bit(rng):
+    # one point against every set, compared with ==: the all-ball path
+    # must give distance_to's exact bits, inside, outside and on the boundary
+    for q in (1, 2, 3):
+        for _ in range(30):
+            x = rng.uniform(-3, 3, q)
+            balls = _balls_around(rng, x, 8)
+            got = RowProjector(balls).point_distances(x)
+            assert got.tolist() == [b.distance_to(x) for b in balls]
+            assert got.tolist() == [reference_distance(b, x) for b in balls]
+            # the radius-0 center, boundary and larger-radius balls all hold x
+            assert (got == 0.0).sum() >= 1 + 8 * 2
+    mixed = [Ball((0.0, 0.0), 1.0), Box((0.0, 0.0), (1.0, 1.0)), Halfspace((1.0, 0.0), 0.0),
+             Ball((2.0, 2.0), 0.5)]
+    for _ in range(20):
+        x = rng.uniform(-3, 3, 2)
+        assert RowProjector(mixed).point_distances(x).tolist() == [s.distance_to(x) for s in mixed]
+
+
 coords = st.floats(min_value=-50, max_value=50, allow_nan=False)
 
 

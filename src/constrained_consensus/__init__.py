@@ -47,9 +47,7 @@ from .game import (
 from .graphs import (
     GeometricLayout,
     Graph,
-    edge_list_text,
     fiedler_value,
-    generate_rgg,
     graph_from_positions,
     is_connected,
     jacobi_eigenvalues,

@@ -129,18 +129,6 @@ def coerce_config(command: str, raw: dict[str, str]) -> dict:
     return cfg
 
 
-def format_config(cfg: dict) -> str:
-    """Serialize a config back to the flat file format (stable ordering)."""
-    lines = []
-    for key in sorted(cfg):
-        value = cfg[key]
-        if value is None:
-            continue
-        text = repr(value) if isinstance(value, float) else str(value)
-        lines.append(f"{key} = {text}")
-    return "\n".join(lines) + "\n"
-
-
 def resolve_config(command: str, args: argparse.Namespace) -> dict:
     """defaults <- config file <- flags, then range-check."""
     schema = SCHEMAS[command]

@@ -87,17 +87,6 @@ class Trace:
     def final_metric(self) -> float:
         return self.records[-1].consensus_metric
 
-    def csv_text(self) -> str:
-        lines = ["t,consensus_metric,potential,num_updated"]
-        for r in self.records:
-            lines.append(f"{r.t},{float_text(r.consensus_metric)},{float_text(r.potential)},"
-                         f"{len(r.updated)}")
-        return "\n".join(lines) + "\n"
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(self.csv_text())
-
 
 def float_text(x: float) -> str:
     """Shortest round-trip text of a float, as every CSV column writes it."""
@@ -204,9 +193,14 @@ def _dgtc_kernel(inst: GameInstance, prof: np.ndarray, t: int):
 
 
 def _dgpc_kernel(inst: GameInstance, prof: np.ndarray, s: float, t: int) -> np.ndarray:
-    """Gradient-projection round ``t`` with step ``s``; asserts feasibility."""
+    """Gradient-projection round ``t`` with step ``s``; asserts that the
+    gradient step stays finite and that the new profile is feasible."""
     lap_p = inst.degree_column * prof - inst.adjacency @ prof
-    new_prof = inst.projector.project(prof - 2.0 * s * lap_p)
+    stepped = prof - 2.0 * s * lap_p
+    # checked before projecting: the projection would turn inf into NaN
+    if not np.logical_and.reduce(np.isfinite(stepped), axis=None):
+        raise InvariantError(f"gradient step with step size {s!r} overflowed in round {t}")
+    new_prof = inst.projector.project(stepped)
     _assert_feasible(inst, new_prof, t)
     return new_prof
 

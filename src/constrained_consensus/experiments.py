@@ -44,7 +44,6 @@ class LocalizationInstance:
     layout: GeometricLayout
     graph: Graph
     source: np.ndarray
-    epsilon: float
     sets: tuple[Ball, ...]
     seed: int
 
@@ -101,7 +100,6 @@ def _localization_from_rng(rng: np.random.Generator, n: int, q: int, rho: float,
         layout=GeometricLayout(positions, rho),
         graph=graph,
         source=source,
-        epsilon=float(epsilon),
         sets=localization_sets(positions, source, epsilon),
         seed=seed,
     )
@@ -109,9 +107,9 @@ def _localization_from_rng(rng: np.random.Generator, n: int, q: int, rho: float,
 
 @dataclass(eq=False)
 class PocsResult:
-    """Baseline outcome: final point, per-cycle displacement, final feasibility."""
+    """Baseline outcome: per-cycle displacement and the final point's largest
+    distance to any set."""
 
-    final_point: np.ndarray
     displacements: list[float]
     max_set_distance: float
 
@@ -129,18 +127,6 @@ class ValidationResult:
             "dgtc": statistics.median(tr.iterations_used for tr in self.dgtc),
             "dgpc": statistics.median(tr.iterations_used for tr in self.dgpc),
         }
-
-    def median_curve(self, algo: str) -> np.ndarray:
-        """Per-iteration median consensus metric (short runs padded with
-        their final value)."""
-        traces = {"dgtc": self.dgtc, "dgpc": self.dgpc}[algo]
-        length = max(len(tr.records) for tr in traces)
-        curves = np.empty((len(traces), length))
-        for i, tr in enumerate(traces):
-            curve = tr.consensus_curve
-            curves[i, :len(curve)] = curve
-            curves[i, len(curve):] = curve[-1]
-        return np.median(curves, axis=0)
 
 
 def validation_study(n: int, q: int, rho: float, epsilon: float, trials: int,
@@ -167,8 +153,8 @@ def validation_study(n: int, q: int, rho: float, epsilon: float, trials: int,
         dgtc_traces.append(tr_dgtc)
         dgpc_traces.append(tr_dgpc)
         x, disp = pocs_run(inst, np.zeros(q), pocs_cycles)
-        pocs_results.append(PocsResult(x, disp, float(np.max(inst.projector.distances(
-            np.broadcast_to(x, (inst.n, q)))))))
+        dmax = float(np.maximum.reduce(inst.projector.point_distances(x)))
+        pocs_results.append(PocsResult(disp, dmax))
     return ValidationResult(base_seed, seeds, dgtc_traces, dgpc_traces, pocs_results)
 
 

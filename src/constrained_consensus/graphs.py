@@ -1,11 +1,10 @@
 """Communication topologies.
 
-Undirected, unweighted graphs with 0-based node ids internally (text exports
-use 1-based ids).  Includes random geometric graph generation on the unit
-box, a BFS connectivity test, the combinatorial Laplacian and its spectrum
-via a cyclic Jacobi eigensolver, whose second-smallest eigenvalue (the
-algebraic connectivity, a.k.a. Fiedler value) is the network-density axis of
-the rate experiments.
+Undirected, unweighted graphs with 0-based node ids.  Includes the random
+geometric graph edge rule over positions in the unit box, a BFS connectivity
+test, the combinatorial Laplacian and its spectrum via a cyclic Jacobi
+eigensolver, whose second-smallest eigenvalue (the algebraic connectivity,
+a.k.a. Fiedler value) is the network-density axis of the rate experiments.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from itertools import chain
 
 import numpy as np
 
-from .seeding import rng_for
 from .tolerances import DEFAULT
 
 
@@ -109,26 +107,21 @@ class GeometricLayout:
             raise ValueError(f"communication range must be positive, got {self.range}")
 
 
+_ADJ_BLOCK = 128  # rows per distance block in graph_from_positions
+
+
 def graph_from_positions(positions: np.ndarray, rho: float) -> Graph:
     """Edge (i, k) iff ||pos_i - pos_k|| <= rho (boundary counts as an edge)."""
     pos = np.asarray(positions, dtype=float)
     n = pos.shape[0]
-    dist = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=2)
-    adj = dist <= rho
+    adj = np.empty((n, n), dtype=bool)
+    # a block of rows at a time keeps the difference tensor at _ADJ_BLOCK x n x q;
+    # each row's distances come out bit for bit as from the full tensor
+    for lo in range(0, n, _ADJ_BLOCK):
+        block = pos[lo:lo + _ADJ_BLOCK]
+        adj[lo:lo + _ADJ_BLOCK] = np.linalg.norm(block[:, None, :] - pos[None, :, :], axis=2) <= rho
     np.fill_diagonal(adj, False)
     return Graph(n, tuple(tuple(np.flatnonzero(adj[i]).tolist()) for i in range(n)))
-
-
-def generate_rgg(n: int, q: int, rho: float, seed: int) -> tuple[Graph, GeometricLayout]:
-    """Random geometric graph: n i.i.d. uniform points in [0,1]^q, edges within rho."""
-    if n < 2:
-        raise ValueError(f"need at least 2 nodes, got {n}")
-    if q < 1:
-        raise ValueError(f"dimension must be positive, got {q}")
-    if not rho > 0:
-        raise ValueError(f"communication range must be positive, got {rho}")
-    positions = rng_for(seed).random((n, q))
-    return graph_from_positions(positions, rho), GeometricLayout(positions, rho)
 
 
 def is_connected(g: Graph) -> bool:
@@ -209,13 +202,3 @@ def fiedler_value(g: Graph) -> float:
         return 0.0
     eig = jacobi_eigenvalues(laplacian(g))
     return max(0.0, float(eig[1]))
-
-
-def edge_list_text(g: Graph) -> str:
-    """One 'i k' line per edge, 1-based ids, i < k."""
-    return "".join(f"{i + 1} {k + 1}\n" for i, k in g.edges())
-
-
-def write_edge_list(g: Graph, path) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(edge_list_text(g))

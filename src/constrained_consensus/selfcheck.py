@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import engine, game, graphs, sets
+from . import engine, experiments, game, graphs, sets
 from .seeding import rng_for
 from .tolerances import DEFAULT
 
@@ -197,12 +197,11 @@ def check_jacobi_charpoly(rng, **_):
 
 def check_rgg_reproducible(rng, **_):
     seed = int(rng.integers(2**31))
-    g1, l1 = graphs.generate_rgg(30, 2, 0.3, seed)
-    g2, l2 = graphs.generate_rgg(30, 2, 0.3, seed)
-    if g1.neighbors != g2.neighbors or not np.array_equal(l1.positions, l2.positions):
+    a, b = (experiments.make_localization_instance(30, 2, 0.3, 0.01, seed) for _ in range(2))
+    if a.graph.neighbors != b.graph.neighbors or not np.array_equal(a.layout.positions, b.layout.positions):
         return False, "same seed produced different output"
     adj = np.zeros((30, 30), dtype=bool)
-    for i, k in g1.edges():
+    for i, k in a.graph.edges():
         adj[i, k] = adj[k, i] = True
     if adj.diagonal().any() or not np.array_equal(adj, adj.T):
         return False, "edge relation not symmetric/irreflexive"

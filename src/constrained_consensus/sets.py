@@ -210,25 +210,3 @@ class RowProjector:
         v = x - (self._centers[far] + diff[far] * (self._radii[far] / d[far])[:, None])
         out[far] = np.sqrt(np.vecdot(v, v))
         return out
-
-
-def to_record(s: ConvexSet) -> dict:
-    """Tagged plain-data record for the experiment config format."""
-    if isinstance(s, Ball):
-        return {"kind": "ball", "center": s.center.tolist(), "radius": s.radius}
-    if isinstance(s, Halfspace):
-        return {"kind": "halfspace", "normal": s.normal.tolist(), "offset": s.offset}
-    if isinstance(s, Box):
-        return {"kind": "box", "lower": s.lower.tolist(), "upper": s.upper.tolist()}
-    raise TypeError(f"unknown convex set type: {type(s).__name__}")
-
-
-def from_record(rec: dict) -> ConvexSet:
-    kind = rec.get("kind")
-    if kind == "ball":
-        return Ball(rec["center"], rec["radius"])
-    if kind == "halfspace":
-        return Halfspace(rec["normal"], rec["offset"])
-    if kind == "box":
-        return Box(rec["lower"], rec["upper"])
-    raise ValueError(f"unknown convex set kind: {kind!r}")

@@ -386,22 +386,6 @@ def test_run_respects_max_iters():
     assert trace.iterations_used == 1
 
 
-def test_trace_csv_format(tmp_path):
-    inst = two_node_instance()
-    trace = run(EngineState(inst, start_profile()), "dgtc", threshold=1e-12)
-    text = trace.csv_text()
-    lines = text.strip().split("\n")
-    assert lines[0] == "t,consensus_metric,potential,num_updated"
-    assert len(lines) == len(trace.records) + 1
-    t, c, phi, num = lines[1].split(",")
-    assert (int(t), int(num)) == (0, 0)
-    assert float(c) == trace.records[0].consensus_metric  # full round-trip precision
-    assert float(phi) == trace.records[0].potential
-    target = tmp_path / "trace.csv"
-    trace.write_csv(target)
-    assert target.read_text() == text
-
-
 def test_feasibility_after_every_round(rng):
     for _ in range(10):
         inst, _ = rand_feasible_instance(rng)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from constrained_consensus.engine import pocs_run
 from constrained_consensus.experiments import (
     GenerationError,
     localization_sets,
@@ -75,8 +76,18 @@ def test_validation_study_small():
         assert pr.max_set_distance <= 1e-6
     med = result.median_iterations()
     assert med["dgtc"] >= 1 and med["dgpc"] >= 1
-    curve = result.median_curve("dgtc")
-    assert curve[0] > curve[-1]
+
+
+def test_validation_pocs_distance_matches_scalar_sets():
+    # the study reports the largest set distance as the pocs command does,
+    # bit for bit the scalar ConvexSet.distance_to
+    result = validation_study(n=12, q=2, rho=0.45, epsilon=0.01, trials=3,
+                              threshold=1e-3, base_seed=5, pocs_cycles=2)
+    for seed, pr in zip(result.seeds, result.pocs):
+        inst = make_localization_instance(12, 2, 0.45, 0.01, seed).game_instance
+        x, _ = pocs_run(inst, np.zeros(2), 2)
+        assert pr.max_set_distance == max(s.distance_to(x) for s in inst.sets)
+    assert max(pr.max_set_distance for pr in result.pocs) > 0.0
 
 
 def test_validation_csv_deterministic():

@@ -8,14 +8,11 @@ from constrained_consensus.game import GameInstance
 from constrained_consensus.graphs import (
     GeometricLayout,
     Graph,
-    edge_list_text,
     fiedler_value,
-    generate_rgg,
     graph_from_positions,
     is_connected,
     jacobi_eigenvalues,
     laplacian,
-    write_edge_list,
 )
 from constrained_consensus.sets import Ball
 
@@ -141,36 +138,35 @@ def test_rgg_edge_rule():
     assert graph_from_positions(boundary, 0.25).edge_count == 1
 
 
-def test_rgg_deterministic_and_symmetric():
-    g1, l1 = generate_rgg(100, 2, 0.3, seed=7)
-    g2, l2 = generate_rgg(100, 2, 0.3, seed=7)
-    assert g1.neighbors == g2.neighbors
-    assert np.array_equal(l1.positions, l2.positions)
-    assert np.all(l1.positions >= 0) and np.all(l1.positions <= 1)
-    for i, nbrs in enumerate(g1.neighbors):
-        assert i not in nbrs
-        for k in nbrs:
-            assert i in g1.neighbors[k]
-    g3, _ = generate_rgg(100, 2, 0.3, seed=8)
-    assert g3.neighbors != g1.neighbors
+def one_shot_neighbors(pos: np.ndarray, rho: float) -> tuple[tuple[int, ...], ...]:
+    # the full N x N x q difference tensor in one expression, as the block build's reference
+    adj = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=2) <= rho
+    np.fill_diagonal(adj, False)
+    return tuple(tuple(np.flatnonzero(row).tolist()) for row in adj)
 
 
-def test_rgg_validation():
-    with pytest.raises(ValueError):
-        generate_rgg(1, 2, 0.3, seed=0)
-    with pytest.raises(ValueError):
-        generate_rgg(5, 0, 0.3, seed=0)
-    with pytest.raises(ValueError):
-        generate_rgg(5, 2, 0.0, seed=0)
-    with pytest.raises(ValueError):
-        generate_rgg(5, 2, float("nan"), seed=0)
+def test_block_build_matches_one_shot_formula(rng):
+    # n straddles the 128-row block; on a grid of spacing 0.25 many pairs sit
+    # at distance exactly rho = 0.25, nodes 0 and 1 among them
+    for q in (1, 2, 3, 4):
+        for n in (2, 127, 128, 129, 300):
+            pos = rng.random((n, q))
+            for rho in (0.1, 0.3, math.inf):
+                assert graph_from_positions(pos, rho).neighbors == one_shot_neighbors(pos, rho)
+            grid = rng.integers(0, 5, (n, q)) / 4.0
+            grid[:2] = 0.0
+            grid[1, 0] = 0.25
+            g = graph_from_positions(grid, 0.25)
+            assert g.neighbors == one_shot_neighbors(grid, 0.25)
+            assert 1 in g.neighbors[0]
 
 
 def test_layout_validation():
-    # an infinite range is the complete graph, as generate_rgg(rho=inf) builds it
+    # an infinite range is the complete graph, as graph_from_positions(rho=inf) builds it
     layout = GeometricLayout(np.array([[0.0, 1.0], [0.5, 0.5]]), math.inf)
     assert layout.range == math.inf
-    assert generate_rgg(4, 2, math.inf, seed=0)[0].edge_count == 6
+    corners = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
+    assert graph_from_positions(corners, math.inf).edge_count == 6
     for pos in ([[math.nan, 0.5]], [[0.5, math.nan], [0.2, 0.2]], [[-0.1, 0.5]],
                 [[0.5, 1.5]], [[math.inf, 0.5]], [0.5, 0.5]):
         with pytest.raises(ValueError):
@@ -189,13 +185,6 @@ def test_graph_validation():
         Graph(2, ((3,), (0,)))         # id out of range
     with pytest.raises(ValueError):
         Graph(2, ((1, 1), (0, 0)))     # unsorted duplicates
-
-
-def test_edge_list_text(tmp_path):
-    assert edge_list_text(PATH3) == "1 2\n2 3\n"
-    target = tmp_path / "edges.txt"
-    write_edge_list(PATH3, target)
-    assert target.read_text() == "1 2\n2 3\n"
 
 
 def test_graph_degree_helpers():

@@ -10,8 +10,6 @@ from constrained_consensus.sets import (
     Halfspace,
     RowProjector,
     as_point,
-    from_record,
-    to_record,
 )
 
 
@@ -76,15 +74,6 @@ def test_constructor_validation():
         as_point((np.nan, 0.0))
     with pytest.raises(ValueError):
         as_point((np.inf,))
-
-
-def test_record_round_trip():
-    for s in (Ball((1.0, 2.0), 0.5), Halfspace((0.0, 3.0), -1.0), Box((0.0,), (2.0,))):
-        rec = to_record(s)
-        back = from_record(rec)
-        assert to_record(back) == rec
-    with pytest.raises(ValueError):
-        from_record({"kind": "cone"})
 
 
 def test_row_projector_matches_scalar(rng):

@@ -24,7 +24,10 @@ from __future__ import annotations
 
 import math
 import warnings
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -69,23 +72,79 @@ class TraceRecord:
 
 @dataclass(eq=False)
 class Trace:
-    """Per-iteration history of a run plus its outcome."""
+    """Per-iteration history of a run plus its outcome.
+
+    Row t (0 <= t <= iterations_used) is the state after round t, row 0 the
+    start.  The history is stored as typed columns, and ``records`` builds a
+    ``TraceRecord`` per row only when one is read.  Best-response runs also
+    keep, for each round t >= 1, the largest update metric at
+    ``max_metrics[t - 1]`` and the winner ids at
+    ``winners[winner_offsets[t - 1]:winner_offsets[t]]``.
+    """
 
     algo: str
-    records: list[TraceRecord]
+    metrics: array
+    potentials: array
     final_profile: np.ndarray
     converged: bool
     iterations_used: int
     # True when the run stopped at a literal best-response fixed point
     fixed_point: bool = False
+    max_metrics: array | None = None
+    winners: array | None = None
+    winner_offsets: array | None = None
+
+    @property
+    def records(self) -> TraceRecords:
+        return TraceRecords(self, range(len(self.metrics)))
 
     @property
     def consensus_curve(self) -> np.ndarray:
-        return np.array([r.consensus_metric for r in self.records])
+        return np.array(self.metrics)
 
     @property
     def final_metric(self) -> float:
-        return self.records[-1].consensus_metric
+        return self.metrics[-1]
+
+    @cached_property
+    def _all_ids(self) -> tuple[int, ...]:
+        # one tuple shared by every gradient-projection record
+        return tuple(range(len(self.final_profile)))
+
+    def _record(self, t: int) -> TraceRecord:
+        metric, phi = self.metrics[t], self.potentials[t]
+        if t == 0:
+            return TraceRecord(0, metric, phi, ())
+        if self.winners is None:
+            return TraceRecord(t, metric, phi, self._all_ids)
+        lo, hi = self.winner_offsets[t - 1], self.winner_offsets[t]
+        return TraceRecord(t, metric, phi, tuple(self.winners[lo:hi]), self.max_metrics[t - 1])
+
+
+class TraceRecords(Sequence):
+    """Read-only view of some rows of a ``Trace``, one ``TraceRecord`` per row.
+
+    Records are built on access; a slice is another view, not a list.
+    """
+
+    __slots__ = ("_trace", "_rows")
+
+    def __init__(self, trace: Trace, rows: range):
+        self._trace = trace
+        self._rows = rows
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return TraceRecords(self._trace, self._rows[i])
+        return self._trace._record(self._rows[i])
+
+    def __iter__(self):
+        record = self._trace._record
+        for t in self._rows:
+            yield record(t)
 
 
 def float_text(x: float) -> str:
@@ -182,14 +241,15 @@ def _select_winners(inst: GameInstance, metrics: np.ndarray) -> np.ndarray:
 
 
 def _dgtc_kernel(inst: GameInstance, prof: np.ndarray, t: int):
-    """Best-response round ``t``: the new profile, the winner ids and the
-    largest update metric.  Asserts winner independence and feasibility."""
+    """Best-response round ``t``: the new profile, the winner ids (an int
+    array) and the largest update metric.  Asserts winner independence and
+    feasibility."""
     responses, metrics = _best_response_all(inst, prof)
     win = _select_winners(inst, metrics)
     _assert_independent(inst, win)
     new_prof = np.where(win[:, None], responses, prof)
     _assert_feasible(inst, new_prof, t)
-    return new_prof, tuple(win.nonzero()[0].tolist()), float(np.maximum.reduce(metrics))
+    return new_prof, win.nonzero()[0], float(np.maximum.reduce(metrics))
 
 
 def _dgpc_kernel(inst: GameInstance, prof: np.ndarray, s: float, t: int) -> np.ndarray:
@@ -239,11 +299,15 @@ def run(state: EngineState, algo: str, max_iters: int | None = None,
         raise ValueError(f"max_iters must be positive, got {max_iters}")
     if not threshold >= 0:
         raise ValueError(f"threshold must be nonnegative, got {threshold}")
-    all_ids = tuple(range(inst.n))  # one tuple shared by every gradient-projection record
 
     phi = potential(inst, prof)
     metric = consensus_metric(prof)
-    records = [TraceRecord(0, metric, phi, ())]
+    # one row per round, appended as it ends; t is the row index
+    metrics, potentials = array("d", [metric]), array("d", [phi])
+    if algo == "dgtc":
+        max_metrics, winners, winner_offsets = array("d"), array("q"), array("q", [0])
+    else:
+        max_metrics = winners = winner_offsets = None
     t = 0
     fixed_point = False
 
@@ -254,9 +318,11 @@ def run(state: EngineState, algo: str, max_iters: int | None = None,
                 fixed_point = True
                 break
             prof = new_prof
+            max_metrics.append(max_metric)
+            winners.frombytes(updated.astype(np.int64, copy=False).tobytes())
+            winner_offsets.append(len(winners))
         else:
             prof = _dgpc_kernel(inst, prof, state.step_size, t + 1)
-            updated, max_metric = all_ids, None
         t += 1
 
         new_phi = potential(inst, prof)
@@ -265,15 +331,20 @@ def run(state: EngineState, algo: str, max_iters: int | None = None,
                 f"potential decreased in round {t}: {phi!r} -> {new_phi!r}")
         phi = new_phi
         metric = consensus_metric(prof)
-        records.append(TraceRecord(t, metric, phi, updated, max_metric))
+        metrics.append(metric)
+        potentials.append(phi)
 
     return Trace(
         algo=algo,
-        records=records,
+        metrics=metrics,
+        potentials=potentials,
         final_profile=prof,
         converged=metric <= threshold,
         iterations_used=t,
         fixed_point=fixed_point,
+        max_metrics=max_metrics,
+        winners=winners,
+        winner_offsets=winner_offsets,
     )
 
 

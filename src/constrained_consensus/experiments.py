@@ -242,25 +242,33 @@ def median_split(records: list[SweepRecord], fiedler_cut: float) -> dict[str, fl
     return out
 
 
+_CSV_CHUNK = 4096  # trace rows rendered per join in validation_csv_text
+
+
 def validation_csv_text(result: ValidationResult) -> str:
     """CSV of all traces: algo,trial,seed,t,consensus_metric,potential.
 
     Baseline rows reuse the layout with per-cycle displacement in the
     consensus_metric column and nan potential (undefined for a single
-    point).
+    point).  Trace rows are rendered from the trace columns, ``_CSV_CHUNK``
+    rows per string, so no per-row line or record objects pile up.
     """
-    lines = ["algo,trial,seed,t,consensus_metric,potential"]
+    parts = ["algo,trial,seed,t,consensus_metric,potential\n"]
     for algo, traces in (("dgtc", result.dgtc), ("dgpc", result.dgpc)):
         for trial, tr in enumerate(traces):
-            seed = result.seeds[trial]
-            for r in tr.records:
-                lines.append(f"{algo},{trial},{seed},{r.t},"
-                             f"{float_text(r.consensus_metric)},{float_text(r.potential)}")
+            head = f"{algo},{trial},{result.seeds[trial]},"
+            rows = len(tr.metrics)
+            for lo in range(0, rows, _CSV_CHUNK):
+                hi = min(lo + _CSV_CHUNK, rows)
+                parts.append("".join(
+                    f"{head}{t},{float_text(metric)},{float_text(phi)}\n"
+                    for t, metric, phi in zip(range(lo, hi), tr.metrics[lo:hi],
+                                              tr.potentials[lo:hi])))
     for trial, pr in enumerate(result.pocs):
         seed = result.seeds[trial]
-        for cycle, disp in enumerate(pr.displacements, start=1):
-            lines.append(f"pocs,{trial},{seed},{cycle},{float_text(disp)},nan")
-    return "\n".join(lines) + "\n"
+        parts.append("".join(f"pocs,{trial},{seed},{cycle},{float_text(disp)},nan\n"
+                             for cycle, disp in enumerate(pr.displacements, start=1)))
+    return "".join(parts)
 
 
 def sweep_csv_text(records: list[SweepRecord]) -> str:

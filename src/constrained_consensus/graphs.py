@@ -178,13 +178,15 @@ def jacobi_eigenvalues(matrix: np.ndarray) -> np.ndarray:
                     continue
                 phi = 0.5 * math.atan2(2.0 * apq, a[q, q] - a[p, p])
                 c, s = math.cos(phi), math.sin(phi)
-                col_p, col_q = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p, row_q = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                a[p, q] = a[q, p] = 0.0
+                # a stays exactly symmetric, so rotating rows p and q gives
+                # the new rows and, mirrored, the new columns; only the 2x2
+                # block takes the second rotation
+                newp = c * a[p] - s * a[q]
+                newq = s * a[p] + c * a[q]
+                newp[p], newq[q] = c * newp[p] - s * newp[q], s * newq[p] + c * newq[q]
+                newp[q] = newq[p] = 0.0
+                a[p] = a[:, p] = newp
+                a[q] = a[:, q] = newq
     return np.sort(a.diagonal())
 
 

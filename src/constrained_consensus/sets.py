@@ -29,6 +29,28 @@ def _row_norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(a * a, axis=1))
 
 
+def _ball_scales(diff: np.ndarray, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row norms ``d`` of ``diff`` and the radial scales ``radii / d``.
+
+    A finite row whose squared norm overflows gets the norm inf, and its
+    scale is formed as (radius / m) / ||diff / m|| with m its largest
+    absolute component, so it stays finite; every other row gets the plain
+    formula's bits.
+    """
+    # one dot bounds every row's sum of squares: finite means none overflows
+    if np.vdot(diff, diff) < np.inf:
+        d = _row_norms(diff)
+        return d, radii / np.maximum(d, _TINY)
+    with np.errstate(over="ignore"):
+        d = _row_norms(diff)
+    scale = radii / np.maximum(d, _TINY)
+    rows = np.isinf(d) & np.logical_and.reduce(np.isfinite(diff), axis=1)
+    big = diff[rows]
+    m = np.maximum.reduce(np.abs(big), axis=1)
+    scale[rows] = (radii[rows] / m) / _row_norms(big / m[:, None])
+    return d, scale
+
+
 class DimensionError(ValueError):
     """A point's dimension does not match the set's."""
 
@@ -182,8 +204,7 @@ class RowProjector:
     def project(self, x: np.ndarray) -> np.ndarray:
         if self._centers is not None:
             diff = x - self._centers
-            d = _row_norms(diff)
-            scale = self._radii / np.maximum(d, _TINY)
+            d, scale = _ball_scales(diff, self._radii)
             # rows already inside keep their exact bit pattern
             return np.where((d <= self._radii)[:, None], x, self._centers + diff * scale[:, None])
         return np.array([s.project(row) for s, row in zip(self.sets, x)])

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -198,3 +200,13 @@ def test_pocs_csv_matches_benchmark_reference(tmp_path):
     # the pocs command's bytes: cyclic projections and the per-cycle largest
     # set distance (default seed only; the run takes about 2 s)
     check_benchmark_workload(tmp_path, "pocs-n100", ("default",))
+
+
+def test_benchmark_selftest_passes():
+    # the benchmark harness wraps engine and cli names and reads Trace fields;
+    # its smoke self-test (both --trace modes, about 11 s) fails if a change
+    # breaks what it relies on
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, str(root / "perfbench" / "selftest.py")], cwd=root,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,8 +8,11 @@ from conftest import rand_connected_graph, rand_feasible_instance
 from constrained_consensus.engine import (
     EngineState,
     InvariantError,
+    TraceRecord,
     _assert_feasible,
     _assert_independent,
+    _dgpc_kernel,
+    _dgtc_kernel,
     _select_winners,
     StepSizeWarning,
     consensus_metric,
@@ -26,8 +30,10 @@ from constrained_consensus.game import (
     max_set_distance,
     potential,
 )
+from constrained_consensus.experiments import make_localization_instance
 from constrained_consensus.graphs import GeometricLayout, Graph
 from constrained_consensus.sets import Ball, interval
+from constrained_consensus.tolerances import DEFAULT
 
 
 def two_node_instance():
@@ -418,3 +424,91 @@ def test_dgtc_fixed_point_stop_without_threshold():
     assert not trace.converged
     assert trace.iterations_used == 0
     assert np.array_equal(trace.final_profile, [[-1.0], [1.0]])
+
+
+def reference_records(inst, prof, algo, step, max_iters, threshold):
+    # the history round by round from the kernels, one TraceRecord per row
+    records = [TraceRecord(0, consensus_metric(prof), potential(inst, prof), ())]
+    t = 0
+    while records[-1].consensus_metric > threshold and t < max_iters:
+        if algo == "dgtc":
+            prof_next, ids, max_metric = _dgtc_kernel(inst, prof, t + 1)
+            if max_metric <= DEFAULT.fixed_point:
+                break
+            updated = tuple(ids.tolist())
+        else:
+            prof_next = _dgpc_kernel(inst, prof, step, t + 1)
+            updated, max_metric = tuple(range(inst.n)), None
+        prof = prof_next
+        t += 1
+        records.append(TraceRecord(t, consensus_metric(prof), potential(inst, prof),
+                                   updated, max_metric))
+    return records
+
+
+def test_trace_records_match_round_by_round_reference(rng):
+    for _ in range(12):
+        inst, _ = rand_feasible_instance(rng)
+        step = default_step_size(inst)
+        for algo in ("dgtc", "dgpc"):
+            state = initial_state(inst, step_size=step)
+            trace = run(state, algo, max_iters=30 * inst.n, threshold=1e-10)
+            ref = reference_records(inst, state.profile, algo, step, 30 * inst.n, 1e-10)
+            records = trace.records
+            assert len(records) == len(ref) == trace.iterations_used + 1
+            assert list(records) == ref
+            assert records[0].updated == () and records[0].max_metric is None
+            for rec in records:
+                assert type(rec.t) is int
+                assert type(rec.consensus_metric) is float and type(rec.potential) is float
+                assert all(type(i) is int for i in rec.updated)
+            if algo == "dgpc":
+                assert all(r.max_metric is None for r in records)
+                # one all-ids tuple shared by every round's record
+                assert all(r.updated is records[-1].updated for r in records[1:])
+            assert np.array_equal(trace.consensus_curve, [r.consensus_metric for r in ref])
+            assert trace.final_metric == ref[-1].consensus_metric
+
+
+def test_trace_records_view_indexing(rng):
+    inst, _ = rand_feasible_instance(rng)
+    trace = run(initial_state(inst), "dgtc", max_iters=6, threshold=0.0)
+    records = trace.records
+    ref = list(records)
+    n = len(records)
+    assert n == trace.iterations_used + 1 >= 3
+    for i in range(-n, n):
+        assert records[i] == ref[i]
+    for bad in (n, -n - 1):
+        with pytest.raises(IndexError):
+            records[bad]
+    tail = records[1:]
+    assert not isinstance(tail, list)  # a view, not a copy
+    assert len(tail) == n - 1 and tail[0] == ref[1] and tail[-1] == ref[-1]
+    assert list(tail) == ref[1:]
+    assert list(tail[1:]) == ref[2:]
+    assert list(records[::-2]) == ref[::-2]
+    assert list(records[n:]) == []
+    assert [(a.t, b.t) for a, b in zip(records, records[1:])] == [(t, t + 1) for t in range(n - 1)]
+
+
+def test_trace_retains_a_few_bytes_per_round():
+    # a finished trace keeps typed columns: 8 bytes per value, plus array
+    # over-allocation; a per-round record object would cost ~240 bytes
+    inst = make_localization_instance(50, 2, 0.25, 0.01, seed=4).game_instance
+    step = default_step_size(inst)
+    for algo, columns in (("dgtc", 4), ("dgpc", 2)):
+        state = initial_state(inst, step_size=step)
+        run(state, algo, max_iters=2, threshold=0.0)  # builds the instance's cached arrays
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            trace = run(state, algo, max_iters=3000, threshold=0.0)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        rounds = trace.iterations_used
+        assert rounds >= 1000
+        winner_ids = sum(len(r.updated) for r in trace.records[1:]) if algo == "dgtc" else 0
+        budget = 1.25 * 8 * (columns * rounds + winner_ids) + 4096
+        assert retained <= budget, (algo, rounds, retained / rounds)

@@ -111,6 +111,48 @@ def test_jacobi_input_validation():
     assert jacobi_eigenvalues(np.array([[7.0]])) == pytest.approx([7.0])
 
 
+def reference_jacobi(matrix: np.ndarray) -> np.ndarray:
+    # the plain cyclic Jacobi loop: a column pass, then a row pass per rotation
+    a = np.array(matrix, dtype=float)
+    n = a.shape[0]
+    if n == 1:
+        return a.diagonal().copy()
+    tol = 1e-12
+    for _ in range(100):
+        if float(np.linalg.norm(a - np.diag(a.diagonal()))) <= tol:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                if abs(apq) <= tol / n:
+                    continue
+                phi = 0.5 * math.atan2(2.0 * apq, a[q, q] - a[p, p])
+                c, s = math.cos(phi), math.sin(phi)
+                col_p, col_q = a[:, p].copy(), a[:, q].copy()
+                a[:, p] = c * col_p - s * col_q
+                a[:, q] = s * col_p + c * col_q
+                row_p, row_q = a[p, :].copy(), a[q, :].copy()
+                a[p, :] = c * row_p - s * row_q
+                a[q, :] = s * row_p + c * row_q
+                a[p, q] = a[q, p] = 0.0
+    return np.sort(a.diagonal())
+
+
+def test_jacobi_matches_reference_loop_bit_for_bit(rng):
+    # the rotation writes rows and columns in one pass; the eigenvalues
+    # must equal the two-pass loop's exactly, not approximately
+    matrices = []
+    for n in (1, 2, 3, 5, 8, 13, 21, 30):
+        # dense real entries, and small integers with repeated values
+        for b in (rng.normal(size=(n, n)), rng.integers(-3, 4, (n, n)).astype(float)):
+            matrices.append(b + b.T)
+    for n in (2, 4, 9, 17, 30):
+        matrices.append(laplacian(rand_connected_graph(rng, n)))
+        matrices.append(laplacian(graph_from_positions(rng.random((n, 2)), 0.4)))
+    for m in matrices:
+        assert np.array_equal(jacobi_eigenvalues(m), reference_jacobi(m))
+
+
 def test_is_connected_examples():
     assert is_connected(PATH3)
     assert not is_connected(Graph(2, ((), ())))

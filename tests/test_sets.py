@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from constrained_consensus.sets import (
     RowProjector,
     as_point,
 )
+from constrained_consensus.tolerances import DEFAULT
 
 
 def test_ball_interior_point_is_unchanged():
@@ -93,6 +96,37 @@ def test_row_projector_mixed_sets_fallback(rng):
     batch = proj.project(x)
     for i, s in enumerate(cs):
         assert np.array_equal(batch[i], s.project(x[i]))
+
+
+def test_row_projector_overflowing_rows_land_on_their_ball(rng):
+    # a finite row whose squared norm overflows goes to the boundary point in
+    # its own direction, not to the center, and numpy warns of nothing
+    for q in (1, 2, 3):
+        cs = [Ball(rng.uniform(-1, 1, q), rng.uniform(0.0, 1.0)) for _ in range(8)]
+        proj = RowProjector(cs)
+        centers = np.array([b.center for b in cs])
+        x = rng.uniform(-3, 3, (8, q))
+        x[1] = rng.normal(size=q) * 1e200
+        x[4] = rng.normal(size=q) * 1e300
+        x[6] = np.full(q, -1.5e308)  # for q >= 2 the norm exceeds the largest float
+        huge = np.zeros(8, dtype=bool)
+        huge[[1, 4, 6]] = True
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = proj.project(x)
+        for i in np.flatnonzero(huge):
+            b = cs[i]
+            v = out[i] - b.center
+            dist = np.linalg.norm(v)
+            assert abs(dist - b.radius) <= DEFAULT.membership
+            if b.radius > 0.0:
+                unit = x[i] / np.abs(x[i]).max()
+                unit /= np.linalg.norm(unit)
+                assert v / dist == pytest.approx(unit, abs=1e-12)
+        # every other row keeps the bits it gets in a batch without huge rows
+        tame = np.where(huge[:, None], 0.0, x)
+        assert np.array_equal(out[~huge], proj.project(tame)[~huge])
+        assert np.isfinite(out).all() and not np.array_equal(out[huge], centers[huge])
 
 
 def reference_ball_project(b, x):

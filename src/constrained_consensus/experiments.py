@@ -20,6 +20,7 @@ yields byte-identical CSV output.
 from __future__ import annotations
 
 import statistics
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -242,33 +243,39 @@ def median_split(records: list[SweepRecord], fiedler_cut: float) -> dict[str, fl
     return out
 
 
-_CSV_CHUNK = 4096  # trace rows rendered per join in validation_csv_text
+_CSV_CHUNK = 4096  # trace rows per string yielded by validation_csv_chunks
 
 
-def validation_csv_text(result: ValidationResult) -> str:
-    """CSV of all traces: algo,trial,seed,t,consensus_metric,potential.
+def validation_csv_chunks(result: ValidationResult) -> Iterator[str]:
+    """CSV of all traces, as strings to concatenate or write in order:
+    algo,trial,seed,t,consensus_metric,potential.
 
     Baseline rows reuse the layout with per-cycle displacement in the
     consensus_metric column and nan potential (undefined for a single
-    point).  Trace rows are rendered from the trace columns, ``_CSV_CHUNK``
-    rows per string, so no per-row line or record objects pile up.
+    point).  Yields the header, each trace's rows ``_CSV_CHUNK`` at a time
+    from the trace columns, then each trial's baseline rows, so a writer
+    holds one chunk of text at a time.
     """
-    parts = ["algo,trial,seed,t,consensus_metric,potential\n"]
+    yield "algo,trial,seed,t,consensus_metric,potential\n"
     for algo, traces in (("dgtc", result.dgtc), ("dgpc", result.dgpc)):
         for trial, tr in enumerate(traces):
             head = f"{algo},{trial},{result.seeds[trial]},"
             rows = len(tr.metrics)
             for lo in range(0, rows, _CSV_CHUNK):
                 hi = min(lo + _CSV_CHUNK, rows)
-                parts.append("".join(
+                yield "".join(
                     f"{head}{t},{float_text(metric)},{float_text(phi)}\n"
                     for t, metric, phi in zip(range(lo, hi), tr.metrics[lo:hi],
-                                              tr.potentials[lo:hi])))
+                                              tr.potentials[lo:hi]))
     for trial, pr in enumerate(result.pocs):
         seed = result.seeds[trial]
-        parts.append("".join(f"pocs,{trial},{seed},{cycle},{float_text(disp)},nan\n"
-                             for cycle, disp in enumerate(pr.displacements, start=1)))
-    return "".join(parts)
+        yield "".join(f"pocs,{trial},{seed},{cycle},{float_text(disp)},nan\n"
+                      for cycle, disp in enumerate(pr.displacements, start=1))
+
+
+def validation_csv_text(result: ValidationResult) -> str:
+    """The whole validation CSV as one string (see ``validation_csv_chunks``)."""
+    return "".join(validation_csv_chunks(result))
 
 
 def sweep_csv_text(records: list[SweepRecord]) -> str:
@@ -281,6 +288,10 @@ def sweep_csv_text(records: list[SweepRecord]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_text(text: str, path) -> None:
+def write_text(text: str | Iterable[str], path) -> None:
+    """Write a string, or an iterable of strings one at a time, as ASCII."""
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(text)
+        if isinstance(text, str):
+            fh.write(text)
+        else:
+            fh.writelines(text)

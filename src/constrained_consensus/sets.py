@@ -29,6 +29,15 @@ def _row_norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(a * a, axis=1))
 
 
+def _overflowed_rows(diff: np.ndarray, d: np.ndarray):
+    """The finite rows of ``diff`` whose norm ``d`` overflowed to inf: their
+    mask, largest absolute components m, and the norms ||row / m||."""
+    rows = np.isinf(d) & np.logical_and.reduce(np.isfinite(diff), axis=1)
+    big = diff[rows]
+    m = np.maximum.reduce(np.abs(big), axis=1)
+    return rows, m, _row_norms(big / m[:, None])
+
+
 def _ball_scales(diff: np.ndarray, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row norms ``d`` of ``diff`` and the radial scales ``radii / d``.
 
@@ -44,10 +53,8 @@ def _ball_scales(diff: np.ndarray, radii: np.ndarray) -> tuple[np.ndarray, np.nd
     with np.errstate(over="ignore"):
         d = _row_norms(diff)
     scale = radii / np.maximum(d, _TINY)
-    rows = np.isinf(d) & np.logical_and.reduce(np.isfinite(diff), axis=1)
-    big = diff[rows]
-    m = np.maximum.reduce(np.abs(big), axis=1)
-    scale[rows] = (radii[rows] / m) / _row_norms(big / m[:, None])
+    rows, m, unit_norms = _overflowed_rows(diff, d)
+    scale[rows] = (radii[rows] / m) / unit_norms
     return d, scale
 
 
@@ -211,7 +218,17 @@ class RowProjector:
 
     def distances(self, x: np.ndarray) -> np.ndarray:
         if self._centers is not None:
-            return np.maximum(_row_norms(x - self._centers) - self._radii, 0.0)
+            diff = x - self._centers
+            # as in _ball_scales: a finite row whose squared norm overflows
+            # gets the norm m * ||diff / m||, and every other row its plain bits
+            if np.vdot(diff, diff) < np.inf:
+                d = _row_norms(diff)
+            else:
+                with np.errstate(over="ignore"):
+                    d = _row_norms(diff)
+                    rows, m, unit_norms = _overflowed_rows(diff, d)
+                    d[rows] = m * unit_norms
+            return np.maximum(d - self._radii, 0.0)
         return np.array([s.distance_to(row) for s, row in zip(self.sets, x)])
 
     def point_distances(self, x: np.ndarray) -> np.ndarray:

@@ -190,6 +190,13 @@ def test_smoke_csv_matches_benchmark_reference(tmp_path):
     check_benchmark_workload(tmp_path, "smoke", ("default", "held_out"))
 
 
+def test_deep_csv_matches_benchmark_reference(tmp_path):
+    # the run command's bytes at depth: its 43k-row CSV spans 11 trace
+    # chunks, so a slip at a chunk boundary fails here (default seed only;
+    # the run takes about 5 s)
+    check_benchmark_workload(tmp_path, "deep-n100", ("default",))
+
+
 def test_sweep_csv_matches_benchmark_reference(tmp_path):
     # the sweep command's bytes: rate_sweep, the Fiedler column and the
     # threshold stops (default seed only; the run takes about 15 s)

@@ -1,14 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from constrained_consensus.engine import pocs_run
 from constrained_consensus.experiments import (
+    _CSV_CHUNK,
     GenerationError,
     localization_sets,
     make_localization_instance,
     median_split,
     rate_sweep,
     sweep_csv_text,
+    validation_csv_chunks,
     validation_csv_text,
     validation_study,
     write_text,
@@ -176,3 +180,32 @@ def test_write_text(tmp_path):
     target = tmp_path / "out.csv"
     write_text("a,b\n1,2\n", target)
     assert target.read_bytes() == b"a,b\n1,2\n"
+
+
+def test_write_text_chunks(tmp_path):
+    target = tmp_path / "out.csv"
+    chunks = ["a,b\n", "1,2\n", "", "3,4\n"]
+    write_text(chunks, target)
+    assert target.read_bytes() == "".join(chunks).encode()
+    write_text((c for c in chunks), target)
+    assert target.read_bytes() == "".join(chunks).encode()
+    write_text(iter(()), target)
+    assert target.read_bytes() == b""
+
+
+def test_streamed_validation_csv_holds_one_chunk(tmp_path):
+    # a CSV of several chunks per trace is written without ever holding its
+    # whole text: the allocation peak stays below half of the file's size
+    result = validation_study(n=12, q=2, rho=0.6, epsilon=0.01, trials=2,
+                              max_iters=10000, threshold=0.0)
+    assert all(len(tr.metrics) > 2 * _CSV_CHUNK for tr in result.dgpc)
+    target = tmp_path / "validation.csv"
+    tracemalloc.start()
+    try:
+        write_text(validation_csv_chunks(result), target)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = target.stat().st_size
+    assert peak < size / 2, (peak, size)
+    assert target.read_bytes() == validation_csv_text(result).encode("ascii")

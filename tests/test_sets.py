@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -5,6 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from constrained_consensus.engine import EngineState, InvariantError, dgtc_round
+from constrained_consensus.game import GameInstance
+from constrained_consensus.graphs import Graph
 from constrained_consensus.sets import (
     Ball,
     Box,
@@ -127,6 +131,36 @@ def test_row_projector_overflowing_rows_land_on_their_ball(rng):
         tame = np.where(huge[:, None], 0.0, x)
         assert np.array_equal(out[~huge], proj.project(tame)[~huge])
         assert np.isfinite(out).all() and not np.array_equal(out[huge], centers[huge])
+
+
+def test_row_projector_distances_of_overflowing_rows(rng):
+    # a finite row whose squared norm overflows gets a finite distance close
+    # to the true one (math.hypot scales), not inf, and numpy warns of nothing
+    for q in (1, 2, 3):
+        cs = [Ball(rng.uniform(-1, 1, q), rng.uniform(0.0, 1.0)) for _ in range(8)]
+        proj = RowProjector(cs)
+        x = rng.uniform(-3, 3, (8, q))
+        x[1] = rng.normal(size=q) * 1e200
+        x[4] = rng.normal(size=q) * 1e300
+        x[6] = np.full(q, -1.5e308 / q)  # every component's square overflows
+        huge = np.zeros(8, dtype=bool)
+        huge[[1, 4, 6]] = True
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = proj.distances(x)
+        for i in np.flatnonzero(huge):
+            true = math.hypot(*(x[i] - cs[i].center)) - cs[i].radius
+            assert math.isfinite(got[i]) and got[i] == pytest.approx(true, rel=1e-12)
+        # every other row keeps the bits it gets in a batch without huge rows
+        tame = np.where(huge[:, None], 0.0, x)
+        assert np.array_equal(got[~huge], proj.distances(tame)[~huge])
+    # the feasibility check reports the distance, not inf
+    g = Graph.from_edges(2, [(0, 1)])
+    inst = GameInstance(g, (Ball((0.0, 0.0), 1.0), Ball((0.5, 0.0), 1.0)), 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvariantError, match=r"starting profile: distance 1\.000e\+200$"):
+            dgtc_round(EngineState(inst, np.array([[1e200, 0.0], [0.5, 0.0]])))
 
 
 def reference_ball_project(b, x):

@@ -53,7 +53,7 @@ from .graphs import (
     jacobi_eigenvalues,
     laplacian,
 )
-from .sets import Ball, Box, ConvexSet, DimensionError, Halfspace, interval
+from .sets import Ball, BallStack, Box, ConvexSet, DimensionError, Halfspace, interval
 from .tolerances import DEFAULT, Tolerances
 
 __version__ = "0.1.0"

@@ -227,25 +227,35 @@ def cmd_pocs(cfg: dict) -> int:
 
     from .engine import pocs_run
     from .experiments import make_localization_instance
+    from .sets import BallStack
 
-    lines = ["trial,seed,cycle,displacement,max_set_distance"]
-    finals = []
-    for trial in range(cfg["trials"]):
-        seed = cfg["seed"] + trial
-        loc = make_localization_instance(cfg["n"], cfg["q"], cfg["rho"], cfg["epsilon"],
-                                         seed, cfg["max_attempts"])
-        inst = loc.game_instance
-        x = np.zeros(cfg["q"])
-        for cycle in range(1, cfg["cycles"] + 1):
-            x, disp = pocs_run(inst, x, 1)
-            dmax = float(np.maximum.reduce(inst.projector.point_distances(x)))
-            lines.append(f"{trial},{seed},{cycle},{float_text(disp[0])},{float_text(dmax)}")
-        finals.append(dmax)
-    write_text("\n".join(lines) + "\n", cfg["out"])
-    print(f"trials: {cfg['trials']}, cycles: {cfg['cycles']}")
-    print(f"max final distance to any set: {max(finals):.3e}")
+    trials, cycles = cfg["trials"], cfg["cycles"]
+    seeds = range(cfg["seed"], cfg["seed"] + trials)
+    # every trial's balls in one stack; each instance is dropped once stacked
+    stack = BallStack(make_localization_instance(cfg["n"], cfg["q"], cfg["rho"], cfg["epsilon"],
+                                                 seed, cfg["max_attempts"]).sets
+                      for seed in seeds)
+    x = np.zeros((trials, cfg["q"]))
+    # (trials, cycles): per-cycle displacement and largest set distance; one
+    # pocs_run call per cycle, because the distance needs every cycle's point
+    disp, dist = np.empty((trials, cycles)), np.empty((trials, cycles))
+    for k in range(cycles):
+        x, disp[:, k] = pocs_run(stack, x, 1)
+        dist[:, k] = stack.max_distances(x)
+    write_text(_pocs_csv_chunks(seeds, disp, dist), cfg["out"])
+    print(f"trials: {trials}, cycles: {cycles}")
+    print(f"max final distance to any set: {dist[:, -1].max():.3e}")
     print(f"wrote {cfg['out']}")
     return EXIT_OK
+
+
+def _pocs_csv_chunks(seeds, disp, dist):
+    """The pocs CSV, trial-major, one string per trial."""
+    yield "trial,seed,cycle,displacement,max_set_distance\n"
+    for trial, seed in enumerate(seeds):
+        yield "".join(f"{trial},{seed},{cycle},{float_text(a)},{float_text(b)}\n"
+                      for cycle, a, b in zip(range(1, disp.shape[1] + 1),
+                                             disp[trial].tolist(), dist[trial].tolist()))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -39,6 +39,7 @@ from .game import (
     potential,
 )
 from .graphs import GeometricLayout
+from .sets import Ball, BallStack
 from .tolerances import DEFAULT
 
 
@@ -365,20 +366,35 @@ def _assert_independent(inst: GameInstance, win: np.ndarray) -> None:
         raise InvariantError(f"adjacent winners in round update: {np.flatnonzero(win).tolist()}")
 
 
-def pocs_run(inst: GameInstance, x0, cycles: int) -> tuple[np.ndarray, list[float]]:
+def pocs_run(inst: GameInstance | BallStack, x0, cycles: int) -> tuple[np.ndarray, list[float]]:
     """Cyclic projections onto every node's set, in ascending node order.
 
-    Returns the final point and the displacement of each full cycle.  The
-    per-cycle displacement is nonincreasing (the cycle map is nonexpansive)
-    and goes to zero on feasible instances.
+    ``inst`` is one instance with a start point of shape (q,), or a
+    ``BallStack`` of B members with starts of shape (B, q) that run in
+    lockstep.  Returns the final point(s) and the displacement of each full
+    cycle as Python floats, member-major: member b's cycle k (from 0) is
+    entry ``b * cycles + k``.  The per-cycle displacement is nonincreasing
+    (the cycle map is nonexpansive) and goes to zero on feasible instances.
+
+    An all-ball instance runs as a stack of one; any other instance projects
+    with each set's own formula.  Both give ``ConvexSet.project``'s bits.
     """
     if cycles < 1:
         raise ValueError(f"cycles must be positive, got {cycles}")
     x = np.array(x0, dtype=float)
-    if x.shape != (inst.q,):
+    if isinstance(inst, BallStack):
+        if x.shape != (inst.size, inst.q):
+            raise ValueError(f"expected {inst.size} starting points of dimension {inst.q}, "
+                             f"got shape {x.shape}")
+    elif x.shape != (inst.q,):
         raise ValueError(f"expected a starting point of dimension {inst.q}, got shape {x.shape}")
     if not np.isfinite(x).all():
         raise ValueError("starting point coordinates must be finite")
+    if isinstance(inst, BallStack):
+        return _pocs_stack(inst, x, cycles)
+    if all(isinstance(s, Ball) for s in inst.sets):
+        x, displacements = _pocs_stack(BallStack([inst.sets]), x[None, :], cycles)
+        return x[0], displacements
     # x is checked once above, so the loop calls each set's projection
     # formula without ConvexSet.project's per-call coercion
     projections = [s._project for s in inst.sets]
@@ -390,3 +406,18 @@ def pocs_run(inst: GameInstance, x0, cycles: int) -> tuple[np.ndarray, list[floa
         v = x - start
         displacements.append(math.sqrt(v @ v))
     return x, displacements
+
+
+def _pocs_stack(stack: BallStack, x: np.ndarray, cycles: int) -> tuple[np.ndarray, list[float]]:
+    """``cycles`` lockstep cycles of ``stack.project_cycle`` from x (B, q);
+    the displacements member-major, as ``pocs_run`` returns them."""
+    displacements = np.empty((cycles, stack.size))
+    # an overflowing square gives inf, as the 1-d loop's v @ v does
+    with np.errstate(over="ignore"):
+        for k in range(cycles):
+            start = x
+            x = stack.project_cycle(x)
+            v = x - start
+            # np.vecdot sums each row as v @ v sums a vector
+            displacements[k] = np.sqrt(np.vecdot(v, v))
+    return x, displacements.T.ravel().tolist()

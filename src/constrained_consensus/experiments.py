@@ -30,7 +30,7 @@ from .engine import Trace, float_text, initial_state, pocs_run, run
 from .game import GameInstance, default_step_size
 from .graphs import GeometricLayout, Graph, fiedler_value, graph_from_positions, is_connected
 from .seeding import rng_for
-from .sets import Ball
+from .sets import Ball, BallStack
 from .tolerances import DEFAULT
 
 
@@ -144,18 +144,20 @@ def validation_study(n: int, q: int, rho: float, epsilon: float, trials: int,
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
-    seeds, dgtc_traces, dgpc_traces, pocs_results = [], [], [], []
+    seeds, dgtc_traces, dgpc_traces, member_sets = [], [], [], []
     for trial in range(trials):
         seed = base_seed + trial
         loc = make_localization_instance(n, q, rho, epsilon, seed, max_attempts)
-        inst = loc.game_instance
         seeds.append(seed)
         tr_dgtc, tr_dgpc = _run_pair(loc, max_iters, threshold, step_size)
         dgtc_traces.append(tr_dgtc)
         dgpc_traces.append(tr_dgpc)
-        x, disp = pocs_run(inst, np.zeros(q), pocs_cycles)
-        dmax = float(np.maximum.reduce(inst.projector.point_distances(x)))
-        pocs_results.append(PocsResult(disp, dmax))
+        member_sets.append(loc.sets)
+    # the baseline of every trial in one lockstep pass
+    stack = BallStack(member_sets)
+    x, disp = pocs_run(stack, np.zeros((trials, q)), pocs_cycles)
+    pocs_results = [PocsResult(disp[b * pocs_cycles:(b + 1) * pocs_cycles], dmax)
+                    for b, dmax in enumerate(stack.max_distances(x).tolist())]
     return ValidationResult(base_seed, seeds, dgtc_traces, dgpc_traces, pocs_results)
 
 

@@ -194,8 +194,8 @@ def interval(lo: float, hi: float) -> Box:
 
 
 class RowProjector:
-    """Projects row n of an (N, q) array onto sets[n], and measures one
-    point's distance to every set.
+    """Projects row n of an (N, q) array onto sets[n], and measures each
+    row's distance to its set.
 
     All-ball collections (the localization scenario) get a vectorized path;
     anything else falls back to a per-row loop.
@@ -231,20 +231,73 @@ class RowProjector:
             return np.maximum(d - self._radii, 0.0)
         return np.array([s.distance_to(row) for s, row in zip(self.sets, x)])
 
-    def point_distances(self, x: np.ndarray) -> np.ndarray:
-        """``[s.distance_to(x) for s in sets]`` for one point x, bit for bit.
 
-        The all-ball path repeats ``Ball.project`` and ``distance_to`` row by
-        row: ``np.vecdot`` sums each row as ``ndarray.dot`` sums a vector,
-        where ``_row_norms`` (``add.reduce``) may differ in the last bit.
-        """
-        if self._centers is None:
-            return np.array([s.distance_to(x) for s in self.sets])
-        diff = x - self._centers
-        d = np.sqrt(np.vecdot(diff, diff))
-        out = np.zeros(len(self.sets))
-        # a point inside its ball projects to itself: distance exactly 0
-        far = ~(d <= self._radii)
-        v = x - (self._centers[far] + diff[far] * (self._radii[far] / d[far])[:, None])
-        out[far] = np.sqrt(np.vecdot(v, v))
-        return out
+class BallStack:
+    """The ball sets of B members with equal (n, q), stacked node-major.
+
+    ``centers`` is (n, B, q) and ``radii`` (n, B), so node j's balls across
+    all members are one contiguous (B, q) slab.  Built from the members' set
+    sequences one at a time; only the two arrays are kept.
+    """
+
+    def __init__(self, members):
+        centers, radii = [], []
+        for sets in members:
+            sets = tuple(sets)
+            if not all(isinstance(s, Ball) for s in sets):
+                raise ValueError("a BallStack holds balls only")
+            c = np.array([s.center for s in sets])
+            if centers and c.shape != centers[0].shape:
+                raise ValueError(f"member {len(centers)} has (n, q) = {c.shape}, "
+                                 f"expected {centers[0].shape}")
+            centers.append(c)
+            radii.append([s.radius for s in sets])
+        if not centers or not centers[0].size:
+            raise ValueError("a BallStack needs at least one member with at least one ball")
+        self.centers = np.stack(centers, axis=1)
+        self.radii = np.array(radii).T.copy()
+
+    @property
+    def size(self) -> int:
+        """B, the number of members."""
+        return self.centers.shape[1]
+
+    @property
+    def q(self) -> int:
+        return self.centers.shape[2]
+
+    def project_cycle(self, x: np.ndarray) -> np.ndarray:
+        """Member b's point x[b] projected onto its balls in ascending node
+        order, all members in lockstep, with ``Ball._project``'s bits."""
+        with np.errstate(over="ignore"):
+            for c, r in zip(self.centers, self.radii):
+                x = _project_slab(x, c, r)
+        return x
+
+    def max_distances(self, x: np.ndarray) -> np.ndarray:
+        """``max(s.distance_to(x[b]) for s in member b's balls)`` per member,
+        bit for bit, computed one node at a time over (B, q) slabs."""
+        best = np.zeros(self.size)
+        with np.errstate(over="ignore"):
+            for c, r in zip(self.centers, self.radii):
+                v = x - _project_slab(x, c, r)
+                np.maximum(best, np.sqrt(np.vecdot(v, v)), out=best)
+        return best
+
+
+def _project_slab(x: np.ndarray, c: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Row b of x projected onto the ball (c[b], r[b]), as ``Ball._project``
+    does it: ``np.vecdot`` sums a row as ``ndarray.dot`` sums a vector.
+
+    A row inside its ball keeps its bits, and its quotient's divisor is 1,
+    so d = 0 divides nothing; when every row is inside, x comes back as is.
+    A row whose squared distance overflows (the caller silences that) gets
+    d = inf and lands on its center, as in ``Ball._project``.
+    """
+    diff = x - c
+    d = np.sqrt(np.vecdot(diff, diff))
+    inside = d <= r
+    if np.logical_and.reduce(inside):
+        return x
+    scale = r / np.where(inside, 1.0, d)
+    return np.where(inside[:, None], x, c + diff * scale[:, None])

@@ -1,7 +1,7 @@
-import hashlib
-import json
+import importlib.util
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -17,6 +17,8 @@ from constrained_consensus.cli import (
     parse_config_text,
 )
 from constrained_consensus.engine import StepSizeWarning
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_validate_all_suites_pass(capsys):
@@ -173,47 +175,63 @@ def test_config_parse_errors():
         coerce_config("run", {"n": "ten"})
 
 
-def check_benchmark_workload(tmp_path, name, inputs):
-    # the benchmark's byte gate, in-process: runs the workload's argv through
-    # main and compares the CSV's sha256 with perfbench/reference.json
-    reference = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
-    workload = json.loads(reference.read_text(encoding="utf-8"))["workloads"][name]
+def load_benchmark_runner():
+    # perfbench/run.py as a module (it imports its sibling speed.py)
+    bench_dir = ROOT / "perfbench"
+    spec = importlib.util.spec_from_file_location("perfbench_run", bench_dir / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.path.insert(0, str(bench_dir))
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(bench_dir))
+    return module
+
+
+def check_benchmark_workload(tmp_path, monkeypatch, name, inputs):
+    # the benchmark's output gate: runs the workload through
+    # perfbench/harness.py plain in a fresh interpreter, as the benchmark
+    # does, and applies perfbench/run.py's gate, so both the CSV's sha256
+    # and the engine counts (rounds, pocs cycles, attempts) must match
+    # perfbench/reference.json
+    bench = load_benchmark_runner()
+    workload = bench.load_reference(bench.REFERENCE)["workloads"][name]
+    monkeypatch.chdir(ROOT)  # the harness imports the package from ./src
     for seeds in inputs:
-        entry = workload["seeds"][seeds]
-        out = tmp_path / f"{name}-{seeds}.csv"
-        assert main([*workload["argv"], "--seed", str(entry["seed"]), "--out", str(out)]) == EXIT_OK
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == entry["sha256"], (name, seeds)
+        result = bench.run_cli(workload, seeds, "plain", bench.pinned_env(), str(tmp_path),
+                               f"{name}-{seeds}", time.monotonic() + 600)
+        assert bench.gate(result, workload["seeds"][seeds]) == [], (name, seeds)
 
 
-def test_smoke_csv_matches_benchmark_reference(tmp_path):
-    # any change to the output bits fails here in about a second
-    check_benchmark_workload(tmp_path, "smoke", ("default", "held_out"))
+def test_smoke_csv_matches_benchmark_reference(tmp_path, monkeypatch):
+    # any change to the output bits or the counts fails here in a few seconds
+    check_benchmark_workload(tmp_path, monkeypatch, "smoke", ("default", "held_out"))
 
 
-def test_deep_csv_matches_benchmark_reference(tmp_path):
+def test_deep_csv_matches_benchmark_reference(tmp_path, monkeypatch):
     # the run command's bytes at depth: its 43k-row CSV spans 11 trace
     # chunks, so a slip at a chunk boundary fails here (default seed only;
     # the run takes about 5 s)
-    check_benchmark_workload(tmp_path, "deep-n100", ("default",))
+    check_benchmark_workload(tmp_path, monkeypatch, "deep-n100", ("default",))
 
 
-def test_sweep_csv_matches_benchmark_reference(tmp_path):
+def test_sweep_csv_matches_benchmark_reference(tmp_path, monkeypatch):
     # the sweep command's bytes: rate_sweep, the Fiedler column and the
     # threshold stops (default seed only; the run takes about 15 s)
-    check_benchmark_workload(tmp_path, "sweep-n50", ("default",))
+    check_benchmark_workload(tmp_path, monkeypatch, "sweep-n50", ("default",))
 
 
-def test_pocs_csv_matches_benchmark_reference(tmp_path):
-    # the pocs command's bytes: cyclic projections and the per-cycle largest
-    # set distance (default seed only; the run takes about 2 s)
-    check_benchmark_workload(tmp_path, "pocs-n100", ("default",))
+def test_pocs_csv_matches_benchmark_reference(tmp_path, monkeypatch):
+    # the pocs command's bytes: the lockstep cyclic projections, the
+    # per-cycle largest set distance and one displacement per trial and
+    # cycle (about 1 s per seed)
+    check_benchmark_workload(tmp_path, monkeypatch, "pocs-n100", ("default", "held_out"))
 
 
 def test_benchmark_selftest_passes():
     # the benchmark harness wraps engine and cli names and reads Trace fields;
     # its smoke self-test (both --trace modes, about 11 s) fails if a change
     # breaks what it relies on
-    root = Path(__file__).resolve().parents[1]
-    proc = subprocess.run([sys.executable, str(root / "perfbench" / "selftest.py")], cwd=root,
+    proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "selftest.py")], cwd=ROOT,
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from constrained_consensus.game import (
 )
 from constrained_consensus.experiments import make_localization_instance
 from constrained_consensus.graphs import GeometricLayout, Graph
-from constrained_consensus.sets import Ball, interval
+from constrained_consensus.sets import Ball, BallStack, interval
 from constrained_consensus.tolerances import DEFAULT
 
 
@@ -359,6 +360,67 @@ def test_pocs_run_matches_reference_bit_for_bit(rng):
         ref_x, ref_disp = reference_pocs(inst, x0, 9)
         assert np.array_equal(x, ref_x)
         assert disp == ref_disp
+
+
+def _ball_member(rng, n, q, holding=None):
+    # n random balls; with ``holding``, ball 0 is the radius-0 ball at that
+    # point, ball 1 has it on its boundary and every other ball holds it
+    if holding is None:
+        return GameInstance(rand_connected_graph(rng, n),
+                            tuple(Ball(rng.uniform(-1, 1, q), rng.uniform(0.0, 0.8))
+                                  for _ in range(n)), q)
+    balls = [Ball(holding, 0.0)]
+    for i in range(1, n):
+        center = holding + rng.uniform(-0.5, 0.5, q)
+        d = float(np.linalg.norm(holding - center))
+        balls.append(Ball(center, d if i == 1 else d + rng.uniform(0.0, 0.3)))
+    return GameInstance(rand_connected_graph(rng, n), tuple(balls), q)
+
+
+def test_pocs_ball_stack_matches_reference_bit_for_bit(rng):
+    # B members in lockstep against the plain per-set loop, compared with
+    # ==: member 0 starts feasible (at its radius-0 ball's center, so d = 0),
+    # member 1 near 1e200 (its squared distance overflows), member 2 outside
+    # every ball and the rest at random
+    for B in (2, 7):
+        for q in (1, 2, 3):
+            for cycles in (1, 5):
+                n = int(rng.integers(2, 12))
+                feasible = rng.uniform(-0.5, 0.5, q)
+                members = [_ball_member(rng, n, q, holding=feasible)]
+                members += [_ball_member(rng, n, q) for _ in range(B - 1)]
+                x0 = rng.uniform(-1.5, 1.5, (B, q))
+                x0[0] = feasible
+                x0[1] = rng.choice([-1.0, 1.0], q) * rng.uniform(0.5, 1.0, q) * 1e200
+                if B > 2:
+                    x0[2] = rng.choice([-1.0, 1.0], q) * rng.uniform(2.5, 4.0, q)
+                stack = BallStack(m.sets for m in members)
+                with warnings.catch_warnings():
+                    # d = 0 rows must not divide, and overflow must stay quiet
+                    warnings.simplefilter("error")
+                    x, disp = pocs_run(stack, x0, cycles)
+                assert x.shape == (B, q)
+                assert len(disp) == B * cycles
+                assert all(type(v) is float for v in disp)
+                for b, inst in enumerate(members):
+                    with np.errstate(over="ignore"):
+                        ref_x, ref_disp = reference_pocs(inst, x0[b], cycles)
+                    assert np.array_equal(x[b], ref_x), (B, q, b)
+                    # member-major: member b's cycles are one contiguous run
+                    assert disp[b * cycles:(b + 1) * cycles] == ref_disp, (B, q, b)
+                assert np.array_equal(x[0], feasible)
+                assert disp[:cycles] == [0.0] * cycles
+
+
+def test_pocs_ball_stack_validation():
+    stack = BallStack([(Ball((0.0,), 1.0), Ball((1.0,), 1.0))] * 3)
+    with pytest.raises(ValueError, match="cycles must be positive"):
+        pocs_run(stack, np.zeros((3, 1)), cycles=0)
+    for bad in (np.zeros(1), np.zeros((2, 1)), np.zeros((3, 2))):
+        with pytest.raises(ValueError, match="3 starting points of dimension 1"):
+            pocs_run(stack, bad, cycles=1)
+    with pytest.raises(ValueError, match="finite"):
+        pocs_run(stack, np.array([[0.0], [math.inf], [0.0]]), cycles=1)
 
 
 def test_run_with_infinite_threshold_does_nothing():

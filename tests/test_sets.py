@@ -11,6 +11,7 @@ from constrained_consensus.game import GameInstance
 from constrained_consensus.graphs import Graph
 from constrained_consensus.sets import (
     Ball,
+    BallStack,
     Box,
     DimensionError,
     Halfspace,
@@ -200,23 +201,50 @@ def test_scalar_set_arithmetic_matches_reference_bit_for_bit(rng):
                 assert s.distance_to(x) == reference_distance(s, x)
 
 
-def test_point_distances_match_distance_to_bit_for_bit(rng):
-    # one point against every set, compared with ==: the all-ball path
-    # must give distance_to's exact bits, inside, outside and on the boundary
-    for q in (1, 2, 3):
-        for _ in range(30):
-            x = rng.uniform(-3, 3, q)
-            balls = _balls_around(rng, x, 8)
-            got = RowProjector(balls).point_distances(x)
-            assert got.tolist() == [b.distance_to(x) for b in balls]
-            assert got.tolist() == [reference_distance(b, x) for b in balls]
-            # the radius-0 center, boundary and larger-radius balls all hold x
-            assert (got == 0.0).sum() >= 1 + 8 * 2
-    mixed = [Ball((0.0, 0.0), 1.0), Box((0.0, 0.0), (1.0, 1.0)), Halfspace((1.0, 0.0), 0.0),
-             Ball((2.0, 2.0), 0.5)]
-    for _ in range(20):
-        x = rng.uniform(-3, 3, 2)
-        assert RowProjector(mixed).point_distances(x).tolist() == [s.distance_to(x) for s in mixed]
+def test_ball_stack_max_distances_match_distance_to_bit_for_bit(rng):
+    # compared with ==: each member's largest distance must be
+    # max(distance_to) to the bit, inside, outside, on the boundary and at
+    # the center of a radius-0 ball, with no warning for d = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for q in (1, 2, 3):
+            for _ in range(30):
+                x = rng.uniform(-3, 3, q)
+                balls = _balls_around(rng, x, 8)
+                # one ball per member: every case shows on its own
+                single = BallStack([b] for b in balls)
+                got = single.max_distances(np.tile(x, (len(balls), 1)))
+                assert got.tolist() == [b.distance_to(x) for b in balls]
+                assert got.tolist() == [reference_distance(b, x) for b in balls]
+                # the radius-0 center, boundary and larger-radius balls all hold x
+                assert (got == 0.0).sum() >= 1 + 8 * 2
+                # members of many balls: the largest distance, node by node
+                members = [balls, balls[::-1], balls[5:] + balls[:5]]
+                points = np.array([x, x + 0.5, x - 0.25])
+                got = BallStack(members).max_distances(points)
+                assert got.tolist() == [max(b.distance_to(p) for b in m)
+                                        for m, p in zip(members, points)]
+
+
+def test_ball_stack_layout_and_rejections():
+    members = [(Ball((0.0, 1.0), 0.5), Ball((2.0, 3.0), 1.5)),
+               (Ball((4.0, 5.0), 2.5), Ball((6.0, 7.0), 3.5)),
+               (Ball((8.0, 9.0), 4.5), Ball((1.0, 1.0), 5.5))]
+    stack = BallStack(iter(members))
+    assert (stack.size, stack.q) == (3, 2)
+    # node-major: node j's balls across all members are one contiguous slab
+    assert stack.centers.shape == (2, 3, 2) and stack.radii.shape == (2, 3)
+    assert stack.centers[1].flags.c_contiguous and stack.radii[1].flags.c_contiguous
+    assert stack.centers[1].tolist() == [[2.0, 3.0], [6.0, 7.0], [1.0, 1.0]]
+    assert stack.radii[0].tolist() == [0.5, 2.5, 4.5]
+    with pytest.raises(ValueError, match="balls only"):
+        BallStack([members[0], (Ball((0.0, 0.0), 1.0), Box((0.0, 0.0), (1.0, 1.0)))])
+    with pytest.raises(ValueError, match=r"member 1 has \(n, q\) = \(1, 2\)"):
+        BallStack([members[0], members[1][:1]])
+    with pytest.raises(ValueError, match=r"member 1 has \(n, q\) = \(2, 3\)"):
+        BallStack([members[0], (Ball((0.0, 0.0, 0.0), 1.0), Ball((1.0, 0.0, 0.0), 1.0))])
+    with pytest.raises(ValueError, match="at least one"):
+        BallStack([])
 
 
 coords = st.floats(min_value=-50, max_value=50, allow_nan=False)

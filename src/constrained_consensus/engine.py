@@ -14,10 +14,15 @@ node's set) is included for comparison.  Every round reads only round-start
 values; a run produces a ``Trace`` with the consensus metric, potential and
 update activity per iteration.
 
-Structural invariants are asserted while running: updated strategies stay in
-their sets, best-response winners form an independent set, and the potential
-never decreases under best-response rounds.  Violations raise
-``InvariantError`` (they indicate a bug, not a user error).
+Structural invariants are asserted for every round: updated strategies stay
+in their sets, best-response winners form an independent set, and the
+potential never decreases under best-response rounds.  ``run`` checks them in
+blocks of K rounds, over the stacked profiles, and records the block's
+potentials; only what decides when to stop (the round itself, the consensus
+metric, the largest update metric and the round cap) runs every round.  A
+violation raises ``InvariantError`` naming the first failing round, at most
+K - 1 rounds after it happened and before any later error leaves the run.
+Violations indicate a bug, not a user error.
 """
 
 from __future__ import annotations
@@ -39,8 +44,14 @@ from .game import (
     potential,
 )
 from .graphs import GeometricLayout
-from .sets import Ball, BallStack
+from .sets import Ball, BallStack, _dot_norms
 from .tolerances import DEFAULT
+
+
+# Elements of a block's gathered edge differences, K * E * q for E edges in
+# dimension q: ``run`` checks K rounds at once, and K is 1 where one round's
+# differences already fill half of this (at N = 1000, a block buys nothing).
+_BLOCK_ELEMENTS = 1 << 14
 
 
 class InvariantError(RuntimeError):
@@ -243,40 +254,41 @@ def _select_winners(inst: GameInstance, metrics: np.ndarray) -> np.ndarray:
 
 def _dgtc_kernel(inst: GameInstance, prof: np.ndarray, t: int):
     """Best-response round ``t``: the new profile, the winner ids (an int
-    array) and the largest update metric.  Asserts winner independence and
-    feasibility."""
+    array) and the largest update metric.  The caller checks the round."""
     responses, metrics = _best_response_all(inst, prof)
     win = _select_winners(inst, metrics)
-    _assert_independent(inst, win)
     new_prof = np.where(win[:, None], responses, prof)
-    _assert_feasible(inst, new_prof, t)
     return new_prof, win.nonzero()[0], float(np.maximum.reduce(metrics))
 
 
 def _dgpc_kernel(inst: GameInstance, prof: np.ndarray, s: float, t: int) -> np.ndarray:
     """Gradient-projection round ``t`` with step ``s``; asserts that the
-    gradient step stays finite and that the new profile is feasible."""
+    gradient step stays finite.  The caller checks the new profile."""
     lap_p = inst.degree_column * prof - inst.adjacency @ prof
     stepped = prof - 2.0 * s * lap_p
     # checked before projecting: the projection would turn inf into NaN
     if not np.logical_and.reduce(np.isfinite(stepped), axis=None):
         raise InvariantError(f"gradient step with step size {s!r} overflowed in round {t}")
-    new_prof = inst.projector.project(stepped)
-    _assert_feasible(inst, new_prof, t)
-    return new_prof
+    return inst.projector.project(stepped)
 
 
 def dgtc_round(state: EngineState) -> EngineState:
-    """One synchronous best-response round, checked as in ``run``."""
+    """One synchronous best-response round, checked as ``run`` checks its
+    rounds, as a block of one."""
     prof = _checked_profile(state, "dgtc")
-    new_prof, _, _ = _dgtc_kernel(state.instance, prof, state.t + 1)
+    inst = state.instance
+    new_prof, updated, _ = _dgtc_kernel(inst, prof, state.t + 1)
+    _check_rounds(inst, new_prof[None], _winner_mask(inst.n, updated)[None], state.t,
+                  potential(inst, prof))
     return replace(state, profile=new_prof, t=state.t + 1)
 
 
 def dgpc_round(state: EngineState) -> EngineState:
-    """One simultaneous gradient-projection round, checked as in ``run``."""
+    """One simultaneous gradient-projection round, checked as ``run`` checks
+    its rounds, as a block of one."""
     prof = _checked_profile(state, "dgpc")
     new_prof = _dgpc_kernel(state.instance, prof, state.step_size, state.t + 1)
+    _check_rounds(state.instance, new_prof[None], None, state.t, None)
     return replace(state, profile=new_prof, t=state.t + 1)
 
 
@@ -289,8 +301,8 @@ def run(state: EngineState, algo: str, max_iters: int | None = None,
     metric is at most ``DEFAULT.fixed_point`` the profile can never change
     again, so looping further would be vacuous.
 
-    Per-round invariants (feasibility, winner independence, potential
-    monotonicity) are asserted; see module docstring.
+    Every round's invariants (feasibility, winner independence, potential
+    monotonicity) are asserted, in blocks of K rounds; see module docstring.
     """
     prof = _checked_profile(state, algo).copy()
     inst = state.instance
@@ -301,39 +313,63 @@ def run(state: EngineState, algo: str, max_iters: int | None = None,
     if not threshold >= 0:
         raise ValueError(f"threshold must be nonnegative, got {threshold}")
 
+    best_response = algo == "dgtc"
     phi = potential(inst, prof)
     metric = consensus_metric(prof)
-    # one row per round, appended as it ends; t is the row index
+    # one row per round; t is the row index.  The metric is appended as each
+    # round ends, the potential as its block is checked.
     metrics, potentials = array("d", [metric]), array("d", [phi])
-    if algo == "dgtc":
+    if best_response:
         max_metrics, winners, winner_offsets = array("d"), array("q"), array("q", [0])
     else:
         max_metrics = winners = winner_offsets = None
-    t = 0
+    # rounds checked + 1, ..., t have their profiles in block[:t - checked]
+    # and, on best-response runs, their winner masks in wins[:t - checked]
+    block = np.empty((_block_length(inst), inst.n, inst.q))
+    wins = np.zeros(block.shape[:2], dtype=bool) if best_response else None
+    t = checked = 0
     fixed_point = False
 
-    while metric > threshold and t < max_iters:
-        if algo == "dgtc":
-            new_prof, updated, max_metric = _dgtc_kernel(inst, prof, t + 1)
-            if max_metric <= DEFAULT.fixed_point:
-                fixed_point = True
-                break
-            prof = new_prof
-            max_metrics.append(max_metric)
-            winners.frombytes(updated.astype(np.int64, copy=False).tobytes())
-            winner_offsets.append(len(winners))
-        else:
-            prof = _dgpc_kernel(inst, prof, state.step_size, t + 1)
-        t += 1
+    def check_block():
+        nonlocal checked, phi
+        if t == checked:
+            return
+        first, checked = checked, t  # a failing block is not checked again
+        k = t - first
+        phis = _check_rounds(inst, block[:k], None if wins is None else wins[:k], first,
+                             phi if best_response else None)
+        potentials.frombytes(phis.tobytes())
+        phi = phis[-1]
+        if wins is not None:
+            wins[:k] = False
 
-        new_phi = potential(inst, prof)
-        if algo == "dgtc" and new_phi < phi - DEFAULT.monotonicity:
-            raise InvariantError(
-                f"potential decreased in round {t}: {phi!r} -> {new_phi!r}")
-        phi = new_phi
-        metric = consensus_metric(prof)
-        metrics.append(metric)
-        potentials.append(phi)
+    try:
+        while metric > threshold and t < max_iters:
+            if best_response:
+                new_prof, updated, max_metric = _dgtc_kernel(inst, prof, t + 1)
+                if max_metric <= DEFAULT.fixed_point:
+                    fixed_point = True
+                    break
+                prof = new_prof
+                max_metrics.append(max_metric)
+                winners.frombytes(updated.astype(np.int64, copy=False).tobytes())
+                winner_offsets.append(len(winners))
+                wins[t - checked, updated] = True
+            else:
+                prof = _dgpc_kernel(inst, prof, state.step_size, t + 1)
+            block[t - checked] = prof
+            t += 1
+            metric = consensus_metric(prof)
+            metrics.append(metric)
+            if t - checked == len(block):
+                check_block()
+    except Exception:
+        check_block()  # a failure pending in the block is reported first
+        raise
+    check_block()
+    if fixed_point:
+        # the round that found the fixed point is checked, though not kept
+        _check_rounds(inst, new_prof[None], _winner_mask(inst.n, updated)[None], t, None)
 
     return Trace(
         algo=algo,
@@ -349,6 +385,50 @@ def run(state: EngineState, algo: str, max_iters: int | None = None,
     )
 
 
+def _block_length(inst: GameInstance) -> int:
+    """K, the rounds ``run`` checks at once (see ``_BLOCK_ELEMENTS``)."""
+    return max(1, _BLOCK_ELEMENTS // (inst.graph.edge_count * inst.q))
+
+
+def _winner_mask(n: int, ids: np.ndarray) -> np.ndarray:
+    """The (N,) mask of a round whose winner ids are ``ids``."""
+    win = np.zeros(n, dtype=bool)
+    win[ids] = True
+    return win
+
+
+def _check_rounds(inst: GameInstance, profs: np.ndarray, wins: np.ndarray | None, t: int,
+                  phi: float | None) -> np.ndarray:
+    """Check rounds t + 1, ..., t + K, whose profiles are stacked in ``profs``
+    (K, N, q), and return their K potentials.
+
+    Every round's strategies must lie in their sets.  Best-response rounds
+    pass their winner masks ``wins`` (K, N), which must be independent sets,
+    and, unless ``phi`` (the potential before round t + 1) is None, their
+    potentials must not decrease.  The first failing round raises
+    ``InvariantError``, its checks made in a round's order: independence,
+    feasibility, monotonicity.
+    """
+    dists = inst.projector.distances(profs)
+    failed = ~(np.maximum.reduce(dists, axis=-1) <= DEFAULT.membership)
+    if wins is not None:
+        failed |= _clashes(inst, wins)
+    k = int(failed.argmax()) if np.logical_or.reduce(failed) else len(profs)
+    phis = potential(inst, profs[:k])
+    if phi is not None:
+        before = np.concatenate(([phi], phis[:-1]))
+        drops = phis < before - DEFAULT.monotonicity
+        if np.logical_or.reduce(drops):
+            i = int(drops.argmax())
+            raise InvariantError(f"potential decreased in round {t + i + 1}: "
+                                 f"{float(before[i])!r} -> {float(phis[i])!r}")
+    if k < len(profs):
+        if wins is not None:
+            _assert_independent(inst, wins[:k + 1], t + 1)
+        _assert_feasible(inst, profs[k], t + k + 1)
+    return phis
+
+
 def _assert_feasible(inst: GameInstance, prof: np.ndarray, t: int | None) -> None:
     """Every strategy within ``DEFAULT.membership`` of its set after round
     ``t`` (None: in the starting profile); a NaN distance fails too."""
@@ -360,10 +440,22 @@ def _assert_feasible(inst: GameInstance, prof: np.ndarray, t: int | None) -> Non
             f"strategy of node {worst} left its set {when}: distance {dists[worst]:.3e}")
 
 
-def _assert_independent(inst: GameInstance, win: np.ndarray) -> None:
-    _, indices, rows = inst.graph.csr
-    if np.logical_or.reduce(win[indices] & win[rows]):
-        raise InvariantError(f"adjacent winners in round update: {np.flatnonzero(win).tolist()}")
+def _clashes(inst: GameInstance, wins: np.ndarray) -> np.ndarray:
+    """Whether an edge joins two winners, per mask along the last axis."""
+    i, k = inst.edge_pairs
+    return np.logical_or.reduce(np.take(wins, i, axis=-1) & np.take(wins, k, axis=-1), axis=-1)
+
+
+def _assert_independent(inst: GameInstance, wins: np.ndarray, t: int) -> None:
+    """No edge joins two winners of round ``t``: ``wins`` is its (N,) winner
+    mask, or a stack (K, N) of the masks of rounds t, t + 1, ..., of which
+    the first with adjacent winners fails."""
+    clash = np.atleast_1d(_clashes(inst, wins))
+    if np.logical_or.reduce(clash):
+        i = int(clash.argmax())
+        win = wins.reshape(-1, inst.n)[i]
+        raise InvariantError(
+            f"adjacent winners in round {t + i} update: {np.flatnonzero(win).tolist()}")
 
 
 def pocs_run(inst: GameInstance | BallStack, x0, cycles: int) -> tuple[np.ndarray, list[float]]:
@@ -412,12 +504,10 @@ def _pocs_stack(stack: BallStack, x: np.ndarray, cycles: int) -> tuple[np.ndarra
     """``cycles`` lockstep cycles of ``stack.project_cycle`` from x (B, q);
     the displacements member-major, as ``pocs_run`` returns them."""
     displacements = np.empty((cycles, stack.size))
-    # an overflowing square gives inf, as the 1-d loop's v @ v does
     with np.errstate(over="ignore"):
         for k in range(cycles):
             start = x
             x = stack.project_cycle(x)
-            v = x - start
-            # np.vecdot sums each row as v @ v sums a vector
-            displacements[k] = np.sqrt(np.vecdot(v, v))
+            # each row summed as the 1-d loop's v @ v sums a vector
+            displacements[k] = _dot_norms(x - start)
     return x, displacements.T.ravel().tolist()

@@ -91,14 +91,12 @@ class GameInstance:
         return a
 
     @cached_property
-    def edge_gather(self) -> tuple[np.ndarray, np.ndarray]:
-        """Flattened per-coordinate edge indices into profile.ravel(), one
-        pair per undirected edge (i < k)."""
+    def edge_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Node ids (i, k) of every undirected edge once, i < k, in
+        ``graph.csr`` order."""
         _, indices, rows = self.graph.csr
         upper = rows < indices
-        cols = np.arange(self.q)
-        return ((rows[upper][:, None] * self.q + cols).ravel(),
-                (indices[upper][:, None] * self.q + cols).ravel())
+        return rows[upper], indices[upper]
 
     @cached_property
     def projector(self) -> RowProjector:
@@ -129,18 +127,29 @@ def utility(inst: GameInstance, p, n: int) -> float:
     return -float(np.sum(diffs * diffs))
 
 
-def potential(inst: GameInstance, p) -> float:
+def potential(inst: GameInstance, p):
     """Exact potential: the negated sum of squared differences over edges.
 
     Equals zero iff neighboring strategies agree (consensus, on a connected
     graph); computed edge-wise so it is nonpositive in exact arithmetic and
-    in floating point alike.
+    in floating point alike.  ``p`` is one profile (N, q), giving a float, or
+    a stack (K, N, q) of them, giving the K potentials as an array, each
+    with its own profile's bits.
     """
-    prof = as_profile(inst, p)
-    gi, gk = inst.edge_gather
-    flat = prof.reshape(-1)
-    diffs = flat[gi] - flat[gk]
-    return -float(diffs @ diffs)
+    prof = np.asarray(p, dtype=float)
+    if prof.ndim not in (2, 3) or prof.shape[-2:] != (inst.n, inst.q):
+        raise ValueError(f"expected a profile of shape {(inst.n, inst.q)} or a stack of them, "
+                         f"got {prof.shape}")
+    if not np.logical_and.reduce(np.isfinite(prof), axis=None):
+        raise ValueError("profile entries must be finite")
+    i, k = inst.edge_pairs
+    diffs = np.take(prof, i, axis=-2)
+    diffs -= np.take(prof, k, axis=-2)
+    # each profile's differences as one vector, edge by edge; np.vecdot
+    # sums it as diffs @ diffs sums a vector
+    diffs = diffs.reshape(*prof.shape[:-2], i.size * inst.q)
+    phis = -np.vecdot(diffs, diffs)
+    return float(phis) if prof.ndim == 2 else phis
 
 
 def _neighbor_sum(inst: GameInstance, prof: np.ndarray, n: int) -> np.ndarray:

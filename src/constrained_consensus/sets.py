@@ -20,27 +20,26 @@ from dataclasses import dataclass
 import numpy as np
 
 
-_TINY = np.finfo(float).tiny
-
-
 def _row_norms(a: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row: np.linalg.norm(a, axis=1)'s arithmetic,
-    without its Python-level dispatch."""
-    return np.sqrt(np.add.reduce(a * a, axis=1))
+    """Euclidean norm of each row (along the last axis): np.linalg.norm(a,
+    axis=-1)'s arithmetic, without its Python-level dispatch."""
+    return np.sqrt(np.add.reduce(a * a, axis=-1))
 
 
 def _overflowed_rows(diff: np.ndarray, d: np.ndarray):
     """The finite rows of ``diff`` whose norm ``d`` overflowed to inf: their
     mask, largest absolute components m, and the norms ||row / m||."""
-    rows = np.isinf(d) & np.logical_and.reduce(np.isfinite(diff), axis=1)
+    rows = np.isinf(d) & np.logical_and.reduce(np.isfinite(diff), axis=-1)
     big = diff[rows]
-    m = np.maximum.reduce(np.abs(big), axis=1)
+    m = np.maximum.reduce(np.abs(big), axis=-1)
     return rows, m, _row_norms(big / m[:, None])
 
 
 def _ball_scales(diff: np.ndarray, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row norms ``d`` of ``diff`` and the radial scales ``radii / d``.
+    """Which rows of ``diff`` lie inside their balls (norm d <= radius), and
+    the radial scales ``radii / d`` of the others.
 
+    A row inside gets the divisor 1, so a row at its center divides nothing.
     A finite row whose squared norm overflows gets the norm inf, and its
     scale is formed as (radius / m) / ||diff / m|| with m its largest
     absolute component, so it stays finite; every other row gets the plain
@@ -49,13 +48,15 @@ def _ball_scales(diff: np.ndarray, radii: np.ndarray) -> tuple[np.ndarray, np.nd
     # one dot bounds every row's sum of squares: finite means none overflows
     if np.vdot(diff, diff) < np.inf:
         d = _row_norms(diff)
-        return d, radii / np.maximum(d, _TINY)
+        inside = d <= radii
+        return inside, radii / np.where(inside, 1.0, d)
     with np.errstate(over="ignore"):
         d = _row_norms(diff)
-    scale = radii / np.maximum(d, _TINY)
+    inside = d <= radii
+    scale = radii / np.where(inside, 1.0, d)
     rows, m, unit_norms = _overflowed_rows(diff, d)
     scale[rows] = (radii[rows] / m) / unit_norms
-    return d, scale
+    return inside, scale
 
 
 class DimensionError(ValueError):
@@ -129,9 +130,14 @@ class Ball(ConvexSet):
 
     def _project(self, x):
         diff = x - self.center
-        d = math.sqrt(diff @ diff)
+        with np.errstate(over="ignore"):
+            d = math.sqrt(diff @ diff)
         if d <= self.radius:
             return x
+        if d == math.inf and np.logical_and.reduce(np.isfinite(diff)):
+            # the squared distance overflowed: scale by the largest component
+            m = np.maximum.reduce(np.abs(diff))
+            return self.center + diff * ((self.radius / m) / _row_norms(diff / m))
         return self.center + diff * (self.radius / d)
 
     def bounding_box(self):
@@ -211,12 +217,15 @@ class RowProjector:
     def project(self, x: np.ndarray) -> np.ndarray:
         if self._centers is not None:
             diff = x - self._centers
-            d, scale = _ball_scales(diff, self._radii)
+            inside, scale = _ball_scales(diff, self._radii)
             # rows already inside keep their exact bit pattern
-            return np.where((d <= self._radii)[:, None], x, self._centers + diff * scale[:, None])
+            return np.where(inside[:, None], x, self._centers + diff * scale[:, None])
         return np.array([s.project(row) for s, row in zip(self.sets, x)])
 
     def distances(self, x: np.ndarray) -> np.ndarray:
+        """Distance of each row to its set: x is one (N, q) array, giving N
+        distances, or a stack (K, N, q) of them, giving (K, N); a row's
+        distance has the same bits either way."""
         if self._centers is not None:
             diff = x - self._centers
             # as in _ball_scales: a finite row whose squared norm overflows
@@ -229,6 +238,8 @@ class RowProjector:
                     rows, m, unit_norms = _overflowed_rows(diff, d)
                     d[rows] = m * unit_norms
             return np.maximum(d - self._radii, 0.0)
+        if x.ndim == 3:
+            return np.array([self.distances(member) for member in x]).reshape(x.shape[:2])
         return np.array([s.distance_to(row) for s, row in zip(self.sets, x)])
 
 
@@ -291,8 +302,9 @@ def _project_slab(x: np.ndarray, c: np.ndarray, r: np.ndarray) -> np.ndarray:
 
     A row inside its ball keeps its bits, and its quotient's divisor is 1,
     so d = 0 divides nothing; when every row is inside, x comes back as is.
-    A row whose squared distance overflows (the caller silences that) gets
-    d = inf and lands on its center, as in ``Ball._project``.
+    A finite row whose squared distance overflows (the caller silences that)
+    gets the scale (r / m) / ||diff / m|| with m its largest absolute
+    component, as in ``Ball._project``, and lands on its boundary.
     """
     diff = x - c
     d = np.sqrt(np.vecdot(diff, diff))
@@ -300,4 +312,19 @@ def _project_slab(x: np.ndarray, c: np.ndarray, r: np.ndarray) -> np.ndarray:
     if np.logical_and.reduce(inside):
         return x
     scale = r / np.where(inside, 1.0, d)
+    if np.maximum.reduce(d) == np.inf:
+        rows, m, unit_norms = _overflowed_rows(diff, d)
+        scale[rows] = (r[rows] / m) / unit_norms
     return np.where(inside[:, None], x, c + diff * scale[:, None])
+
+
+def _dot_norms(v: np.ndarray) -> np.ndarray:
+    """Norm of each row of v with ``ndarray.dot``'s bits, sqrt(vecdot(v, v)),
+    except that a finite row whose sum of squares overflows gets
+    m * ||row / m||, m its largest absolute component.  The caller silences
+    the overflow."""
+    d = np.sqrt(np.vecdot(v, v))
+    if np.maximum.reduce(d) == np.inf:
+        rows, m, unit_norms = _overflowed_rows(v, d)
+        d[rows] = m * unit_norms
+    return d

@@ -221,6 +221,14 @@ def test_sweep_csv_matches_benchmark_reference(tmp_path, monkeypatch):
     check_benchmark_workload(tmp_path, monkeypatch, "sweep-n50", ("default",))
 
 
+def test_wide_csv_matches_benchmark_reference(tmp_path, monkeypatch):
+    # the run command's bytes at N=1000, where the engine checks each round
+    # on its own (a block of one) while the smaller workloads check blocks of
+    # many rounds; both algorithms stop at the 3000-round cap (default seed
+    # only; the run takes about 11 s)
+    check_benchmark_workload(tmp_path, monkeypatch, "wide-n1000", ("default",))
+
+
 def test_pocs_csv_matches_benchmark_reference(tmp_path, monkeypatch):
     # the pocs command's bytes: the lockstep cyclic projections, the
     # per-cycle largest set distance and one displacement per trial and

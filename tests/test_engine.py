@@ -1,11 +1,14 @@
+import json
 import math
 import tracemalloc
 import warnings
+from array import array
 
 import numpy as np
 import pytest
 
-from conftest import rand_connected_graph, rand_feasible_instance
+from conftest import rand_connected_graph, rand_feasible_instance, rand_feasible_profile
+from constrained_consensus import engine
 from constrained_consensus.engine import (
     EngineState,
     InvariantError,
@@ -33,7 +36,7 @@ from constrained_consensus.game import (
 )
 from constrained_consensus.experiments import make_localization_instance
 from constrained_consensus.graphs import GeometricLayout, Graph
-from constrained_consensus.sets import Ball, BallStack, interval
+from constrained_consensus.sets import Ball, BallStack, Box, Halfspace, interval
 from constrained_consensus.tolerances import DEFAULT
 
 
@@ -141,13 +144,21 @@ def test_dgtc_winners_form_independent_set(rng):
 def test_assert_independent_rejects_adjacent_winners():
     g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
     inst = GameInstance(g, tuple(interval(-1.0, 1.0) for _ in range(4)), 1)
-    with pytest.raises(InvariantError, match="adjacent winners"):
-        _assert_independent(inst, np.array([False, True, True, False]))
-    with pytest.raises(InvariantError, match="adjacent winners"):
-        _assert_independent(inst, np.array([True, True, True, True]))
-    for win in ([True, False, True, False], [True, False, False, True],
-                [False, False, False, False], [False, False, True, False]):
-        _assert_independent(inst, np.array(win))
+    with pytest.raises(InvariantError, match=r"adjacent winners in round 3 update: \[1, 2\]"):
+        _assert_independent(inst, np.array([False, True, True, False]), 3)
+    with pytest.raises(InvariantError, match="adjacent winners in round 1 update"):
+        _assert_independent(inst, np.array([True, True, True, True]), 1)
+    good = [[True, False, True, False], [True, False, False, True],
+            [False, False, False, False], [False, False, True, False]]
+    for win in good:
+        _assert_independent(inst, np.array(win), 1)
+    # a stack of rounds 5, 6, ...: the first with adjacent winners fails
+    _assert_independent(inst, np.array(good), 5)
+    for i in range(len(good)):
+        stack = np.array(good + [[True, True, False, False], [False, True, True, False]])
+        stack[i] = [False, False, True, True]
+        with pytest.raises(InvariantError, match=rf"in round {5 + i} update: \[2, 3\]"):
+            _assert_independent(inst, stack, 5)
 
 
 def test_assert_feasible_rejects_non_finite():
@@ -194,9 +205,7 @@ def reference_distances(centers, radii, x):
 
 
 def reference_potential(inst, p):
-    gi, gk = inst.edge_gather
-    flat = np.ascontiguousarray(p).ravel()
-    diffs = flat[gi] - flat[gk]
+    diffs = np.concatenate([p[i] - p[k] for i, k in inst.graph.edges()])
     return -float(diffs @ diffs)
 
 
@@ -329,14 +338,21 @@ def test_pocs_displacements_nonincreasing(rng):
 
 
 def reference_pocs(inst, x0, cycles):
-    # the plain loop: ConvexSet.project per set, np.linalg.norm per cycle
+    # the plain loop: ConvexSet.project per set, np.linalg.norm per cycle; a
+    # displacement whose square overflows is m * ||v / m||, m = max |v_i|
     x = np.array(x0, dtype=float)
     displacements = []
     for _ in range(cycles):
         start = x
         for s in inst.sets:
             x = s.project(x)
-        displacements.append(float(np.linalg.norm(x - start)))
+        v = x - start
+        with np.errstate(over="ignore"):
+            d = float(np.linalg.norm(v))
+        if d == math.inf:
+            m = np.abs(v).max()
+            d = float(m * np.sqrt(np.add.reduce((v / m) ** 2)))
+        displacements.append(d)
     return x, displacements
 
 
@@ -530,6 +546,248 @@ def test_trace_records_match_round_by_round_reference(rng):
                 assert all(r.updated is records[-1].updated for r in records[1:])
             assert np.array_equal(trace.consensus_curve, [r.consensus_metric for r in ref])
             assert trace.final_metric == ref[-1].consensus_metric
+
+
+def set_block_length(monkeypatch, inst, k):
+    # run then checks k rounds at once on this instance
+    monkeypatch.setattr(engine, "_BLOCK_ELEMENTS", k * inst.graph.edge_count * inst.q)
+    assert engine._block_length(inst) == k
+
+
+def single_round_trace(state, algo, max_iters, threshold):
+    # run's outcome from a loop of single rounds: dgtc_round / dgpc_round
+    # move the profile, the kernel gives the winners and the largest update
+    # metric, and each row's metric and potential come from one profile
+    inst, st = state.instance, state
+    metrics, potentials = [consensus_metric(st.profile)], [potential(inst, st.profile)]
+    max_metrics, winners, offsets = [], [], [0]
+    fixed_point = False
+    while metrics[-1] > threshold and st.t < max_iters:
+        if algo == "dgtc":
+            _, ids, max_metric = _dgtc_kernel(inst, st.profile, st.t + 1)
+            if max_metric <= DEFAULT.fixed_point:
+                fixed_point = True
+                break
+            max_metrics.append(max_metric)
+            winners += ids.tolist()
+            offsets.append(len(winners))
+            st = dgtc_round(st)
+        else:
+            st = dgpc_round(st)
+        metrics.append(consensus_metric(st.profile))
+        potentials.append(potential(inst, st.profile))
+    return dict(metrics=metrics, potentials=potentials, final_profile=st.profile,
+                iterations_used=st.t, converged=metrics[-1] <= threshold,
+                fixed_point=fixed_point, max_metrics=max_metrics, winners=winners,
+                winner_offsets=offsets)
+
+
+def assert_same_as_single_rounds(state, algo, max_iters, threshold):
+    trace = run(state, algo, max_iters, threshold)
+    ref = single_round_trace(state, algo, max_iters, threshold)
+    assert trace.metrics.tobytes() == array("d", ref["metrics"]).tobytes()
+    assert trace.potentials.tobytes() == array("d", ref["potentials"]).tobytes()
+    assert trace.final_profile.tobytes() == ref["final_profile"].tobytes()
+    for key in ("iterations_used", "converged", "fixed_point"):
+        assert getattr(trace, key) == ref[key], key
+    if algo == "dgtc":
+        assert trace.max_metrics.tobytes() == array("d", ref["max_metrics"]).tobytes()
+        assert trace.winners.tolist() == ref["winners"]
+        assert trace.winner_offsets.tolist() == ref["winner_offsets"]
+    return trace
+
+
+def record_thresholds(metrics, k):
+    # thresholds at which run stops at a block end and strictly inside a
+    # block, from round 2k on: a metric below every earlier one stops there
+    lows = [t for t in range(1, len(metrics)) if metrics[t] < min(metrics[:t])]
+    end = next(t for t in lows if t >= 2 * k and t % k == 0)
+    middle = next(t for t in lows if t >= 2 * k and t % k not in (0, 1))
+    return {end: metrics[end], middle: metrics[middle]}
+
+
+def test_run_equals_single_rounds_bit_for_bit(monkeypatch):
+    loc = make_localization_instance(30, 2, 0.4, 0.01, seed=5)
+    balls = loc.game_instance
+    rng = np.random.default_rng(11)
+    mixed, _ = rand_feasible_instance(rng, n_max=12, q_max=3)
+    while {type(s) for s in mixed.sets} != {Ball, Box, Halfspace}:
+        mixed, _ = rand_feasible_instance(rng, n_max=12, q_max=3)
+    complete = Graph.from_edges(130, [(i, k) for i in range(130) for k in range(i + 1, 130)])
+    wide = GameInstance(complete, tuple(Ball((0.01 * i,), 1.0) for i in range(130)), 1)
+    assert engine._block_length(balls) > 1 and engine._block_length(mixed) > 1
+    # one round's edge differences fill more than half the budget: K = 1
+    assert engine._block_length(wide) == 1
+    starts = (initialize(balls, loc.layout), rand_feasible_profile(mixed, rng),
+              np.array([[0.01 * i + 0.9 * math.sin(i)] for i in range(130)]))
+    for inst, start in zip((balls, mixed, wide), starts):
+        state = EngineState(inst, start, step_size=default_step_size(inst))
+        for algo in ("dgtc", "dgpc"):
+            # the natural block length: caps at 7 and 40 rounds
+            for cap in (7, 40):
+                assert_same_as_single_rounds(state, algo, cap, 0.0)
+            if inst is wide:
+                continue
+            k = 4
+            set_block_length(monkeypatch, inst, k)
+            # the cap at a block end, one round past it and one round before
+            for cap in (3 * k, 3 * k + 1, 3 * k - 1):
+                assert assert_same_as_single_rounds(state, algo, cap, 0.0).iterations_used == cap
+            # threshold stops at a block end and in the middle of a block
+            metrics = run(state, algo, 60, 0.0).metrics
+            for stop, threshold in record_thresholds(metrics, k).items():
+                trace = assert_same_as_single_rounds(state, algo, 60, threshold)
+                assert trace.iterations_used == stop and trace.converged
+            monkeypatch.undo()
+
+
+def test_run_equals_single_rounds_at_a_fixed_point(monkeypatch):
+    # balls on a path that cannot all meet: the best responses settle on a
+    # literal fixed point after a few rounds, which run must find in any
+    # position of its block
+    path = Graph.from_edges(6, [(i, i + 1) for i in range(5)])
+    centers = [2.0 * (-1) ** i + 0.1 * i for i in range(6)]
+    inst = GameInstance(path, tuple(Ball((c,), 0.5) for c in centers), 1)
+    # every node starts on the far side of its ball
+    state = EngineState(inst, np.array([[c + 0.5 * (-1) ** i] for i, c in enumerate(centers)]))
+    rounds = run(state, "dgtc", 100, 0.0).iterations_used
+    assert rounds >= 3
+    for k in (1, 2, rounds - 1, rounds, rounds + 1, 64):
+        set_block_length(monkeypatch, inst, k)
+        trace = assert_same_as_single_rounds(state, "dgtc", 100, 0.0)
+        assert trace.fixed_point and trace.iterations_used == rounds
+        monkeypatch.undo()
+
+
+# the block length and the rounds of the first, a middle and the last round
+# of a block at which the fault injection tests place their fault
+FAULT_K = 4
+FAULT_ROUNDS = (FAULT_K + 1, FAULT_K + 2, 2 * FAULT_K)
+
+
+def fault_state(monkeypatch):
+    loc = make_localization_instance(30, 2, 0.4, 0.01, seed=5)
+    inst = loc.game_instance
+    set_block_length(monkeypatch, inst, FAULT_K)
+    return initial_state(inst, loc.layout, step_size=default_step_size(inst))
+
+
+def on_round(fn, bad_round, fault, first=1):
+    # fn, whose calls count rounds from ``first``, with ``fault`` applied to
+    # its result in round ``bad_round``
+    calls = [first - 1]
+
+    def wrapped(*args):
+        calls[0] += 1
+        out = fn(*args)
+        return fault(out) if calls[0] == bad_round else out
+    return wrapped
+
+
+def move_far(node, by):
+    def fault(prof):
+        prof = prof.copy()
+        prof[node] += by
+        return prof
+    return fault
+
+
+@pytest.mark.parametrize("bad_round", FAULT_ROUNDS)
+def test_adjacent_winners_fail_in_their_round(monkeypatch, bad_round):
+    state = fault_state(monkeypatch)
+    i, k = state.instance.edge_pairs
+
+    def clash(win):
+        win = win.copy()
+        win[[i[0], k[0]]] = True
+        return win
+    monkeypatch.setattr(engine, "_select_winners", on_round(engine._select_winners, bad_round, clash))
+    with pytest.raises(InvariantError, match=rf"^adjacent winners in round {bad_round} update: \[") as err:
+        run(state, "dgtc", 40, 0.0)
+    ids = json.loads(str(err.value).split(": ", 1)[1])
+    assert i[0] in ids and k[0] in ids
+
+
+@pytest.mark.parametrize("algo", ["dgtc", "dgpc"])
+@pytest.mark.parametrize("bad_round", FAULT_ROUNDS)
+def test_infeasible_strategies_fail_in_their_round(monkeypatch, algo, bad_round):
+    # dgpc projects once per round; on dgtc the pushed best response has the
+    # largest metric of its neighborhood, so its node wins and moves out
+    state = fault_state(monkeypatch)
+    proj = state.instance.projector
+    monkeypatch.setattr(proj, "project", on_round(proj.project, bad_round, move_far(3, 10.0)))
+    with pytest.raises(InvariantError,
+                       match=rf"^strategy of node 3 left its set after round {bad_round}: distance "):
+        run(state, algo, 40, 0.0)
+
+
+@pytest.mark.parametrize("bad_round", FAULT_ROUNDS)
+def test_potential_decrease_fails_in_its_round(monkeypatch, bad_round):
+    # round bad_round returns to the starting profile: feasible, with the
+    # kernel's own (independent) winners, but a lower potential
+    state = fault_state(monkeypatch)
+    clean = run(state, "dgtc", 40, 0.0)
+    start = state.profile
+    monkeypatch.setattr(engine, "_dgtc_kernel", on_round(
+        engine._dgtc_kernel, bad_round, lambda out: (start.copy(),) + out[1:]))
+    with pytest.raises(InvariantError) as err:
+        run(state, "dgtc", 40, 0.0)
+    before, after = clean.potentials[bad_round - 1], potential(state.instance, start)
+    assert str(err.value) == f"potential decreased in round {bad_round}: {before!r} -> {after!r}"
+
+
+@pytest.mark.parametrize("clash_round, far_round", [(6, 7), (7, 6), (6, 6)])
+def test_first_failing_round_of_a_block_is_reported(monkeypatch, clash_round, far_round):
+    # two faults in rounds 5-8, one block: the earlier round is reported,
+    # and within one round independence is checked before feasibility
+    state = fault_state(monkeypatch)
+    i, k = state.instance.edge_pairs
+    proj = state.instance.projector
+
+    def clash(win):
+        win = win.copy()
+        win[[i[0], k[0]]] = True
+        return win
+    monkeypatch.setattr(engine, "_select_winners", on_round(engine._select_winners, clash_round, clash))
+    monkeypatch.setattr(proj, "project", on_round(proj.project, far_round, move_far(3, 10.0)))
+    if clash_round <= far_round:
+        expected = f"^adjacent winners in round {clash_round} update"
+    else:
+        expected = f"^strategy of node 3 left its set after round {far_round}"
+    with pytest.raises(InvariantError, match=expected):
+        run(state, "dgtc", 40, 0.0)
+
+
+def test_pending_failure_is_reported_before_a_later_error(monkeypatch):
+    state = fault_state(monkeypatch)
+    proj = state.instance.projector
+    bad_round = FAULT_K + 1  # the first round of a block, so its check waits
+    # a strategy sent to 1e308 leaves its set, and the next gradient step
+    # overflows inside the kernel
+    monkeypatch.setattr(proj, "project", on_round(proj.project, bad_round, move_far(3, 1e308)))
+    with np.errstate(over="ignore"), pytest.raises(InvariantError) as err:
+        run(state, "dgpc", 40, 0.0)
+    assert str(err.value).startswith(f"strategy of node 3 left its set after round {bad_round}")
+    assert str(err.value.__context__) == (f"gradient step with step size {state.step_size!r} "
+                                          f"overflowed in round {bad_round + 1}")
+    monkeypatch.undo()
+
+    # any other exception leaving the loop: here a consensus metric that
+    # fails two rounds later, still in the same block
+    state = fault_state(monkeypatch)
+    proj = state.instance.projector
+    metric = engine.consensus_metric
+
+    def boom(value):
+        raise RuntimeError("metric failed")
+    monkeypatch.setattr(engine, "consensus_metric", on_round(metric, bad_round + 2, boom, first=0))
+    with pytest.raises(RuntimeError, match="metric failed"):
+        run(state, "dgpc", 40, 0.0)  # nothing pending: the error itself
+    monkeypatch.setattr(engine, "consensus_metric", on_round(metric, bad_round + 2, boom, first=0))
+    monkeypatch.setattr(proj, "project", on_round(proj.project, bad_round, move_far(3, 10.0)))
+    with pytest.raises(InvariantError, match=f"left its set after round {bad_round}") as err:
+        run(state, "dgpc", 40, 0.0)
+    assert str(err.value.__context__) == "metric failed"
 
 
 def test_trace_records_view_indexing(rng):

@@ -267,6 +267,4 @@ def test_csr_agrees_with_neighbor_lists(rng):
         q = int(rng.integers(1, 4))
         inst = GameInstance(g, tuple(Ball(np.zeros(q), 1.0) for _ in range(g.n)), q)
         assert np.array_equal(inst.adjacency, ref_adj)
-        gi, gk = inst.edge_gather
-        assert gi.tolist() == [i * q + c for i, _ in ref_edges for c in range(q)]
-        assert gk.tolist() == [k * q + c for _, k in ref_edges for c in range(q)]
+        assert list(zip(*(ends.tolist() for ends in inst.edge_pairs))) == ref_edges

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from constrained_consensus.engine import EngineState, InvariantError, dgtc_round
+from constrained_consensus.engine import EngineState, InvariantError, dgtc_round, pocs_run
 from constrained_consensus.game import GameInstance
 from constrained_consensus.graphs import Graph
 from constrained_consensus.sets import (
@@ -162,6 +162,31 @@ def test_row_projector_distances_of_overflowing_rows(rng):
         warnings.simplefilter("error")
         with pytest.raises(InvariantError, match=r"starting profile: distance 1\.000e\+200$"):
             dgtc_round(EngineState(inst, np.array([[1e200, 0.0], [0.5, 0.0]])))
+
+
+def test_row_projector_row_at_a_large_ball_center_is_quiet():
+    # a row exactly at the center of a ball whose radius / tiny overflows is
+    # kept as is, with no divide by zero and no 0 * inf
+    proj = RowProjector([Ball((0.0, 0.0), 5.0), Ball((1.0, 1.0), 0.5)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = proj.project([[0.0, 0.0], [3.0, 3.0]])
+    assert out[0].tolist() == [0.0, 0.0]
+    assert out[1].tolist() == (np.array([1.0, 1.0]) + np.array([2.0, 2.0]) * (0.5 / math.sqrt(8.0))).tolist()
+
+
+def test_ball_projection_of_a_point_whose_square_overflows():
+    # the squared distance 1e400 overflows: the point still goes to the
+    # boundary in its own direction, in the scalar and the stacked path, and
+    # the cycle's displacement is about 1e200, not inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert Ball((0.0, 0.0), 1.0).project([1e200, 0.0]).tolist() == [1.0, 0.0]
+        assert Ball((0.0, 0.0), 2.0).project([-3e300, 4e300]).tolist() == pytest.approx([-1.2, 1.6])
+        x, disp = pocs_run(BallStack([(Ball((0.0, 0.0), 1.0), Ball((0.5, 0.0), 1.0))]),
+                           [[1e200, 0.0]], 2)
+    assert x.tolist() == [[1.0, 0.0]]
+    assert disp == [1e200, 0.0]
 
 
 def reference_ball_project(b, x):

@@ -44,7 +44,7 @@ from .game import (
     potential,
 )
 from .graphs import GeometricLayout
-from .sets import Ball, BallStack, _dot_norms
+from .sets import BallStack, _dot_squares, _norms
 from .tolerances import DEFAULT
 
 
@@ -468,8 +468,11 @@ def pocs_run(inst: GameInstance | BallStack, x0, cycles: int) -> tuple[np.ndarra
     entry ``b * cycles + k``.  The per-cycle displacement is nonincreasing
     (the cycle map is nonexpansive) and goes to zero on feasible instances.
 
-    An all-ball instance runs as a stack of one; any other instance projects
-    with each set's own formula.  Both give ``ConvexSet.project``'s bits.
+    A ``BallStack`` projects a node's balls for all members at once;
+    otherwise each set projects with its own formula.  Both give
+    ``ConvexSet.project``'s bits, and the displacement is the norm
+    ``ConvexSet.distance_to`` takes, finite for a finite point whose squared
+    displacement overflows.
     """
     if cycles < 1:
         raise ValueError(f"cycles must be positive, got {cycles}")
@@ -478,36 +481,24 @@ def pocs_run(inst: GameInstance | BallStack, x0, cycles: int) -> tuple[np.ndarra
         if x.shape != (inst.size, inst.q):
             raise ValueError(f"expected {inst.size} starting points of dimension {inst.q}, "
                              f"got shape {x.shape}")
+        cycle = inst.project_cycle
     elif x.shape != (inst.q,):
         raise ValueError(f"expected a starting point of dimension {inst.q}, got shape {x.shape}")
+    else:
+        # x is checked once here, so the cycle calls each set's projection
+        # formula without ConvexSet.project's per-call coercion
+        projections = [s._project for s in inst.sets]
+
+        def cycle(x):
+            for project in projections:
+                x = project(x)
+            return x
     if not np.isfinite(x).all():
         raise ValueError("starting point coordinates must be finite")
-    if isinstance(inst, BallStack):
-        return _pocs_stack(inst, x, cycles)
-    if all(isinstance(s, Ball) for s in inst.sets):
-        x, displacements = _pocs_stack(BallStack([inst.sets]), x[None, :], cycles)
-        return x[0], displacements
-    # x is checked once above, so the loop calls each set's projection
-    # formula without ConvexSet.project's per-call coercion
-    projections = [s._project for s in inst.sets]
-    displacements = []
-    for _ in range(cycles):
+    # (cycles,) or (cycles, B) displacements, returned member-major
+    displacements = np.empty((cycles,) + x.shape[:-1])
+    for k in range(cycles):
         start = x
-        for project in projections:
-            x = project(x)
-        v = x - start
-        displacements.append(math.sqrt(v @ v))
-    return x, displacements
-
-
-def _pocs_stack(stack: BallStack, x: np.ndarray, cycles: int) -> tuple[np.ndarray, list[float]]:
-    """``cycles`` lockstep cycles of ``stack.project_cycle`` from x (B, q);
-    the displacements member-major, as ``pocs_run`` returns them."""
-    displacements = np.empty((cycles, stack.size))
-    with np.errstate(over="ignore"):
-        for k in range(cycles):
-            start = x
-            x = stack.project_cycle(x)
-            # each row summed as the 1-d loop's v @ v sums a vector
-            displacements[k] = _dot_norms(x - start)
+        x = cycle(x)
+        displacements[k] = _norms(x - start, _dot_squares)
     return x, displacements.T.ravel().tolist()

@@ -9,54 +9,85 @@ semantics covers every family.
 Projection returns its argument *unchanged* (bitwise) whenever the point is
 already inside the set; iterative algorithms rely on this to reach literal
 fixed points.
+
+Every ball projection (``Ball.project``, ``RowProjector`` and the lockstep
+``BallStack``) runs through one kernel, ``_project_rows``, and every
+distance through one row norm, ``_norms``.  A finite point whose squared
+distance overflows still lands on the boundary and reads a finite distance:
+both take the norm of the point scaled by its largest component.  Callers
+differ only in how a row's squares are summed, which decides the last bits:
+``RowProjector`` sums them as ``np.linalg.norm`` does, every other caller as
+``ndarray.dot`` does.
 """
 
 from __future__ import annotations
 
-import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 import numpy as np
 
 
-def _row_norms(a: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row (along the last axis): np.linalg.norm(a,
-    axis=-1)'s arithmetic, without its Python-level dispatch."""
-    return np.sqrt(np.add.reduce(a * a, axis=-1))
+def _reduce_squares(a: np.ndarray) -> np.ndarray:
+    """Sum of squares along the last axis with np.linalg.norm(a, axis=-1)'s
+    bits, without its Python-level dispatch."""
+    return np.add.reduce(a * a, axis=-1)
 
 
-def _overflowed_rows(diff: np.ndarray, d: np.ndarray):
-    """The finite rows of ``diff`` whose norm ``d`` overflowed to inf: their
-    mask, largest absolute components m, and the norms ||row / m||."""
-    rows = np.isinf(d) & np.logical_and.reduce(np.isfinite(diff), axis=-1)
-    big = diff[rows]
-    m = np.maximum.reduce(np.abs(big), axis=-1)
-    return rows, m, _row_norms(big / m[:, None])
+def _dot_squares(a: np.ndarray) -> np.ndarray:
+    """Sum of squares along the last axis with ``ndarray.dot``'s bits: a row
+    is summed as ``v @ v`` sums a vector."""
+    return np.vecdot(a, a)
 
 
-def _ball_scales(diff: np.ndarray, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Which rows of ``diff`` lie inside their balls (norm d <= radius), and
-    the radial scales ``radii / d`` of the others.
-
-    A row inside gets the divisor 1, so a row at its center divides nothing.
-    A finite row whose squared norm overflows gets the norm inf, and its
-    scale is formed as (radius / m) / ||diff / m|| with m its largest
-    absolute component, so it stays finite; every other row gets the plain
-    formula's bits.
-    """
-    # one dot bounds every row's sum of squares: finite means none overflows
-    if np.vdot(diff, diff) < np.inf:
-        d = _row_norms(diff)
-        inside = d <= radii
-        return inside, radii / np.where(inside, 1.0, d)
+def _overflowed_rows(v: np.ndarray, squares):
+    """The shared rescue, for a v in which some sum of squares overflows:
+    the norms d = sqrt(squares(v)) as a writable array, with numpy's
+    overflow warning silenced, and the finite rows whose norm overflowed to
+    inf: their mask, largest absolute components m, and norms ||row / m||."""
     with np.errstate(over="ignore"):
-        d = _row_norms(diff)
-    inside = d <= radii
-    scale = radii / np.where(inside, 1.0, d)
-    rows, m, unit_norms = _overflowed_rows(diff, d)
-    scale[rows] = (radii[rows] / m) / unit_norms
-    return inside, scale
+        d = np.array(np.sqrt(squares(v)))
+    rows = np.isinf(d) & np.logical_and.reduce(np.isfinite(v), axis=-1)
+    big = v[rows]
+    m = np.maximum.reduce(np.abs(big), axis=-1)
+    return d, rows, m, np.sqrt(_reduce_squares(big / m[:, None]))
+
+
+def _norms(v: np.ndarray, squares) -> np.ndarray:
+    """Euclidean norm of each row of v (along the last axis; a 1-d v is one
+    row), sqrt(squares(v)), except that a finite row whose sum of squares
+    overflows gets m * ||row / m||, m its largest absolute component."""
+    # one dot bounds every row's sum of squares: finite means none overflows
+    if np.vdot(v, v) < np.inf:
+        return np.sqrt(squares(v))
+    d, rows, m, unit_norms = _overflowed_rows(v, squares)
+    d[rows] = m * unit_norms
+    return d
+
+
+def _project_rows(x: np.ndarray, c: np.ndarray, r: np.ndarray, squares) -> np.ndarray:
+    """Row b of the (B, q) array x projected onto the ball (c[b], r[b]), its
+    distance d to the center taken as sqrt(squares(x[b] - c[b])).
+
+    A row inside its ball keeps its bits, and its quotient's divisor is 1,
+    so d = 0 divides nothing; when every row is inside, x comes back as is.
+    A finite row whose squared distance overflows gets the scale
+    (r / m) / ||diff / m|| with m its largest absolute component, so it
+    lands on its boundary even where d itself overflows.
+    """
+    diff = x - c
+    rows = None
+    if np.vdot(diff, diff) < np.inf:  # as in _norms
+        d = np.sqrt(squares(diff))
+    else:
+        d, rows, m, unit_norms = _overflowed_rows(diff, squares)
+    inside = d <= r
+    if np.count_nonzero(inside) == inside.size:  # cheaper than a reduce
+        return x
+    scale = r / np.where(inside, 1.0, d)
+    if rows is not None:
+        scale[rows] = (r[rows] / m) / unit_norms
+    return np.where(inside[:, None], x, c + diff * scale[:, None])
 
 
 class DimensionError(ValueError):
@@ -92,9 +123,9 @@ class ConvexSet(ABC):
 
     def distance_to(self, x) -> float:
         x = self._coerce(x)
-        # np.linalg.norm's arithmetic for a 1-d vector: sqrt of its dot product
-        v = x - self._project(x)
-        return math.sqrt(v @ v)
+        # np.linalg.norm's arithmetic for a 1-d vector, sqrt of its dot product,
+        # except that a finite distance whose square overflows stays finite
+        return float(_norms(x - self._project(x), _dot_squares))
 
     def contains(self, x, tol: float = 0.0) -> bool:
         """True iff the distance from ``x`` to the set is at most ``tol``."""
@@ -129,16 +160,7 @@ class Ball(ConvexSet):
         return self.center.size
 
     def _project(self, x):
-        diff = x - self.center
-        with np.errstate(over="ignore"):
-            d = math.sqrt(diff @ diff)
-        if d <= self.radius:
-            return x
-        if d == math.inf and np.logical_and.reduce(np.isfinite(diff)):
-            # the squared distance overflowed: scale by the largest component
-            m = np.maximum.reduce(np.abs(diff))
-            return self.center + diff * ((self.radius / m) / _row_norms(diff / m))
-        return self.center + diff * (self.radius / d)
+        return _project_rows(x[None], self.center[None], np.array([self.radius]), _dot_squares)[0]
 
     def bounding_box(self):
         return self.center - self.radius, self.center + self.radius
@@ -216,10 +238,7 @@ class RowProjector:
 
     def project(self, x: np.ndarray) -> np.ndarray:
         if self._centers is not None:
-            diff = x - self._centers
-            inside, scale = _ball_scales(diff, self._radii)
-            # rows already inside keep their exact bit pattern
-            return np.where(inside[:, None], x, self._centers + diff * scale[:, None])
+            return _project_rows(x, self._centers, self._radii, _reduce_squares)
         return np.array([s.project(row) for s, row in zip(self.sets, x)])
 
     def distances(self, x: np.ndarray) -> np.ndarray:
@@ -227,17 +246,7 @@ class RowProjector:
         distances, or a stack (K, N, q) of them, giving (K, N); a row's
         distance has the same bits either way."""
         if self._centers is not None:
-            diff = x - self._centers
-            # as in _ball_scales: a finite row whose squared norm overflows
-            # gets the norm m * ||diff / m||, and every other row its plain bits
-            if np.vdot(diff, diff) < np.inf:
-                d = _row_norms(diff)
-            else:
-                with np.errstate(over="ignore"):
-                    d = _row_norms(diff)
-                    rows, m, unit_norms = _overflowed_rows(diff, d)
-                    d[rows] = m * unit_norms
-            return np.maximum(d - self._radii, 0.0)
+            return np.maximum(_norms(x - self._centers, _reduce_squares) - self._radii, 0.0)
         if x.ndim == 3:
             return np.array([self.distances(member) for member in x]).reshape(x.shape[:2])
         return np.array([s.distance_to(row) for s, row in zip(self.sets, x)])
@@ -280,51 +289,17 @@ class BallStack:
     def project_cycle(self, x: np.ndarray) -> np.ndarray:
         """Member b's point x[b] projected onto its balls in ascending node
         order, all members in lockstep, with ``Ball._project``'s bits."""
-        with np.errstate(over="ignore"):
-            for c, r in zip(self.centers, self.radii):
-                x = _project_slab(x, c, r)
+        for c, r in zip(self.centers, self.radii):
+            x = _project_rows(x, c, r, _dot_squares)
         return x
 
     def max_distances(self, x: np.ndarray) -> np.ndarray:
         """``max(s.distance_to(x[b]) for s in member b's balls)`` per member,
         bit for bit, computed one node at a time over (B, q) slabs."""
         best = np.zeros(self.size)
-        with np.errstate(over="ignore"):
-            for c, r in zip(self.centers, self.radii):
-                v = x - _project_slab(x, c, r)
-                np.maximum(best, np.sqrt(np.vecdot(v, v)), out=best)
+        for c, r in zip(self.centers, self.radii):
+            p = _project_rows(x, c, r, _dot_squares)
+            if p is not x:  # a slab with every row inside adds only zero distances
+                np.maximum(best, _norms(x - p, _dot_squares), out=best)
         return best
 
-
-def _project_slab(x: np.ndarray, c: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Row b of x projected onto the ball (c[b], r[b]), as ``Ball._project``
-    does it: ``np.vecdot`` sums a row as ``ndarray.dot`` sums a vector.
-
-    A row inside its ball keeps its bits, and its quotient's divisor is 1,
-    so d = 0 divides nothing; when every row is inside, x comes back as is.
-    A finite row whose squared distance overflows (the caller silences that)
-    gets the scale (r / m) / ||diff / m|| with m its largest absolute
-    component, as in ``Ball._project``, and lands on its boundary.
-    """
-    diff = x - c
-    d = np.sqrt(np.vecdot(diff, diff))
-    inside = d <= r
-    if np.logical_and.reduce(inside):
-        return x
-    scale = r / np.where(inside, 1.0, d)
-    if np.maximum.reduce(d) == np.inf:
-        rows, m, unit_norms = _overflowed_rows(diff, d)
-        scale[rows] = (r[rows] / m) / unit_norms
-    return np.where(inside[:, None], x, c + diff * scale[:, None])
-
-
-def _dot_norms(v: np.ndarray) -> np.ndarray:
-    """Norm of each row of v with ``ndarray.dot``'s bits, sqrt(vecdot(v, v)),
-    except that a finite row whose sum of squares overflows gets
-    m * ||row / m||, m its largest absolute component.  The caller silences
-    the overflow."""
-    d = np.sqrt(np.vecdot(v, v))
-    if np.maximum.reduce(d) == np.inf:
-        rows, m, unit_norms = _overflowed_rows(v, d)
-        d[rows] = m * unit_norms
-    return d

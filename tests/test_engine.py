@@ -361,11 +361,13 @@ def test_pocs_run_matches_reference_bit_for_bit(rng):
         for _ in range(10):
             inst = _rand_ball_instance(rng, q)
             x0 = rng.uniform(-3, 3, q)
-            for cycles in (1, 7):
-                x, disp = pocs_run(inst, x0, cycles)
-                ref_x, ref_disp = reference_pocs(inst, x0, cycles)
-                assert np.array_equal(x, ref_x)
-                assert disp == ref_disp
+            # the scaled start's first displacement has a square that overflows
+            for start in (x0, x0 * 1e200):
+                for cycles in (1, 7):
+                    x, disp = pocs_run(inst, start, cycles)
+                    ref_x, ref_disp = reference_pocs(inst, start, cycles)
+                    assert np.array_equal(x, ref_x)
+                    assert disp == ref_disp
     for _ in range(20):
         n = int(rng.integers(2, 15))
         lows = rng.uniform(-2, 1, n)

@@ -177,16 +177,23 @@ def test_row_projector_row_at_a_large_ball_center_is_quiet():
 
 def test_ball_projection_of_a_point_whose_square_overflows():
     # the squared distance 1e400 overflows: the point still goes to the
-    # boundary in its own direction, in the scalar and the stacked path, and
-    # the cycle's displacement is about 1e200, not inf
+    # boundary in its own direction, in the scalar and the stacked path, its
+    # distance reads about 1e200, and so does the cycle's displacement in
+    # the stacked and the generic loop, not inf
+    balls = (Ball((0.0, 0.0), 1.0), Ball((0.5, 0.0), 1.0))
+    mixed = GameInstance(Graph.from_edges(2, [(0, 1)]), (Box((-1.0, -1.0), (1.0, 1.0)), balls[1]), 2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert Ball((0.0, 0.0), 1.0).project([1e200, 0.0]).tolist() == [1.0, 0.0]
         assert Ball((0.0, 0.0), 2.0).project([-3e300, 4e300]).tolist() == pytest.approx([-1.2, 1.6])
-        x, disp = pocs_run(BallStack([(Ball((0.0, 0.0), 1.0), Ball((0.5, 0.0), 1.0))]),
-                           [[1e200, 0.0]], 2)
+        assert Ball((0.0, 0.0), 1.0).distance_to([1e200, 0.0]) == 1e200
+        assert BallStack([balls]).max_distances([[1e200, 0.0]]).tolist() == [1e200]
+        x, disp = pocs_run(BallStack([balls]), [[1e200, 0.0]], 2)
+        mixed_x, mixed_disp = pocs_run(mixed, [1e200, 0.0], 2)
     assert x.tolist() == [[1.0, 0.0]]
     assert disp == [1e200, 0.0]
+    assert mixed_x.tolist() == [1.0, 0.0]
+    assert mixed_disp == [1e200, 0.0]
 
 
 def reference_ball_project(b, x):

@@ -16,12 +16,18 @@ update activity per iteration.
 
 Structural invariants are asserted for every round: updated strategies stay
 in their sets, best-response winners form an independent set, and the
-potential never decreases under best-response rounds.  ``run`` checks them in
-blocks of K rounds, over the stacked profiles, and records the block's
-potentials; only what decides when to stop (the round itself, the consensus
-metric, the largest update metric and the round cap) runs every round.  A
-violation raises ``InvariantError`` naming the first failing round, at most
-K - 1 rounds after it happened and before any later error leaves the run.
+potential never decreases under best-response rounds.  ``run`` works in
+blocks of K rounds: per round it runs only the round itself and stores the
+new profile (on best-response runs also the largest update metric, which
+the fixed-point stop needs, and the winner mask).  Once per block it takes
+the consensus metrics of the stacked profiles, keeps the rounds up to the
+first whose metric is not above the threshold and drops the later ones,
+checks the kept rounds and records them.  A dropped round is never
+checked, recorded or counted, so a run spends at most K - 1 rounds past
+its stop, and its trace is the one a round-by-round loop would give.  A
+violation raises ``InvariantError`` naming the first failing round, at
+most K - 1 rounds after it happened and before any later error leaves the
+run; an error raised in a round past the stop is dropped with that round.
 Violations indicate a bug, not a user error.
 """
 
@@ -164,9 +170,19 @@ def float_text(x: float) -> str:
     return repr(float(x))
 
 
-def consensus_metric(p) -> float:
-    """Root-sum-square deviation of all strategies from their coordinate mean."""
+def consensus_metric(p):
+    """Root-sum-square deviation of all strategies from their coordinate mean.
+
+    ``p`` is one profile (N, q), giving a float, or a stack (K, N, q) of
+    them, giving the K metrics as an array; a C-ordered profile gets the
+    same bits either way.
+    """
     prof = np.asarray(p, dtype=float)
+    if prof.ndim == 3:
+        dev = prof - np.add.reduce(prof, axis=1, keepdims=True) / prof.shape[1]
+        # each profile's deviations as one vector, summed as @ sums it
+        dev = dev.reshape(len(prof), -1)
+        return np.sqrt(np.vecdot(dev, dev))
     # np.linalg.norm's own arithmetic: a dot product in memory order
     dev = (prof - np.add.reduce(prof, axis=0) / len(prof)).ravel(order="K")
     return math.sqrt(dev @ dev)
@@ -301,8 +317,12 @@ def run(state: EngineState, algo: str, max_iters: int | None = None,
     metric is at most ``DEFAULT.fixed_point`` the profile can never change
     again, so looping further would be vacuous.
 
-    Every round's invariants (feasibility, winner independence, potential
-    monotonicity) are asserted, in blocks of K rounds; see module docstring.
+    Rounds run in blocks of K.  The stop test and every round's invariants
+    (feasibility, winner independence, potential monotonicity) run once per
+    block, and the block is rolled back to its stopping round: the trace is
+    the round-by-round one, and at most K - 1 rounds past the stop are run
+    and discarded.  An error raised in a round after the stop is dropped
+    with that round.  See module docstring.
     """
     prof = _checked_profile(state, algo).copy()
     inst = state.instance
@@ -315,68 +335,88 @@ def run(state: EngineState, algo: str, max_iters: int | None = None,
 
     best_response = algo == "dgtc"
     phi = potential(inst, prof)
-    metric = consensus_metric(prof)
-    # one row per round; t is the row index.  The metric is appended as each
-    # round ends, the potential as its block is checked.
-    metrics, potentials = array("d", [metric]), array("d", [phi])
+    # one row per round; t is the row index and the rounds recorded
+    metrics, potentials = array("d", [consensus_metric(prof)]), array("d", [phi])
+    # rounds t + 1, ..., t + i have their profiles in block[:i] and, on
+    # best-response runs, their largest update metrics in maxes[:i] and
+    # their winner masks in wins[:i]
+    block = np.empty((_block_length(inst), inst.n, inst.q))
     if best_response:
         max_metrics, winners, winner_offsets = array("d"), array("q"), array("q", [0])
+        maxes, wins = np.empty(len(block)), np.zeros(block.shape[:2], dtype=bool)
     else:
-        max_metrics = winners = winner_offsets = None
-    # rounds checked + 1, ..., t have their profiles in block[:t - checked]
-    # and, on best-response runs, their winner masks in wins[:t - checked]
-    block = np.empty((_block_length(inst), inst.n, inst.q))
-    wins = np.zeros(block.shape[:2], dtype=bool) if best_response else None
-    t = checked = 0
+        max_metrics = winners = winner_offsets = maxes = wins = None
+    t = 0
+    stopped = not metrics[0] > threshold
     fixed_point = False
 
-    def check_block():
-        nonlocal checked, phi
-        if t == checked:
-            return
-        first, checked = checked, t  # a failing block is not checked again
-        k = t - first
-        phis = _check_rounds(inst, block[:k], None if wins is None else wins[:k], first,
+    def flush(k: int) -> bool:
+        """Keep rounds t + 1, ..., t + k up to the first whose metric is not
+        above the threshold, check and record them; True if one stopped."""
+        nonlocal t, phi, prof
+        if k == 0:
+            return False
+        ms = consensus_metric(block[:k])
+        above = ms > threshold
+        first = int(above.argmin())
+        stop = not above[first]
+        if stop:
+            k = first + 1  # the later rounds are dropped
+            prof = block[first].copy()
+        phis = _check_rounds(inst, block[:k], None if wins is None else wins[:k], t,
                              phi if best_response else None)
+        metrics.frombytes(ms[:k].tobytes())
         potentials.frombytes(phis.tobytes())
-        phi = phis[-1]
-        if wins is not None:
+        if best_response:
+            max_metrics.frombytes(maxes[:k].tobytes())
+            counts = np.add.reduce(wins[:k], axis=1, dtype=np.int64)
+            offsets = np.add.accumulate(counts) + len(winners)
+            winners.frombytes(wins[:k].nonzero()[1].astype(np.int64, copy=False).tobytes())
+            winner_offsets.frombytes(offsets.tobytes())
             wins[:k] = False
+        phi = phis[-1]
+        t += k
+        return stop
 
-    try:
-        while metric > threshold and t < max_iters:
-            if best_response:
-                new_prof, updated, max_metric = _dgtc_kernel(inst, prof, t + 1)
-                if max_metric <= DEFAULT.fixed_point:
-                    fixed_point = True
-                    break
-                prof = new_prof
-                max_metrics.append(max_metric)
-                winners.frombytes(updated.astype(np.int64, copy=False).tobytes())
-                winner_offsets.append(len(winners))
-                wins[t - checked, updated] = True
+    while not stopped and t < max_iters:
+        size = min(len(block), max_iters - t)
+        i = 0
+        try:
+            while i < size:
+                if best_response:
+                    new_prof, updated, max_metric = _dgtc_kernel(inst, prof, t + i + 1)
+                    if max_metric <= DEFAULT.fixed_point:
+                        fixed_point = True
+                        break
+                    prof = new_prof
+                    maxes[i] = max_metric
+                    wins[i, updated] = True
+                else:
+                    prof = _dgpc_kernel(inst, prof, state.step_size, t + i + 1)
+                block[i] = prof
+                i += 1
+        except Exception:
+            # the pending rounds first: a failure among them is raised with
+            # this error as its context, and a stop among them ends the run
+            # before the failing round, as a round-by-round loop would
+            if not flush(i):
+                raise
+            break
+        stopped = flush(i)
+        if fixed_point:
+            if stopped:
+                fixed_point = False  # the stop came before the fixed point
             else:
-                prof = _dgpc_kernel(inst, prof, state.step_size, t + 1)
-            block[t - checked] = prof
-            t += 1
-            metric = consensus_metric(prof)
-            metrics.append(metric)
-            if t - checked == len(block):
-                check_block()
-    except Exception:
-        check_block()  # a failure pending in the block is reported first
-        raise
-    check_block()
-    if fixed_point:
-        # the round that found the fixed point is checked, though not kept
-        _check_rounds(inst, new_prof[None], _winner_mask(inst.n, updated)[None], t, None)
+                # the round that found the fixed point is checked, though not kept
+                _check_rounds(inst, new_prof[None], _winner_mask(inst.n, updated)[None], t, None)
+            break
 
     return Trace(
         algo=algo,
         metrics=metrics,
         potentials=potentials,
         final_profile=prof,
-        converged=metric <= threshold,
+        converged=metrics[-1] <= threshold,
         iterations_used=t,
         fixed_point=fixed_point,
         max_metrics=max_metrics,

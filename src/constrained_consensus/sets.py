@@ -168,7 +168,11 @@ class Ball(ConvexSet):
 
 @dataclass(frozen=True, eq=False)
 class Halfspace(ConvexSet):
-    """{x : normal . x <= offset} with a nonzero normal."""
+    """{x : normal . x <= offset} with a nonzero normal.
+
+    A projected point passes the set's own test, ``normal . y <= offset``
+    in floating point, so projecting it again returns it as is.
+    """
 
     normal: np.ndarray
     offset: float
@@ -185,11 +189,22 @@ class Halfspace(ConvexSet):
     def dim(self) -> int:
         return self.normal.size
 
+    def _excess(self, x) -> float:
+        return float(self.normal @ x) - self.offset
+
     def _project(self, x):
-        excess = float(self.normal @ x) - self.offset
+        excess = self._excess(x)
         if excess <= 0.0:
             return x
-        return x - (excess / self._norm_sq) * self.normal
+        y = x - (excess / self._norm_sq) * self.normal
+        # rounding can leave y just outside: project again, each time twice
+        # as far, until y passes the test above, so that projecting it
+        # again returns it as is
+        grow = 1.0
+        while (excess := self._excess(y)) > 0.0:
+            y = y - (grow * excess / self._norm_sq) * self.normal
+            grow *= 2.0
+        return y
 
 
 @dataclass(frozen=True, eq=False)

@@ -210,9 +210,10 @@ def test_smoke_csv_matches_benchmark_reference(tmp_path, monkeypatch):
 
 def test_deep_csv_matches_benchmark_reference(tmp_path, monkeypatch):
     # the run command's bytes at depth: its 43k-row CSV spans 11 trace
-    # chunks, so a slip at a chunk boundary fails here (default seed only;
-    # the run takes about 5 s)
-    check_benchmark_workload(tmp_path, monkeypatch, "deep-n100", ("default",))
+    # chunks, so a slip at a chunk boundary fails here, and the two seeds
+    # stop at different positions in their blocks of rounds (each run takes
+    # about 5 s)
+    check_benchmark_workload(tmp_path, monkeypatch, "deep-n100", ("default", "held_out"))
 
 
 def test_sweep_csv_matches_benchmark_reference(tmp_path, monkeypatch):

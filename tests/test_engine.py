@@ -586,7 +586,12 @@ def single_round_trace(state, algo, max_iters, threshold):
 
 def assert_same_as_single_rounds(state, algo, max_iters, threshold):
     trace = run(state, algo, max_iters, threshold)
-    ref = single_round_trace(state, algo, max_iters, threshold)
+    assert_same_trace(trace, single_round_trace(state, algo, max_iters, threshold), algo)
+    return trace
+
+
+def assert_same_trace(trace, ref, algo):
+    # every field of a run's trace against single_round_trace's, bit for bit
     assert trace.metrics.tobytes() == array("d", ref["metrics"]).tobytes()
     assert trace.potentials.tobytes() == array("d", ref["potentials"]).tobytes()
     assert trace.final_profile.tobytes() == ref["final_profile"].tobytes()
@@ -596,7 +601,6 @@ def assert_same_as_single_rounds(state, algo, max_iters, threshold):
         assert trace.max_metrics.tobytes() == array("d", ref["max_metrics"]).tobytes()
         assert trace.winners.tolist() == ref["winners"]
         assert trace.winner_offsets.tolist() == ref["winner_offsets"]
-    return trace
 
 
 def record_thresholds(metrics, k):
@@ -643,15 +647,20 @@ def test_run_equals_single_rounds_bit_for_bit(monkeypatch):
             monkeypatch.undo()
 
 
-def test_run_equals_single_rounds_at_a_fixed_point(monkeypatch):
+def settling_path_state():
     # balls on a path that cannot all meet: the best responses settle on a
-    # literal fixed point after a few rounds, which run must find in any
-    # position of its block
+    # literal fixed point after a few rounds
     path = Graph.from_edges(6, [(i, i + 1) for i in range(5)])
     centers = [2.0 * (-1) ** i + 0.1 * i for i in range(6)]
     inst = GameInstance(path, tuple(Ball((c,), 0.5) for c in centers), 1)
     # every node starts on the far side of its ball
-    state = EngineState(inst, np.array([[c + 0.5 * (-1) ** i] for i, c in enumerate(centers)]))
+    return EngineState(inst, np.array([[c + 0.5 * (-1) ** i] for i, c in enumerate(centers)]))
+
+
+def test_run_equals_single_rounds_at_a_fixed_point(monkeypatch):
+    # run must find the fixed point in any position of its block
+    state = settling_path_state()
+    inst = state.instance
     rounds = run(state, "dgtc", 100, 0.0).iterations_used
     assert rounds >= 3
     for k in (1, 2, rounds - 1, rounds, rounds + 1, 64):
@@ -659,6 +668,86 @@ def test_run_equals_single_rounds_at_a_fixed_point(monkeypatch):
         trace = assert_same_as_single_rounds(state, "dgtc", 100, 0.0)
         assert trace.fixed_point and trace.iterations_used == rounds
         monkeypatch.undo()
+
+
+def test_consensus_metric_of_a_stack_matches_each_profile(rng):
+    # a (K, N, q) stack gives each profile the bits of its own 2-D call
+    for _ in range(60):
+        k, n, q = int(rng.integers(1, 51)), int(rng.integers(2, 140)), int(rng.integers(1, 5))
+        stack = rng.normal(size=(k, n, q)) * 10.0 ** rng.uniform(-9, 3) + rng.normal(size=q)
+        metrics = consensus_metric(stack)
+        assert metrics.shape == (k,)
+        assert metrics.tobytes() == array("d", [consensus_metric(p) for p in stack]).tobytes()
+    assert type(consensus_metric(stack[0])) is float
+
+
+def counting(fn, calls):
+    # fn, counting its calls in calls[0]
+    def wrapped(*args):
+        calls[0] += 1
+        return fn(*args)
+    return wrapped
+
+
+def test_a_fixed_point_after_the_stop_is_not_reported(monkeypatch):
+    # one block holds a threshold stop and the later round that finds the
+    # fixed point: the run stops converged, as a round-by-round loop does
+    state = settling_path_state()
+    metrics = run(state, "dgtc", 100, 0.0).metrics
+    rounds = len(metrics) - 1
+    stop = max(t for t in range(1, rounds + 1) if metrics[t] < min(metrics[:t]))
+    set_block_length(monkeypatch, state.instance, rounds + 1)
+    calls = [0]
+    monkeypatch.setattr(engine, "_dgtc_kernel", counting(engine._dgtc_kernel, calls))
+    trace = run(state, "dgtc", 100, metrics[stop])
+    assert calls[0] == rounds + 1  # the fixed point was found, past the stop
+    assert trace.converged and not trace.fixed_point and trace.iterations_used == stop
+    assert_same_trace(trace, single_round_trace(state, "dgtc", 100, metrics[stop]), "dgtc")
+
+
+@pytest.mark.parametrize("algo", ["dgtc", "dgpc"])
+def test_kernel_calls_stay_within_a_block_of_the_stop(monkeypatch, algo):
+    # rounds past the stop run only to the end of their block, and never
+    # past the cap
+    loc = make_localization_instance(30, 2, 0.4, 0.01, seed=5)
+    inst = loc.game_instance
+    state = initial_state(inst, loc.layout, step_size=default_step_size(inst))
+    metrics = run(state, algo, 60, 0.0).metrics
+    name = f"_{algo}_kernel"
+    calls = [0]
+    monkeypatch.setattr(engine, name, counting(getattr(engine, name), calls))
+    for k in (engine._block_length(inst), 4):
+        set_block_length(monkeypatch, inst, k)
+        for max_iters in (1, 3, 4, 13, 60):
+            for threshold in [0.0] + list(metrics[1:20]):
+                calls[0] = 0
+                trace = run(state, algo, max_iters, threshold)
+                assert trace.iterations_used <= calls[0] <= trace.iterations_used + k
+                assert calls[0] <= max_iters
+
+
+def test_an_error_after_the_stop_is_dropped_with_its_round(monkeypatch):
+    # a threshold stop in the middle of a block at round s: a gradient round
+    # that fails in round s + 1 ran past the stop, and the run returns the
+    # stopped trace; one that fails in round s, before the stop, raises
+    state = fault_state(monkeypatch)
+    metrics = run(state, "dgpc", 60, 0.0).metrics
+    stop, threshold = next((t, m) for t, m in record_thresholds(metrics, FAULT_K).items()
+                           if t % FAULT_K)
+    ref = single_round_trace(state, "dgpc", 60, threshold)
+    kernel = engine._dgpc_kernel
+    failed = []
+
+    def boom(prof):
+        failed.append(prof)
+        raise RuntimeError("round failed")
+    monkeypatch.setattr(engine, "_dgpc_kernel", on_round(kernel, stop + 1, boom))
+    trace = run(state, "dgpc", 60, threshold)
+    assert len(failed) == 1 and trace.iterations_used == stop and trace.converged
+    assert_same_trace(trace, ref, "dgpc")
+    monkeypatch.setattr(engine, "_dgpc_kernel", on_round(kernel, stop, boom))
+    with pytest.raises(RuntimeError, match="round failed"):
+        run(state, "dgpc", 60, threshold)
 
 
 # the block length and the rounds of the first, a middle and the last round
@@ -774,18 +863,18 @@ def test_pending_failure_is_reported_before_a_later_error(monkeypatch):
                                           f"overflowed in round {bad_round + 1}")
     monkeypatch.undo()
 
-    # any other exception leaving the loop: here a consensus metric that
-    # fails two rounds later, still in the same block
+    # any other exception leaving the loop: here a gradient-projection
+    # round that fails two rounds later, still in the same block
     state = fault_state(monkeypatch)
     proj = state.instance.projector
-    metric = engine.consensus_metric
+    kernel = engine._dgpc_kernel
 
     def boom(value):
         raise RuntimeError("metric failed")
-    monkeypatch.setattr(engine, "consensus_metric", on_round(metric, bad_round + 2, boom, first=0))
+    monkeypatch.setattr(engine, "_dgpc_kernel", on_round(kernel, bad_round + 2, boom))
     with pytest.raises(RuntimeError, match="metric failed"):
         run(state, "dgpc", 40, 0.0)  # nothing pending: the error itself
-    monkeypatch.setattr(engine, "consensus_metric", on_round(metric, bad_round + 2, boom, first=0))
+    monkeypatch.setattr(engine, "_dgpc_kernel", on_round(kernel, bad_round + 2, boom))
     monkeypatch.setattr(proj, "project", on_round(proj.project, bad_round, move_far(3, 10.0)))
     with pytest.raises(InvariantError, match=f"left its set after round {bad_round}") as err:
         run(state, "dgpc", 40, 0.0)

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from constrained_consensus.engine import EngineState, InvariantError, dgtc_round, pocs_run
@@ -40,6 +40,33 @@ def test_box_clamps_per_coordinate():
 def test_halfspace_projection():
     h = Halfspace((1.0, 0.0), 0.0)
     assert h.project((2.0, 5.0)) == pytest.approx([0.0, 5.0], abs=1e-12)
+
+
+def test_halfspace_projection_lands_inside_by_its_own_test():
+    # the plain formula gives normal @ P(x) - offset = 3.6e-15 here, so a
+    # second projection moved the point by 1.8e-12
+    h = Halfspace((0.0025, 0.0), -17.0)
+    once = h.project((0.5, 0.0))
+    assert float(h.normal @ once) - h.offset <= 0.0
+    assert h.project(once).tobytes() == once.tobytes()
+    assert abs(once[0] + 6800.0) <= 1e-11 and once[1] == 0.0
+    # about one in seven such projections was left outside by rounding
+    rng = np.random.default_rng(3)
+    for _ in range(500):
+        q = int(rng.integers(1, 5))
+        normal = rng.normal(size=q) * 10.0 ** rng.uniform(-4, 1)
+        normal[rng.integers(q)] *= rng.integers(2)  # some normals have a zero entry
+        if not normal.any():
+            normal[0] = 1.0
+        h = Halfspace(normal, rng.uniform(-50, 50))
+        x = rng.uniform(-50, 50, q)
+        once = h.project(x)
+        assert h.project(once).tobytes() == once.tobytes()
+        if float(normal @ x) - h.offset > 0.0:
+            exact = x - (float(normal @ x) - h.offset) / float(normal @ normal) * normal
+            assert np.max(np.abs(once - exact)) <= 1e-12 * max(1.0, np.max(np.abs(exact)))
+        else:
+            assert once.tobytes() == x.tobytes()
 
 
 def test_contains_examples():
@@ -304,6 +331,7 @@ def set_with_points(draw):
 
 
 @given(set_with_points())
+@example((Halfspace((0.0025, 0.0), -17.0), np.array([0.5, 0.0]), np.array([0.5, 0.0])))
 @settings(max_examples=200, deadline=None)
 def test_projection_idempotent(swp):
     s, x, _ = swp

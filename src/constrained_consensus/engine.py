@@ -19,16 +19,18 @@ in their sets, best-response winners form an independent set, and the
 potential never decreases under best-response rounds.  ``run`` works in
 blocks of K rounds: per round it runs only the round itself and stores the
 new profile (on best-response runs also the largest update metric, which
-the fixed-point stop needs, and the winner mask).  Once per block it takes
-the consensus metrics of the stacked profiles, keeps the rounds up to the
-first whose metric is not above the threshold and drops the later ones,
-checks the kept rounds and records them.  A dropped round is never
-checked, recorded or counted, so a run spends at most K - 1 rounds past
-its stop, and its trace is the one a round-by-round loop would give.  A
-violation raises ``InvariantError`` naming the first failing round, at
-most K - 1 rounds after it happened and before any later error leaves the
-run; an error raised in a round past the stop is dropped with that round.
-Violations indicate a bug, not a user error.
+the fixed-point stop needs, and the winner mask).  Once per block one rule
+decides the stop: the block is rolled back to the first round whose
+metric is not above the threshold or, if earlier, to the last round
+before a best-response round that finds a literal fixed point.  The kept
+rounds are checked and recorded; the round that found the fixed point is
+checked but not kept.  Later rounds are never checked, recorded or
+counted, so a run spends at most K - 1 rounds past its stop, and its trace
+is the one a round-by-round loop would give.  A violation raises
+``InvariantError`` naming the first failing round, at most K - 1 rounds
+after it happened and before any later error leaves the run; an error
+raised in a round past the stop is dropped with that round.  Violations
+indicate a bug, not a user error.
 """
 
 from __future__ import annotations
@@ -180,8 +182,9 @@ def consensus_metric(p):
     prof = np.asarray(p, dtype=float)
     if prof.ndim == 3:
         dev = prof - np.add.reduce(prof, axis=1, keepdims=True) / prof.shape[1]
-        # each profile's deviations as one vector, summed as @ sums it
-        dev = dev.reshape(len(prof), -1)
+        # each profile's deviations as one vector, summed as @ sums it (the
+        # length is spelled out: -1 cannot size the rows of an empty stack)
+        dev = dev.reshape(len(prof), prof.shape[1] * prof.shape[2])
         return np.sqrt(np.vecdot(dev, dev))
     # np.linalg.norm's own arithmetic: a dot product in memory order
     dev = (prof - np.add.reduce(prof, axis=0) / len(prof)).ravel(order="K")
@@ -243,14 +246,6 @@ def _checked_profile(state: EngineState, algo: str) -> np.ndarray:
     return prof
 
 
-def _best_response_all(inst: GameInstance, prof: np.ndarray):
-    """Vectorized best responses and squared update metrics for every node."""
-    centroids = (inst.adjacency @ prof) / inst.degree_column
-    responses = inst.projector.project(centroids)
-    moves = responses - prof
-    return responses, np.add.reduce(moves * moves, axis=1)
-
-
 def _select_winners(inst: GameInstance, metrics: np.ndarray) -> np.ndarray:
     """Boolean winner mask of the best-response round (greedy local rule).
 
@@ -271,7 +266,9 @@ def _select_winners(inst: GameInstance, metrics: np.ndarray) -> np.ndarray:
 def _dgtc_kernel(inst: GameInstance, prof: np.ndarray, t: int):
     """Best-response round ``t``: the new profile, the winner ids (an int
     array) and the largest update metric.  The caller checks the round."""
-    responses, metrics = _best_response_all(inst, prof)
+    responses = inst.projector.project((inst.adjacency @ prof) / inst.degree_column)
+    moves = responses - prof
+    metrics = np.add.reduce(moves * moves, axis=1)
     win = _select_winners(inst, metrics)
     new_prof = np.where(win[:, None], responses, prof)
     return new_prof, win.nonzero()[0], float(np.maximum.reduce(metrics))
@@ -317,14 +314,15 @@ def run(state: EngineState, algo: str, max_iters: int | None = None,
     metric is at most ``DEFAULT.fixed_point`` the profile can never change
     again, so looping further would be vacuous.
 
-    Rounds run in blocks of K.  The stop test and every round's invariants
+    Rounds run in blocks of K.  Both stop tests and every round's invariants
     (feasibility, winner independence, potential monotonicity) run once per
-    block, and the block is rolled back to its stopping round: the trace is
-    the round-by-round one, and at most K - 1 rounds past the stop are run
-    and discarded.  An error raised in a round after the stop is dropped
-    with that round.  See module docstring.
+    block, and the block is rolled back to its threshold or fixed-point
+    stop: the trace is the round-by-round one, and at most K - 1 rounds past
+    the stop are run and discarded.  The round that finds a fixed point is
+    checked but not kept.  An error raised in a round after the stop is
+    dropped with that round.  See module docstring.
     """
-    prof = _checked_profile(state, algo).copy()
+    prof = _checked_profile(state, algo)
     inst = state.instance
     if max_iters is None:
         max_iters = 100 * inst.n
@@ -334,91 +332,86 @@ def run(state: EngineState, algo: str, max_iters: int | None = None,
         raise ValueError(f"threshold must be nonnegative, got {threshold}")
 
     best_response = algo == "dgtc"
-    phi = potential(inst, prof)
     # one row per round; t is the row index and the rounds recorded
-    metrics, potentials = array("d", [consensus_metric(prof)]), array("d", [phi])
-    # rounds t + 1, ..., t + i have their profiles in block[:i] and, on
-    # best-response runs, their largest update metrics in maxes[:i] and
-    # their winner masks in wins[:i]
-    block = np.empty((_block_length(inst), inst.n, inst.q))
+    metrics, potentials = array("d", [consensus_metric(prof)]), array("d", [potential(inst, prof)])
+    # block[0] is the profile after round t, and rounds t + 1, ..., t + i
+    # have their profiles in block[1:i + 1] and, on best-response runs,
+    # their largest update metrics in maxes[:i] and winner masks in wins[:i]
+    length = _block_length(inst)
+    block = np.empty((length + 1, inst.n, inst.q))
+    block[0] = prof
     if best_response:
         max_metrics, winners, winner_offsets = array("d"), array("q"), array("q", [0])
-        maxes, wins = np.empty(len(block)), np.zeros(block.shape[:2], dtype=bool)
+        maxes, wins = np.empty(length), np.zeros((length, inst.n), dtype=bool)
     else:
         max_metrics = winners = winner_offsets = maxes = wins = None
     t = 0
-    stopped = not metrics[0] > threshold
-    fixed_point = False
 
-    def flush(k: int) -> bool:
-        """Keep rounds t + 1, ..., t + k up to the first whose metric is not
-        above the threshold, check and record them; True if one stopped."""
-        nonlocal t, phi, prof
-        if k == 0:
-            return False
-        ms = consensus_metric(block[:k])
-        above = ms > threshold
-        first = int(above.argmin())
-        stop = not above[first]
-        if stop:
-            k = first + 1  # the later rounds are dropped
-            prof = block[first].copy()
-        phis = _check_rounds(inst, block[:k], None if wins is None else wins[:k], t,
-                             phi if best_response else None)
-        metrics.frombytes(ms[:k].tobytes())
-        potentials.frombytes(phis.tobytes())
+    def flush(k: int) -> str | None:
+        """Keep rounds t + 1, ..., t + k up to the run's stop, check and
+        record them, and move the last kept profile to block[0].  The stop
+        is "threshold" at the first of rounds t, ..., t + k whose metric is
+        not above the threshold, or "fixed_point" at an earlier round whose
+        update metrics are all at most ``DEFAULT.fixed_point``, which is
+        checked but not kept; None if the run goes on."""
+        nonlocal t
+        ms = consensus_metric(block[1:k + 1])
+        # round t's metric is the last one recorded: above the threshold,
+        # except maybe at the start
+        above = np.concatenate(([metrics[-1]], ms)) > threshold
+        kept, stop = int(above.argmin()), "threshold"
+        if above[kept]:
+            kept, stop = k, None
         if best_response:
-            max_metrics.frombytes(maxes[:k].tobytes())
-            counts = np.add.reduce(wins[:k], axis=1, dtype=np.int64)
+            settled = maxes[:kept] <= DEFAULT.fixed_point
+            if np.logical_or.reduce(settled):
+                kept, stop = int(settled.argmax()), "fixed_point"
+        checked = kept + (stop == "fixed_point")
+        phis = _check_rounds(inst, block[1:checked + 1], None if wins is None else wins[:checked], t,
+                             potentials[-1] if best_response else None)
+        metrics.frombytes(ms[:kept].tobytes())
+        potentials.frombytes(phis[:kept].tobytes())
+        if best_response:
+            max_metrics.frombytes(maxes[:kept].tobytes())
+            counts = np.add.reduce(wins[:kept], axis=1, dtype=np.int64)
             offsets = np.add.accumulate(counts) + len(winners)
-            winners.frombytes(wins[:k].nonzero()[1].astype(np.int64, copy=False).tobytes())
+            winners.frombytes(wins[:kept].nonzero()[1].astype(np.int64, copy=False).tobytes())
             winner_offsets.frombytes(offsets.tobytes())
             wins[:k] = False
-        phi = phis[-1]
-        t += k
+        block[0] = block[kept]
+        t += kept
         return stop
 
-    while not stopped and t < max_iters:
-        size = min(len(block), max_iters - t)
+    stop = flush(0)  # the start's own threshold test
+    while stop is None and t < max_iters:
+        size = min(length, max_iters - t)
         i = 0
         try:
             while i < size:
                 if best_response:
-                    new_prof, updated, max_metric = _dgtc_kernel(inst, prof, t + i + 1)
-                    if max_metric <= DEFAULT.fixed_point:
-                        fixed_point = True
-                        break
-                    prof = new_prof
-                    maxes[i] = max_metric
+                    block[i + 1], updated, maxes[i] = _dgtc_kernel(inst, block[i], t + i + 1)
                     wins[i, updated] = True
                 else:
-                    prof = _dgpc_kernel(inst, prof, state.step_size, t + i + 1)
-                block[i] = prof
+                    block[i + 1] = _dgpc_kernel(inst, block[i], state.step_size, t + i + 1)
                 i += 1
         except Exception:
             # the pending rounds first: a failure among them is raised with
             # this error as its context, and a stop among them ends the run
             # before the failing round, as a round-by-round loop would
-            if not flush(i):
+            stop = flush(i)
+            if stop is None:
                 raise
-            break
-        stopped = flush(i)
-        if fixed_point:
-            if stopped:
-                fixed_point = False  # the stop came before the fixed point
-            else:
-                # the round that found the fixed point is checked, though not kept
-                _check_rounds(inst, new_prof[None], _winner_mask(inst.n, updated)[None], t, None)
-            break
+        else:
+            stop = flush(i)
 
     return Trace(
         algo=algo,
         metrics=metrics,
         potentials=potentials,
-        final_profile=prof,
+        final_profile=block[0].copy(),
         converged=metrics[-1] <= threshold,
         iterations_used=t,
-        fixed_point=fixed_point,
+        fixed_point=stop == "fixed_point",
         max_metrics=max_metrics,
         winners=winners,
         winner_offsets=winner_offsets,

@@ -171,7 +171,9 @@ class Halfspace(ConvexSet):
     """{x : normal . x <= offset} with a nonzero normal.
 
     A projected point passes the set's own test, ``normal . y <= offset``
-    in floating point, so projecting it again returns it as is.
+    in floating point, so projecting it again returns it as is.  The
+    normal's squared norm, by which the projection divides, must be a
+    normal float: neither overflowing nor subnormal.
     """
 
     normal: np.ndarray
@@ -180,9 +182,12 @@ class Halfspace(ConvexSet):
     def __post_init__(self):
         object.__setattr__(self, "normal", as_point(self.normal))
         object.__setattr__(self, "offset", float(self.offset))
-        nn = float(np.linalg.norm(self.normal))
-        if nn <= 0.0:
-            raise ValueError("half-space normal must be nonzero")
+        with np.errstate(over="ignore"):
+            nn = float(np.linalg.norm(self.normal))
+        if not np.finfo(float).tiny <= nn * nn < np.inf:
+            raise ValueError(f"half-space normal {self.normal.tolist()} must be nonzero, with a "
+                             f"squared norm that neither overflows nor is subnormal; its norm "
+                             f"reads {nn!r}")
         object.__setattr__(self, "_norm_sq", nn * nn)
 
     @property

@@ -726,6 +726,48 @@ def test_kernel_calls_stay_within_a_block_of_the_stop(monkeypatch, algo):
                 assert calls[0] <= max_iters
 
 
+def test_kernel_calls_stay_within_a_block_of_a_fixed_point(monkeypatch):
+    # the run goes on past the round that finds the fixed point only to the
+    # end of its block, and never past the cap
+    state = settling_path_state()
+    inst = state.instance
+    rounds = run(state, "dgtc", 100, 0.0).iterations_used
+    calls = [0]
+    monkeypatch.setattr(engine, "_dgtc_kernel", counting(engine._dgtc_kernel, calls))
+    for k in (1, 2, rounds - 1, rounds, rounds + 1, 64):
+        set_block_length(monkeypatch, inst, k)
+        for max_iters in (1, rounds, rounds + 1, rounds + 2, 100):
+            calls[0] = 0
+            trace = run(state, "dgtc", max_iters, 0.0)
+            assert trace.fixed_point == (max_iters > rounds)
+            assert trace.iterations_used <= calls[0] <= trace.iterations_used + k
+            assert calls[0] <= max_iters
+
+
+def test_run_leaves_no_alias_into_its_buffer(monkeypatch):
+    # threshold (also at the start), fixed-point and cap stops: the final
+    # profile owns its data, and the state's profile is left as it was
+    loc = make_localization_instance(30, 2, 0.4, 0.01, seed=5)
+    inst = loc.game_instance
+    located = initial_state(inst, loc.layout, step_size=default_step_size(inst))
+    metrics = run(located, "dgpc", 60, 0.0).metrics
+    settling = settling_path_state()
+    stops = [(located, algo, max_iters, threshold) for algo in ("dgtc", "dgpc")
+             for max_iters, threshold in ((60, float("inf")), (60, min(metrics[:20])), (13, 0.0))]
+    stops.append((settling, "dgtc", 100, 0.0))
+    for k in (1, 4):
+        for state, algo, max_iters, threshold in stops:
+            set_block_length(monkeypatch, state.instance, k)
+            start = state.profile.copy()
+            trace = run(state, algo, max_iters, threshold)
+            final = trace.final_profile
+            assert final.flags.owndata and final.base is None
+            assert not np.shares_memory(final, state.profile)
+            assert state.profile.tobytes() == start.tobytes()
+            assert trace.fixed_point == (state is settling)
+            monkeypatch.undo()
+
+
 def test_an_error_after_the_stop_is_dropped_with_its_round(monkeypatch):
     # a threshold stop in the middle of a block at round s: a gradient round
     # that fails in round s + 1 ran past the stop, and the run returns the
@@ -797,6 +839,26 @@ def test_adjacent_winners_fail_in_their_round(monkeypatch, bad_round):
         run(state, "dgtc", 40, 0.0)
     ids = json.loads(str(err.value).split(": ", 1)[1])
     assert i[0] in ids and k[0] in ids
+
+
+def test_the_round_that_finds_a_fixed_point_is_checked(monkeypatch):
+    # the round that finds the fixed point is not kept, but a clash among
+    # its winners still fails, wherever it falls in a block
+    state = settling_path_state()
+    inst = state.instance
+    rounds = run(state, "dgtc", 100, 0.0).iterations_used
+    i, k = inst.edge_pairs
+
+    def clash(win):
+        win = win.copy()
+        win[[i[0], k[0]]] = True
+        return win
+    for block in (1, 2, rounds, 64):
+        set_block_length(monkeypatch, inst, block)
+        monkeypatch.setattr(engine, "_select_winners", on_round(engine._select_winners, rounds + 1, clash))
+        with pytest.raises(InvariantError, match=rf"^adjacent winners in round {rounds + 1} update: "):
+            run(state, "dgtc", 100, 0.0)
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("algo", ["dgtc", "dgpc"])

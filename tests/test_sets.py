@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -40,6 +41,22 @@ def test_box_clamps_per_coordinate():
 def test_halfspace_projection():
     h = Halfspace((1.0, 0.0), 0.0)
     assert h.project((2.0, 5.0)) == pytest.approx([0.0, 5.0], abs=1e-12)
+
+
+def test_halfspace_rejects_a_normal_whose_squared_norm_leaves_the_float_range():
+    # the projection divides by the squared norm: an overflowing one gave
+    # NaN coordinates and a subnormal one a point that is not the nearest
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scale in (1e155, 1e200, 1e-160, 1e-200):
+            with pytest.raises(ValueError, match=rf"^half-space normal {re.escape(str([scale, 0.0]))} "
+                                                 rf".* squared norm .* its norm reads \S+$"):
+                Halfspace((scale, 0.0), 0.0)
+        # the range's ends keep their squared norms and projections
+        for scale, moved in ((1e150, -2.220446049250313e-16), (1e-150, 0.0)):
+            h = Halfspace((scale, 0.0), 0.0)
+            assert h._norm_sq == scale * scale
+            assert h.project((1.0, -3.0)).tolist() == [moved, -3.0]
 
 
 def test_halfspace_projection_lands_inside_by_its_own_test():

@@ -14,6 +14,13 @@ node's set) is included for comparison.  Every round reads only round-start
 values; a run produces a ``Trace`` with the consensus metric, potential and
 update activity per iteration.
 
+Each round's kernel projects, and sums squares, on the contiguous (q, N)
+transpose of the profile, whose columns are whole coordinates, and returns
+a C-ordered (N, q) profile: a profile's consensus metric is summed in
+memory order, so only C order gives the recorded bits.  The winner rule
+runs edge by edge.  Every result has the bits of the plain row-by-row
+formulas.
+
 Structural invariants are asserted for every round: updated strategies stay
 in their sets, best-response winners form an independent set, and the
 potential never decreases under best-response rounds.  ``run`` works in
@@ -52,7 +59,7 @@ from .game import (
     potential,
 )
 from .graphs import GeometricLayout
-from .sets import BallStack, _dot_squares, _norms
+from .sets import BallStack, _dot_squares, _fits, _norms, _row_squares
 from .tolerances import DEFAULT
 
 
@@ -181,7 +188,14 @@ def consensus_metric(p):
     """
     prof = np.asarray(p, dtype=float)
     if prof.ndim == 3:
-        dev = prof - np.add.reduce(prof, axis=1, keepdims=True) / prof.shape[1]
+        if prof.shape[2] > 1:
+            # node by node in order, as the 2-D call adds rows; the (N, K, q)
+            # transpose adds each node's K * q coordinates in one step
+            total = np.add.reduce(np.ascontiguousarray(prof.transpose(1, 0, 2)), axis=0)[:, None]
+        else:
+            # at q = 1 the 2-D call sums its one column pairwise, as this does
+            total = np.add.reduce(prof, axis=1, keepdims=True)
+        dev = prof - total / prof.shape[1]
         # each profile's deviations as one vector, summed as @ sums it (the
         # length is spelled out: -1 cannot size the rows of an empty stack)
         dev = dev.reshape(len(prof), prof.shape[1] * prof.shape[2])
@@ -254,35 +268,46 @@ def _select_winners(inst: GameInstance, metrics: np.ndarray) -> np.ndarray:
     attaining that maximum.  Comparisons are exact floating point.
     Requires every node to have at least one neighbor and finite metrics.
 
-    A stable sort ranks the nodes by (metric, id), so the rule reads: a node
-    updates iff its rank exceeds every neighbor's.
+    That is, a node updates iff its (metric, id) beats every neighbor's, so
+    the rule runs edge by edge: on edge (i, k) with i < k, i loses unless
+    its metric exceeds k's, and otherwise k loses.
     """
-    indptr, indices, _ = inst.graph.csr
-    rank = np.empty(inst.n, dtype=np.intp)
-    rank[metrics.argsort(kind="stable")] = inst.node_ids
-    return rank > np.maximum.reduceat(rank[indices], indptr[:-1])
+    i, k = inst.edge_pairs
+    lost = np.zeros(inst.n, dtype=bool)
+    lost[np.where(metrics[i] > metrics[k], k, i)] = True
+    return np.logical_not(lost, out=lost)
 
 
 def _dgtc_kernel(inst: GameInstance, prof: np.ndarray, t: int):
-    """Best-response round ``t``: the new profile, the winner ids (an int
-    array) and the largest update metric.  The caller checks the round."""
-    responses = inst.projector.project((inst.adjacency @ prof) / inst.degree_column)
-    moves = responses - prof
-    metrics = np.add.reduce(moves * moves, axis=1)
+    """Best-response round ``t``: the new profile, C-ordered, the winner ids
+    (an int array) and the largest update metric.  The caller checks the
+    round.
+
+    The centroids are projected on their contiguous (q, N) transpose, and
+    the update metrics are summed over it, column by column."""
+    centroids = np.divide(np.dot(inst.adjacency, prof).T, inst.degree_column.T, order="C")
+    responses = inst.projector.project(centroids.T)
+    metrics = _row_squares(responses.T - prof.T)
     win = _select_winners(inst, metrics)
-    new_prof = np.where(win[:, None], responses, prof)
+    new_prof = prof.copy()
+    np.copyto(new_prof, responses, where=win[:, None])
     return new_prof, win.nonzero()[0], float(np.maximum.reduce(metrics))
 
 
 def _dgpc_kernel(inst: GameInstance, prof: np.ndarray, s: float, t: int) -> np.ndarray:
     """Gradient-projection round ``t`` with step ``s``; asserts that the
-    gradient step stays finite.  The caller checks the new profile."""
-    lap_p = inst.degree_column * prof - inst.adjacency @ prof
-    stepped = prof - 2.0 * s * lap_p
-    # checked before projecting: the projection would turn inf into NaN
-    if not np.logical_and.reduce(np.isfinite(stepped), axis=None):
+    gradient step stays finite.  Returns the new profile, C-ordered; the
+    caller checks it.
+
+    The step is taken on the rows, then checked and projected on its
+    contiguous (q, N) transpose."""
+    lap_p = inst.degree_column * prof - np.dot(inst.adjacency, prof)
+    stepped = np.ascontiguousarray((prof - 2.0 * s * lap_p).T)
+    # checked before projecting, which would turn inf into NaN; entry by
+    # entry only when the projection's own one-dot guard fails
+    if not _fits(stepped) and not np.logical_and.reduce(np.isfinite(stepped), axis=None):
         raise InvariantError(f"gradient step with step size {s!r} overflowed in round {t}")
-    return inst.projector.project(stepped)
+    return np.ascontiguousarray(inst.projector.project(stepped.T))
 
 
 def dgtc_round(state: EngineState) -> EngineState:
@@ -390,7 +415,7 @@ def run(state: EngineState, algo: str, max_iters: int | None = None,
             while i < size:
                 if best_response:
                     block[i + 1], updated, maxes[i] = _dgtc_kernel(inst, block[i], t + i + 1)
-                    wins[i, updated] = True
+                    wins[i][updated] = True
                 else:
                     block[i + 1] = _dgpc_kernel(inst, block[i], state.step_size, t + i + 1)
                 i += 1
@@ -533,5 +558,5 @@ def pocs_run(inst: GameInstance | BallStack, x0, cycles: int) -> tuple[np.ndarra
     for k in range(cycles):
         start = x
         x = cycle(x)
-        displacements[k] = _norms(x - start, _dot_squares)
+        displacements[k] = _norms(x.T, start.T, _dot_squares, _fits(x, start))
     return x, displacements.T.ravel().tolist()

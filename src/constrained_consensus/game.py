@@ -72,16 +72,10 @@ class GameInstance:
         col.flags.writeable = False
         return col
 
-    @cached_property
-    def node_ids(self) -> np.ndarray:
-        """``0, ..., N-1``, built once for the winner rule's ranks."""
-        ids = np.arange(self.n)
-        ids.flags.writeable = False
-        return ids
-
-    # Dense on purpose: the engine's neighbor sums are ``adjacency @ prof``,
-    # whose BLAS summation order fixes the bits of every recorded trace; a
-    # sparse sum over ``graph.csr`` gives different last bits.
+    # Dense on purpose: the engine's neighbor sums are
+    # ``np.dot(adjacency, prof)``, whose BLAS summation order fixes the bits
+    # of every recorded trace (a C- or F-ordered ``prof`` gives the same
+    # bits); a sparse sum over ``graph.csr`` gives different last bits.
     @cached_property
     def adjacency(self) -> np.ndarray:
         _, indices, rows = self.graph.csr

@@ -12,82 +12,132 @@ fixed points.
 
 Every ball projection (``Ball.project``, ``RowProjector`` and the lockstep
 ``BallStack``) runs through one kernel, ``_project_rows``, and every
-distance through one row norm, ``_norms``.  A finite point whose squared
-distance overflows still lands on the boundary and reads a finite distance:
-both take the norm of the point scaled by its largest component.  Callers
-differ only in how a row's squares are summed, which decides the last bits:
-``RowProjector`` sums them as ``np.linalg.norm`` does, every other caller as
-``ndarray.dot`` does.
+distance through one norm of a difference, ``_norms``.  Both work on
+coordinate-first arrays, (q, B) for B points: callers pass ``.T`` views of
+their (B, q) rows, and a result's bits do not depend on the memory layout.
+A finite point whose difference from the center, or whose squared
+distance, overflows still lands on the boundary, with no warning: both
+kernels scale such a point by its largest component.  Callers differ only
+in how a point's squares are summed, which decides the last bits:
+``RowProjector`` sums them as ``np.linalg.norm`` does (``_row_squares``),
+every other caller as ``ndarray.dot`` does (``_dot_squares``).
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-
-def _reduce_squares(a: np.ndarray) -> np.ndarray:
-    """Sum of squares along the last axis with np.linalg.norm(a, axis=-1)'s
-    bits, without its Python-level dispatch."""
-    return np.add.reduce(a * a, axis=-1)
-
-
-def _dot_squares(a: np.ndarray) -> np.ndarray:
-    """Sum of squares along the last axis with ``ndarray.dot``'s bits: a row
-    is summed as ``v @ v`` sums a vector."""
-    return np.vecdot(a, a)
+# An array whose squares sum below this "fits": the difference of two
+# fitting arrays neither overflows nor has a point whose squares sum to
+# inf, since ||a - b||^2 <= 2 ||a||^2 + 2 ||b||^2 < max / 2.
+_ROOM = np.finfo(float).max / 8
 
 
-def _overflowed_rows(v: np.ndarray, squares):
-    """The shared rescue, for a v in which some sum of squares overflows:
-    the norms d = sqrt(squares(v)) as a writable array, with numpy's
-    overflow warning silenced, and the finite rows whose norm overflowed to
-    inf: their mask, largest absolute components m, and norms ||row / m||."""
-    with np.errstate(over="ignore"):
-        d = np.array(np.sqrt(squares(v)))
-    rows = np.isinf(d) & np.logical_and.reduce(np.isfinite(v), axis=-1)
-    big = v[rows]
-    m = np.maximum.reduce(np.abs(big), axis=-1)
-    return d, rows, m, np.sqrt(_reduce_squares(big / m[:, None]))
+def _fits(*arrays) -> bool:
+    """True when every array fits (see ``_ROOM``): one dot per array, which
+    copies an array that is not C-contiguous."""
+    for v in arrays:
+        if not np.vdot(v, v) < _ROOM:  # NaN fails too
+            return False
+    return True
 
 
-def _norms(v: np.ndarray, squares) -> np.ndarray:
-    """Euclidean norm of each row of v (along the last axis; a 1-d v is one
-    row), sqrt(squares(v)), except that a finite row whose sum of squares
-    overflows gets m * ||row / m||, m its largest absolute component."""
-    # one dot bounds every row's sum of squares: finite means none overflows
-    if np.vdot(v, v) < np.inf:
-        return np.sqrt(squares(v))
-    d, rows, m, unit_norms = _overflowed_rows(v, squares)
-    d[rows] = m * unit_norms
-    return d
+def _row_squares(v: np.ndarray) -> np.ndarray:
+    """Sum of squares over axis 0 of the coordinate-first v, with the bits
+    of ``np.add.reduce(w * w, axis=-1)`` over the rows w = v.T.
 
-
-def _project_rows(x: np.ndarray, c: np.ndarray, r: np.ndarray, squares) -> np.ndarray:
-    """Row b of the (B, q) array x projected onto the ball (c[b], r[b]), its
-    distance d to the center taken as sqrt(squares(x[b] - c[b])).
-
-    A row inside its ball keeps its bits, and its quotient's divisor is 1,
-    so d = 0 divides nothing; when every row is inside, x comes back as is.
-    A finite row whose squared distance overflows gets the scale
-    (r / m) / ||diff / m|| with m its largest absolute component, so it
-    lands on its boundary even where d itself overflows.
+    numpy sums fewer than 8 terms of a row in order, and so does a sum
+    over axis 0, whatever the layout, so for q < 8 one sum over axis 0 has
+    the rows' bits; it runs fastest, coordinate by coordinate over whole
+    columns, on a C-contiguous v.  From 8 terms on numpy sums a row
+    pairwise, so the rows themselves are summed.
     """
-    diff = x - c
-    rows = None
-    if np.vdot(diff, diff) < np.inf:  # as in _norms
+    if len(v) < 8:
+        return np.add.reduce(v * v, axis=0)
+    w = np.ascontiguousarray(v.T)
+    return np.add.reduce(w * w, axis=-1).T
+
+
+def _dot_squares(v: np.ndarray) -> np.ndarray:
+    """Sum of squares over axis 0 of the coordinate-first v, with the bits
+    of ``ndarray.dot``: each point is summed as ``w @ w`` sums a vector.
+    Fastest where each point's coordinates are contiguous, as in a ``.T``
+    view of rows; anything else is copied to rows first."""
+    w = np.ascontiguousarray(v.T)
+    return np.vecdot(w, w).T
+
+
+def _rescue(a: np.ndarray, b: np.ndarray, squares):
+    """The shared rescue, for coordinate-first (q, B) a and b in which a
+    difference or a point's sum of squares may overflow; numpy warns of
+    nothing.
+
+    Returns diff = a - b and the norms d = sqrt(squares(diff)) of its
+    points, and for the finite points whose norm overflowed to inf, their
+    mask ``rows`` and the scaled difference: with h = 1, or h = 2 where
+    the difference itself overflows, half = a / h - b / h, m its largest
+    absolute component and unit = ||half / m||, so that the point's norm,
+    stored in d, is h * (m * unit).
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = a - b
+        d = np.array(np.sqrt(squares(diff)))
+        rows = np.isinf(d) & np.logical_and.reduce(np.isfinite(a) & np.isfinite(b), axis=0)
+        h = np.where(np.logical_and.reduce(np.isfinite(diff[:, rows]), axis=0), 1.0, 2.0)
+        half = a[:, rows] / h - b[:, rows] / h
+        m = np.maximum.reduce(np.abs(half), axis=0)
+        unit = np.sqrt(_row_squares(half / m))
+        d[rows] = h * (m * unit)
+    return diff, d, rows, half, m, unit
+
+
+def _norms(a: np.ndarray, b: np.ndarray, squares, fits: bool) -> np.ndarray:
+    """Euclidean norm of a - b over axis 0 of the coordinate-first a and b
+    (broadcast together), sqrt(squares(a - b)).  ``fits`` is True when the
+    caller knows the difference fits (see ``_fits``); otherwise a finite
+    point whose norm overflows is rescued (see ``_rescue``) and reads
+    h * (m * unit), which is inf only where the norm is out of range."""
+    if fits:
+        return np.sqrt(squares(a - b))
+    a, b = np.broadcast_arrays(a, b)
+    d = _rescue(a.reshape(len(a), -1), b.reshape(len(b), -1), squares)[1]
+    return d.reshape(a.shape[1:])
+
+
+def _project_rows(x: np.ndarray, c: np.ndarray, r: np.ndarray, squares, fits: bool) -> np.ndarray:
+    """Point b of the coordinate-first (q, B) x, its column b, projected
+    onto the ball (c[:, b], r[b]), its distance to the center taken as
+    sqrt(squares(x[:, b] - c[:, b])); c may be one (q, 1) center.
+
+    A point inside its ball keeps its bits, and its quotient's divisor is
+    d + 1, so d = 0 divides nothing; when every point is inside, x comes
+    back as is.  ``fits`` is True when x - c is known to fit (see ``_fits``);
+    otherwise a finite point whose difference from the center or squared
+    distance overflows is scaled as ``_rescue`` scales it, and lands on
+    its boundary at c + half * ((r / m) / unit): its distance is
+    h * (m * unit), and diff = h * half.
+    """
+    if fits:
+        diff = x - c
         d = np.sqrt(squares(diff))
     else:
-        d, rows, m, unit_norms = _overflowed_rows(diff, squares)
+        cs = np.broadcast_to(c, x.shape)
+        r = np.broadcast_to(r, x.shape[1:])
+        diff, d, rows, half, m, unit = _rescue(x, cs, squares)
     inside = d <= r
     if np.count_nonzero(inside) == inside.size:  # cheaper than a reduce
         return x
-    scale = r / np.where(inside, 1.0, d)
-    if rows is not None:
-        scale[rows] = (r[rows] / m) / unit_norms
-    return np.where(inside[:, None], x, c + diff * scale[:, None])
+    if fits:
+        return np.where(inside, x, c + diff * (r / (d + inside)))
+    with np.errstate(invalid="ignore"):  # inf * 0 at a rescued point, replaced below
+        out = np.where(inside, x, c + diff * (r / (d + inside)))
+    far = ~inside[rows]
+    out[:, rows & ~inside] = (cs[:, rows] + half * ((r[rows] / m) / unit))[:, far]
+    return out
 
 
 class DimensionError(ValueError):
@@ -123,9 +173,10 @@ class ConvexSet(ABC):
 
     def distance_to(self, x) -> float:
         x = self._coerce(x)
+        p = self._project(x)
         # np.linalg.norm's arithmetic for a 1-d vector, sqrt of its dot product,
         # except that a finite distance whose square overflows stays finite
-        return float(_norms(x - self._project(x), _dot_squares))
+        return float(_norms(x, p, _dot_squares, _fits(x, p)))
 
     def contains(self, x, tol: float = 0.0) -> bool:
         """True iff the distance from ``x`` to the set is at most ``tol``."""
@@ -159,8 +210,15 @@ class Ball(ConvexSet):
     def dim(self) -> int:
         return self.center.size
 
+    @cached_property
+    def _kernel_args(self):
+        """The kernel's (q, 1) center, (1,) radius and the center's fit,
+        built at the first projection."""
+        return self.center[:, None], np.array([self.radius]), _fits(self.center)
+
     def _project(self, x):
-        return _project_rows(x[None], self.center[None], np.array([self.radius]), _dot_squares)[0]
+        c, r, fits = self._kernel_args
+        return _project_rows(x[:, None], c, r, _dot_squares, fits and _fits(x))[:, 0]
 
     def bounding_box(self):
         return self.center - self.radius, self.center + self.radius
@@ -245,20 +303,26 @@ class RowProjector:
     """Projects row n of an (N, q) array onto sets[n], and measures each
     row's distance to its set.
 
-    All-ball collections (the localization scenario) get a vectorized path;
-    anything else falls back to a per-row loop.
+    All-ball collections (the localization scenario) get a vectorized path:
+    it keeps the centers coordinate-first, (q, N), projects the ``.T``
+    view of x and returns the ``.T`` view of a (q, N) array, so an x that
+    is such a view is read and written in contiguous columns.  Anything
+    else falls back to a per-row loop.
     """
 
     def __init__(self, sets):
         self.sets = tuple(sets)
         self._centers = self._radii = None
         if self.sets and all(isinstance(s, Ball) for s in self.sets):
-            self._centers = np.array([s.center for s in self.sets])
+            self._centers = np.array([s.center for s in self.sets]).T.copy()
             self._radii = np.array([s.radius for s in self.sets])
+            self._fits = _fits(self._centers)
 
     def project(self, x: np.ndarray) -> np.ndarray:
         if self._centers is not None:
-            return _project_rows(x, self._centers, self._radii, _reduce_squares)
+            xt = np.asarray(x).T
+            return _project_rows(xt, self._centers, self._radii, _row_squares,
+                                 self._fits and _fits(xt)).T
         return np.array([s.project(row) for s, row in zip(self.sets, x)])
 
     def distances(self, x: np.ndarray) -> np.ndarray:
@@ -266,7 +330,11 @@ class RowProjector:
         distances, or a stack (K, N, q) of them, giving (K, N); a row's
         distance has the same bits either way."""
         if self._centers is not None:
-            return np.maximum(_norms(x - self._centers, _reduce_squares) - self._radii, 0.0)
+            # (q, N) or (q, K, N), C-contiguous for _row_squares
+            xt = np.ascontiguousarray(x.T if x.ndim == 2 else x.transpose(2, 0, 1))
+            c = self._centers if x.ndim == 2 else self._centers[:, None]
+            d = _norms(xt, c, _row_squares, self._fits and _fits(xt))
+            return np.maximum(d - self._radii, 0.0)
         if x.ndim == 3:
             return np.array([self.distances(member) for member in x]).reshape(x.shape[:2])
         return np.array([s.distance_to(row) for s, row in zip(self.sets, x)])
@@ -296,6 +364,13 @@ class BallStack:
             raise ValueError("a BallStack needs at least one member with at least one ball")
         self.centers = np.stack(centers, axis=1)
         self.radii = np.array(radii).T.copy()
+        # node j's slab as the kernels take it: its (q, B) centers and (B,) radii
+        self._slabs = [(c.T, r) for c, r in zip(self.centers, self.radii)]
+        # with every ||c||^2 and r^2 below _ROOM / 4, a point in one ball is
+        # within 3 sqrt(max / 32) of the next one's center, so a cycle or a
+        # scan from a fitting x needs one guard, not one per slab
+        with np.errstate(over="ignore"):
+            self._fits = _fits(2.0 * self.centers, 2.0 * self.radii)
 
     @property
     def size(self) -> int:
@@ -309,17 +384,24 @@ class BallStack:
     def project_cycle(self, x: np.ndarray) -> np.ndarray:
         """Member b's point x[b] projected onto its balls in ascending node
         order, all members in lockstep, with ``Ball._project``'s bits."""
-        for c, r in zip(self.centers, self.radii):
-            x = _project_rows(x, c, r, _dot_squares)
-        return x
+        xt = x.T
+        fits = self._fits and _fits(x)
+        for c, r in self._slabs:
+            xt = _project_rows(xt, c, r, _dot_squares, fits)
+        return xt.T
 
     def max_distances(self, x: np.ndarray) -> np.ndarray:
         """``max(s.distance_to(x[b]) for s in member b's balls)`` per member,
         bit for bit, computed one node at a time over (B, q) slabs."""
         best = np.zeros(self.size)
-        for c, r in zip(self.centers, self.radii):
-            p = _project_rows(x, c, r, _dot_squares)
-            if p is not x:  # a slab with every row inside adds only zero distances
-                np.maximum(best, _norms(x - p, _dot_squares), out=best)
+        x = np.asarray(x, dtype=float)
+        xt = x.T
+        # a projection moves a point by at most its distance to the center,
+        # so where x - c fits, x - p fits too
+        fits = self._fits and _fits(x)
+        for c, r in self._slabs:
+            p = _project_rows(xt, c, r, _dot_squares, fits)
+            if p is not xt:  # a slab with every row inside adds only zero distances
+                np.maximum(best, _norms(xt, p, _dot_squares, fits), out=best)
         return best
 

@@ -217,19 +217,85 @@ def reference_winners(inst, metrics):
 
 def test_round_arithmetic_matches_reference_bit_for_bit(rng):
     # the round path's NumPy calls were rewritten for speed; every result
-    # must equal the straightforward formula exactly, not approximately
-    for q in (1, 2, 3):
+    # must equal the straightforward formula on the C-ordered rows exactly,
+    # not approximately, whatever the profile's layout: C-ordered,
+    # F-ordered, or the (N, q) view of a (q, N) array, as the round kernels
+    # pass it.  q = 7 and 8 straddle numpy's switch from in-order to
+    # pairwise sums of a row
+    for q in (1, 2, 3, 7, 8):
         for _ in range(20):
             inst = _rand_ball_instance(rng, q)
             centers = np.array([s.center for s in inst.sets])
             radii = np.array([s.radius for s in inst.sets])
             prof = _rand_ball_profile(inst, rng)
-            for p in (prof, np.asfortranarray(prof)):
+            projected = reference_project(centers, radii, prof)
+            distances = reference_distances(centers, radii, prof)
+            for p in (prof, np.asfortranarray(prof), np.ascontiguousarray(prof.T).T):
                 assert consensus_metric(p) == float(np.linalg.norm(p - p.mean(axis=0)))
                 assert potential(inst, p) == reference_potential(inst, p)
-                assert np.array_equal(inst.projector.project(p), reference_project(centers, radii, p))
-                assert np.array_equal(inst.projector.distances(p),
-                                      reference_distances(centers, radii, p))
+                assert np.array_equal(inst.projector.project(p), projected)
+                assert np.array_equal(inst.projector.distances(p), distances)
+            # a (K, N, q) stack, as the block checks pass it: each profile's
+            # distances with its own bits
+            stack = np.array([prof, _rand_ball_profile(inst, rng), prof[::-1]])
+            assert np.array_equal(inst.projector.distances(stack),
+                                  [reference_distances(centers, radii, member) for member in stack])
+
+
+def reference_run(inst, prof, algo, step, rounds):
+    # run's trace columns for a threshold of 0 from a plain row-layout loop:
+    # centroids adjacency @ p / deg, np.linalg.norm projections, the brute
+    # force winner rule and np.linalg.norm metrics
+    adjacency, deg = inst.adjacency, inst.degrees[:, None].astype(float)
+    centers = np.array([s.center for s in inst.sets])
+    radii = np.array([s.radius for s in inst.sets])
+    cols = dict(metrics=[float(np.linalg.norm(prof - prof.mean(axis=0)))],
+                potentials=[reference_potential(inst, prof)], max_metrics=[], winners=[],
+                winner_offsets=[0])
+    t, fixed_point = 0, False
+    while t < rounds:
+        if algo == "dgtc":
+            responses = reference_project(centers, radii, adjacency @ prof / deg)
+            moves = responses - prof
+            metrics = np.add.reduce(moves * moves, axis=1)
+            if metrics.max() <= DEFAULT.fixed_point:
+                fixed_point = True
+                break
+            win = reference_winners(inst, metrics)
+            prof = np.where(win[:, None], responses, prof)
+            cols["max_metrics"].append(metrics.max())
+            cols["winners"] += np.flatnonzero(win).tolist()
+            cols["winner_offsets"].append(len(cols["winners"]))
+        else:
+            stepped = prof - 2.0 * step * (deg * prof - adjacency @ prof)
+            prof = reference_project(centers, radii, stepped)
+        t += 1
+        cols["metrics"].append(float(np.linalg.norm(prof - prof.mean(axis=0))))
+        cols["potentials"].append(reference_potential(inst, prof))
+    return cols, prof, t, fixed_point
+
+
+def test_run_matches_a_row_layout_reference_bit_for_bit(rng):
+    # run's kernels compute on the (q, N) transpose with their own sums and
+    # winner rule; about 200 rounds of each algorithm must give every trace
+    # column and the final profile of the plain loop exactly
+    for q in (1, 2, 3, 4, 8):
+        for holding in (None, rng.uniform(-0.5, 0.5, q)):
+            n = int(rng.integers(5, 40))
+            inst = _ball_member(rng, n, q, holding)
+            state = initial_state(inst, step_size=default_step_size(inst))
+            for algo in ("dgtc", "dgpc"):
+                trace = run(state, algo, 200, 0.0)
+                cols, prof, t, fixed_point = reference_run(inst, state.profile, algo,
+                                                           state.step_size, 200)
+                assert (trace.iterations_used, trace.fixed_point) == (t, fixed_point)
+                assert trace.final_profile.tobytes() == prof.tobytes()
+                assert trace.metrics.tobytes() == array("d", cols["metrics"]).tobytes()
+                assert trace.potentials.tobytes() == array("d", cols["potentials"]).tobytes()
+                if algo == "dgtc":
+                    assert trace.max_metrics.tobytes() == array("d", cols["max_metrics"]).tobytes()
+                    assert trace.winners.tolist() == cols["winners"]
+                    assert trace.winner_offsets.tolist() == cols["winner_offsets"]
 
 
 def test_winner_rule_matches_brute_force(rng):

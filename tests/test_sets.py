@@ -240,6 +240,41 @@ def test_ball_projection_of_a_point_whose_square_overflows():
     assert mixed_disp == [1e200, 0.0]
 
 
+def test_ball_projection_of_a_point_whose_difference_from_the_center_overflows():
+    # x - center = -2e308 is beyond the largest float: the point still goes
+    # to the boundary in its own direction, on every ball path, with no
+    # warning, and a distance out of range reads inf, not nan
+    near, far = Ball((1e308, 0.0), 1.0), Ball((1e308, 0.0), 1.5e308)
+    x = np.array([-1e308, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert near.project(x).tolist() == [1e308 - 1.0, 0.0]
+        assert far.project(x).tolist() == [1e308 - 1.5e308, 0.0]
+        assert near.distance_to(x) == math.inf
+        assert far.distance_to(x) == 1.5e308 - 1e308
+        rows = RowProjector([near, far]).project(np.array([x, x]))
+        stack = BallStack([[near], [far]])
+        cycled = stack.project_cycle(np.array([x, x]))
+        farthest = stack.max_distances(np.array([x, x]))
+        _, disp = pocs_run(BallStack([[near]]), [x], 1)
+    assert rows.tolist() == cycled.tolist() == [[1e308 - 1.0, 0.0], [1e308 - 1.5e308, 0.0]]
+    assert farthest.tolist() == [math.inf, 1.5e308 - 1e308]
+    assert disp == [math.inf]
+
+
+def test_ball_keeps_a_point_inside_whose_squared_distance_overflows():
+    # the squared distance (1.5e308)^2 overflows, but the distance is inside
+    # the radius 1.7e308: the point is kept as is, not sent to the boundary
+    b = Ball((1e308, 0.0), 1.7e308)
+    x = np.array([-5e307, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert b.project(x).tobytes() == x.tobytes()
+        assert b.distance_to(x) == 0.0
+        assert RowProjector([b, b]).project(np.array([x, x])).tolist() == [x.tolist()] * 2
+        assert RowProjector([b]).distances(x[None]).tolist() == [0.0]
+
+
 def reference_ball_project(b, x):
     # Ball.project with np.linalg.norm, the formula the scalar path replaced
     diff = x - b.center

@@ -33,16 +33,19 @@ before a best-response round that finds a literal fixed point.  The kept
 rounds are checked and recorded; the round that found the fixed point is
 checked but not kept.  Later rounds are never checked, recorded or
 counted, so a run spends at most K - 1 rounds past its stop, and its trace
-is the one a round-by-round loop would give.  A violation raises
-``InvariantError`` naming the first failing round, at most K - 1 rounds
-after it happened and before any later error leaves the run; an error
-raised in a round past the stop is dropped with that round.  Violations
-indicate a bug, not a user error.
+is the one a round-by-round loop would give.  A best-response round's
+winners are one (N,) mask from the winner rule to the block check, which
+tests the stacked masks and takes the recorded winner ids from them.  A
+violation raises ``InvariantError`` naming the first failing round, found
+once per block, at most K - 1 rounds after it happened and before any
+later error leaves the run; an error raised in a round past the stop is
+dropped with that round.  Violations indicate a bug, not a user error.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from array import array
 from collections.abc import Sequence
@@ -279,9 +282,9 @@ def _select_winners(inst: GameInstance, metrics: np.ndarray) -> np.ndarray:
 
 
 def _dgtc_kernel(inst: GameInstance, prof: np.ndarray, t: int):
-    """Best-response round ``t``: the new profile, C-ordered, the winner ids
-    (an int array) and the largest update metric.  The caller checks the
-    round.
+    """Best-response round ``t``: the new profile, C-ordered, the (N,)
+    winner mask of ``_select_winners`` and the largest update metric.  The
+    caller checks the round, on that same mask.
 
     The centroids are projected on their contiguous (q, N) transpose, and
     the update metrics are summed over it, column by column."""
@@ -291,7 +294,7 @@ def _dgtc_kernel(inst: GameInstance, prof: np.ndarray, t: int):
     win = _select_winners(inst, metrics)
     new_prof = prof.copy()
     np.copyto(new_prof, responses, where=win[:, None])
-    return new_prof, win.nonzero()[0], float(np.maximum.reduce(metrics))
+    return new_prof, win, float(np.maximum.reduce(metrics))
 
 
 def _dgpc_kernel(inst: GameInstance, prof: np.ndarray, s: float, t: int) -> np.ndarray:
@@ -315,9 +318,8 @@ def dgtc_round(state: EngineState) -> EngineState:
     rounds, as a block of one."""
     prof = _checked_profile(state, "dgtc")
     inst = state.instance
-    new_prof, updated, _ = _dgtc_kernel(inst, prof, state.t + 1)
-    _check_rounds(inst, new_prof[None], _winner_mask(inst.n, updated)[None], state.t,
-                  potential(inst, prof))
+    new_prof, win, _ = _dgtc_kernel(inst, prof, state.t + 1)
+    _check_rounds(inst, new_prof[None], win[None], state.t, potential(inst, prof))
     return replace(state, profile=new_prof, t=state.t + 1)
 
 
@@ -349,10 +351,7 @@ def run(state: EngineState, algo: str, max_iters: int | None = None,
     """
     prof = _checked_profile(state, algo)
     inst = state.instance
-    if max_iters is None:
-        max_iters = 100 * inst.n
-    if max_iters < 1:
-        raise ValueError(f"max_iters must be positive, got {max_iters}")
+    max_iters = 100 * inst.n if max_iters is None else _count(max_iters, "max_iters")
     if not threshold >= 0:
         raise ValueError(f"threshold must be nonnegative, got {threshold}")
 
@@ -367,7 +366,7 @@ def run(state: EngineState, algo: str, max_iters: int | None = None,
     block[0] = prof
     if best_response:
         max_metrics, winners, winner_offsets = array("d"), array("q"), array("q", [0])
-        maxes, wins = np.empty(length), np.zeros((length, inst.n), dtype=bool)
+        maxes, wins = np.empty(length), np.empty((length, inst.n), dtype=bool)
     else:
         max_metrics = winners = winner_offsets = maxes = wins = None
     t = 0
@@ -402,7 +401,6 @@ def run(state: EngineState, algo: str, max_iters: int | None = None,
             offsets = np.add.accumulate(counts) + len(winners)
             winners.frombytes(wins[:kept].nonzero()[1].astype(np.int64, copy=False).tobytes())
             winner_offsets.frombytes(offsets.tobytes())
-            wins[:k] = False
         block[0] = block[kept]
         t += kept
         return stop
@@ -414,8 +412,7 @@ def run(state: EngineState, algo: str, max_iters: int | None = None,
         try:
             while i < size:
                 if best_response:
-                    block[i + 1], updated, maxes[i] = _dgtc_kernel(inst, block[i], t + i + 1)
-                    wins[i][updated] = True
+                    block[i + 1], wins[i], maxes[i] = _dgtc_kernel(inst, block[i], t + i + 1)
                 else:
                     block[i + 1] = _dgpc_kernel(inst, block[i], state.step_size, t + i + 1)
                 i += 1
@@ -443,16 +440,20 @@ def run(state: EngineState, algo: str, max_iters: int | None = None,
     )
 
 
+def _count(value, name: str) -> int:
+    """``value`` as a positive int, or a ``ValueError`` naming ``name``."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < 1:
+        raise ValueError(f"{name} must be positive, got {value}")
+    return value
+
+
 def _block_length(inst: GameInstance) -> int:
     """K, the rounds ``run`` checks at once (see ``_BLOCK_ELEMENTS``)."""
     return max(1, _BLOCK_ELEMENTS // (inst.graph.edge_count * inst.q))
-
-
-def _winner_mask(n: int, ids: np.ndarray) -> np.ndarray:
-    """The (N,) mask of a round whose winner ids are ``ids``."""
-    win = np.zeros(n, dtype=bool)
-    win[ids] = True
-    return win
 
 
 def _check_rounds(inst: GameInstance, profs: np.ndarray, wins: np.ndarray | None, t: int,
@@ -465,12 +466,17 @@ def _check_rounds(inst: GameInstance, profs: np.ndarray, wins: np.ndarray | None
     and, unless ``phi`` (the potential before round t + 1) is None, their
     potentials must not decrease.  The first failing round raises
     ``InvariantError``, its checks made in a round's order: independence,
-    feasibility, monotonicity.
+    feasibility, monotonicity.  Each check runs once over the stack; the
+    failing round is found once, and its message built from its mask or,
+    by ``_assert_feasible``, its profile.
     """
     dists = inst.projector.distances(profs)
     failed = ~(np.maximum.reduce(dists, axis=-1) <= DEFAULT.membership)
     if wins is not None:
-        failed |= _clashes(inst, wins)
+        # per round, whether an edge joins two winners
+        u, v = inst.edge_pairs
+        clash = np.logical_or.reduce(np.take(wins, u, axis=1) & np.take(wins, v, axis=1), axis=1)
+        failed |= clash
     k = int(failed.argmax()) if np.logical_or.reduce(failed) else len(profs)
     phis = potential(inst, profs[:k])
     if phi is not None:
@@ -481,8 +487,9 @@ def _check_rounds(inst: GameInstance, profs: np.ndarray, wins: np.ndarray | None
             raise InvariantError(f"potential decreased in round {t + i + 1}: "
                                  f"{float(before[i])!r} -> {float(phis[i])!r}")
     if k < len(profs):
-        if wins is not None:
-            _assert_independent(inst, wins[:k + 1], t + 1)
+        if wins is not None and clash[k]:
+            raise InvariantError(f"adjacent winners in round {t + k + 1} update: "
+                                 f"{np.flatnonzero(wins[k]).tolist()}")
         _assert_feasible(inst, profs[k], t + k + 1)
     return phis
 
@@ -496,24 +503,6 @@ def _assert_feasible(inst: GameInstance, prof: np.ndarray, t: int | None) -> Non
         when = "in the starting profile" if t is None else f"after round {t}"
         raise InvariantError(
             f"strategy of node {worst} left its set {when}: distance {dists[worst]:.3e}")
-
-
-def _clashes(inst: GameInstance, wins: np.ndarray) -> np.ndarray:
-    """Whether an edge joins two winners, per mask along the last axis."""
-    i, k = inst.edge_pairs
-    return np.logical_or.reduce(np.take(wins, i, axis=-1) & np.take(wins, k, axis=-1), axis=-1)
-
-
-def _assert_independent(inst: GameInstance, wins: np.ndarray, t: int) -> None:
-    """No edge joins two winners of round ``t``: ``wins`` is its (N,) winner
-    mask, or a stack (K, N) of the masks of rounds t, t + 1, ..., of which
-    the first with adjacent winners fails."""
-    clash = np.atleast_1d(_clashes(inst, wins))
-    if np.logical_or.reduce(clash):
-        i = int(clash.argmax())
-        win = wins.reshape(-1, inst.n)[i]
-        raise InvariantError(
-            f"adjacent winners in round {t + i} update: {np.flatnonzero(win).tolist()}")
 
 
 def pocs_run(inst: GameInstance | BallStack, x0, cycles: int) -> tuple[np.ndarray, list[float]]:
@@ -532,8 +521,7 @@ def pocs_run(inst: GameInstance | BallStack, x0, cycles: int) -> tuple[np.ndarra
     ``ConvexSet.distance_to`` takes, finite for a finite point whose squared
     displacement overflows.
     """
-    if cycles < 1:
-        raise ValueError(f"cycles must be positive, got {cycles}")
+    cycles = _count(cycles, "cycles")
     x = np.array(x0, dtype=float)
     if isinstance(inst, BallStack):
         if x.shape != (inst.size, inst.q):

@@ -17,7 +17,9 @@ coordinate-first arrays, (q, B) for B points: callers pass ``.T`` views of
 their (B, q) rows, and a result's bits do not depend on the memory layout.
 A finite point whose difference from the center, or whose squared
 distance, overflows still lands on the boundary, with no warning: both
-kernels scale such a point by its largest component.  Callers differ only
+kernels scale such a point by its largest component, in ``_rescue``,
+and ``RowProjector.distances`` takes a ball's radius off inside that
+scale, so a distance in range stays finite.  Callers differ only
 in how a point's squares are summed, which decides the last bits:
 ``RowProjector`` sums them as ``np.linalg.norm`` does (``_row_squares``),
 every other caller as ``ndarray.dot`` does (``_dot_squares``).
@@ -81,7 +83,7 @@ def _rescue(a: np.ndarray, b: np.ndarray, squares):
     mask ``rows`` and the scaled difference: with h = 1, or h = 2 where
     the difference itself overflows, half = a / h - b / h, m its largest
     absolute component and unit = ||half / m||, so that the point's norm,
-    stored in d, is h * (m * unit).
+    stored in d, is h * (m * unit).  The last item is h.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         diff = a - b
@@ -92,7 +94,7 @@ def _rescue(a: np.ndarray, b: np.ndarray, squares):
         m = np.maximum.reduce(np.abs(half), axis=0)
         unit = np.sqrt(_row_squares(half / m))
         d[rows] = h * (m * unit)
-    return diff, d, rows, half, m, unit
+    return diff, d, rows, half, m, unit, h
 
 
 def _norms(a: np.ndarray, b: np.ndarray, squares, fits: bool) -> np.ndarray:
@@ -127,7 +129,7 @@ def _project_rows(x: np.ndarray, c: np.ndarray, r: np.ndarray, squares, fits: bo
     else:
         cs = np.broadcast_to(c, x.shape)
         r = np.broadcast_to(r, x.shape[1:])
-        diff, d, rows, half, m, unit = _rescue(x, cs, squares)
+        diff, d, rows, half, m, unit, _ = _rescue(x, cs, squares)
     inside = d <= r
     if np.count_nonzero(inside) == inside.size:  # cheaper than a reduce
         return x
@@ -333,8 +335,17 @@ class RowProjector:
             # (q, N) or (q, K, N), C-contiguous for _row_squares
             xt = np.ascontiguousarray(x.T if x.ndim == 2 else x.transpose(2, 0, 1))
             c = self._centers if x.ndim == 2 else self._centers[:, None]
-            d = _norms(xt, c, _row_squares, self._fits and _fits(xt))
-            return np.maximum(d - self._radii, 0.0)
+            if self._fits and _fits(xt):
+                return np.maximum(np.sqrt(_row_squares(xt - c)) - self._radii, 0.0)
+            # the radius comes off inside a rescued point's scale: m * unit may overflow
+            xt, c = np.broadcast_arrays(xt, c)
+            r = np.broadcast_to(self._radii, xt.shape[1:]).reshape(-1)
+            _, d, rows, _, m, unit, h = _rescue(xt.reshape(len(xt), -1), c.reshape(len(c), -1),
+                                                _row_squares)
+            d -= r
+            with np.errstate(over="ignore"):
+                d[rows] = h * (m * (unit - (r[rows] / h) / m))
+            return np.maximum(d, 0.0).reshape(xt.shape[1:])
         if x.ndim == 3:
             return np.array([self.distances(member) for member in x]).reshape(x.shape[:2])
         return np.array([s.distance_to(row) for s, row in zip(self.sets, x)])

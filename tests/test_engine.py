@@ -14,7 +14,7 @@ from constrained_consensus.engine import (
     InvariantError,
     TraceRecord,
     _assert_feasible,
-    _assert_independent,
+    _check_rounds,
     _dgpc_kernel,
     _dgtc_kernel,
     _select_winners,
@@ -142,23 +142,29 @@ def test_dgtc_winners_form_independent_set(rng):
 
 
 def test_assert_independent_rejects_adjacent_winners():
+    # the block check on feasible zero profiles: each mask as a block of
+    # one round, and the stack of masks as one block
     g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
     inst = GameInstance(g, tuple(interval(-1.0, 1.0) for _ in range(4)), 1)
+
+    def check(wins, t):
+        wins = np.array(wins).reshape(-1, 4)
+        return _check_rounds(inst, np.zeros((len(wins), 4, 1)), wins, t - 1, None)
     with pytest.raises(InvariantError, match=r"adjacent winners in round 3 update: \[1, 2\]"):
-        _assert_independent(inst, np.array([False, True, True, False]), 3)
+        check([False, True, True, False], 3)
     with pytest.raises(InvariantError, match="adjacent winners in round 1 update"):
-        _assert_independent(inst, np.array([True, True, True, True]), 1)
+        check([True, True, True, True], 1)
     good = [[True, False, True, False], [True, False, False, True],
             [False, False, False, False], [False, False, True, False]]
     for win in good:
-        _assert_independent(inst, np.array(win), 1)
+        check(win, 1)
     # a stack of rounds 5, 6, ...: the first with adjacent winners fails
-    _assert_independent(inst, np.array(good), 5)
+    check(good, 5)
     for i in range(len(good)):
         stack = np.array(good + [[True, True, False, False], [False, True, True, False]])
         stack[i] = [False, False, True, True]
         with pytest.raises(InvariantError, match=rf"in round {5 + i} update: \[2, 3\]"):
-            _assert_independent(inst, stack, 5)
+            check(stack, 5)
 
 
 def test_assert_feasible_rejects_non_finite():
@@ -372,6 +378,11 @@ def test_pocs_run_validation():
     inst = two_node_instance()
     with pytest.raises(ValueError, match="cycles must be positive"):
         pocs_run(inst, np.array([0.0]), cycles=0)
+    # a count that is not an integer is named, not rounded or run
+    for bad in (2.5, 1.0, "2"):
+        with pytest.raises(ValueError, match=rf"^cycles must be an integer, got {bad!r}$"):
+            pocs_run(inst, np.array([0.0]), cycles=bad)
+    assert pocs_run(inst, np.array([-2.0]), cycles=np.int64(2))[1] == [2.0, 0.0]
     with pytest.raises(ValueError, match="dimension 1"):
         pocs_run(inst, np.array([0.0, 0.0]), cycles=1)
     for bad in (math.nan, math.inf):
@@ -523,6 +534,11 @@ def test_run_validation():
         run(state, "newton")
     with pytest.raises(ValueError):
         run(state, "dgtc", max_iters=0)
+    # a count that is not an integer is named: 2.5 ran 3 rounds, past its cap
+    for bad in (2.5, 3.0, "3"):
+        with pytest.raises(ValueError, match=rf"^max_iters must be an integer, got {bad!r}$"):
+            run(state, "dgtc", bad, 0.0)
+    assert run(state, "dgtc", np.int64(2), 0.0).iterations_used <= 2
     with pytest.raises(ValueError):
         run(state, "dgtc", threshold=-1.0)
     with pytest.raises(ValueError):
@@ -578,10 +594,10 @@ def reference_records(inst, prof, algo, step, max_iters, threshold):
     t = 0
     while records[-1].consensus_metric > threshold and t < max_iters:
         if algo == "dgtc":
-            prof_next, ids, max_metric = _dgtc_kernel(inst, prof, t + 1)
+            prof_next, win, max_metric = _dgtc_kernel(inst, prof, t + 1)
             if max_metric <= DEFAULT.fixed_point:
                 break
-            updated = tuple(ids.tolist())
+            updated = tuple(np.flatnonzero(win).tolist())
         else:
             prof_next = _dgpc_kernel(inst, prof, step, t + 1)
             updated, max_metric = tuple(range(inst.n)), None
@@ -632,12 +648,12 @@ def single_round_trace(state, algo, max_iters, threshold):
     fixed_point = False
     while metrics[-1] > threshold and st.t < max_iters:
         if algo == "dgtc":
-            _, ids, max_metric = _dgtc_kernel(inst, st.profile, st.t + 1)
+            _, win, max_metric = _dgtc_kernel(inst, st.profile, st.t + 1)
             if max_metric <= DEFAULT.fixed_point:
                 fixed_point = True
                 break
             max_metrics.append(max_metric)
-            winners += ids.tolist()
+            winners += np.flatnonzero(win).tolist()
             offsets.append(len(winners))
             st = dgtc_round(st)
         else:

@@ -262,6 +262,27 @@ def test_ball_projection_of_a_point_whose_difference_from_the_center_overflows()
     assert disp == [math.inf]
 
 
+def test_row_projector_distances_in_range_past_an_overflowing_difference():
+    # each row's difference from its center, or that difference's norm,
+    # overflows, yet its distance to the ball is in range: the row reads
+    # that distance, as distance_to does, in the 2-D and the stacked call
+    balls = [Ball((1e308, 0.0), 1.5e308), Ball((0.8e308, -0.8e308), 1.5e308),
+             Ball((-1e308, 1e308), 1e308), Ball((0.0, 0.0), 1.0)]
+    x = np.array([[[-1e308, 0.0], [-0.9e308, 0.9e308], [1e308, -0.5e308], [3.0, 4.0]],
+                  [[-1.5e308, 1e307], [-1.7e308, -1e308], [1.2e308, 0.7e308], [0.3, 0.4]]])
+    proj = RowProjector(balls)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stacked = proj.distances(x)
+        for k, rows in enumerate(x):
+            got = proj.distances(rows)
+            assert got.tobytes() == stacked[k].tobytes()
+            want = [b.distance_to(row) for b, row in zip(balls, rows)]
+            assert np.isfinite(got).all()
+            assert got.tolist() == pytest.approx(want, rel=1e-15, abs=0)
+    assert RowProjector(balls[:1]).distances(x[0, :1]).tolist() == [5e307]
+
+
 def test_ball_keeps_a_point_inside_whose_squared_distance_overflows():
     # the squared distance (1.5e308)^2 overflows, but the distance is inside
     # the radius 1.7e308: the point is kept as is, not sent to the boundary

@@ -48,6 +48,7 @@ from .graphs import (
     GeometricLayout,
     Graph,
     fiedler_value,
+    fiedler_values,
     graph_from_positions,
     is_connected,
     jacobi_eigenvalues,

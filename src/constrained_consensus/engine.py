@@ -307,10 +307,11 @@ def _dgpc_kernel(inst: GameInstance, prof: np.ndarray, s: float, t: int) -> np.n
     lap_p = inst.degree_column * prof - np.dot(inst.adjacency, prof)
     stepped = np.ascontiguousarray((prof - 2.0 * s * lap_p).T)
     # checked before projecting, which would turn inf into NaN; entry by
-    # entry only when the projection's own one-dot guard fails
-    if not _fits(stepped) and not np.logical_and.reduce(np.isfinite(stepped), axis=None):
+    # entry only when the one-dot guard, which the projection reuses, fails
+    fits = _fits(stepped)
+    if not fits and not np.logical_and.reduce(np.isfinite(stepped), axis=None):
         raise InvariantError(f"gradient step with step size {s!r} overflowed in round {t}")
-    return np.ascontiguousarray(inst.projector.project(stepped.T))
+    return np.ascontiguousarray(inst.projector.project(stepped.T, fits))
 
 
 def dgtc_round(state: EngineState) -> EngineState:

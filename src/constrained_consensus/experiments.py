@@ -28,7 +28,8 @@ import numpy as np
 
 from .engine import Trace, float_text, initial_state, pocs_run, run
 from .game import GameInstance, default_step_size
-from .graphs import GeometricLayout, Graph, fiedler_value, graph_from_positions, is_connected
+from .graphs import GeometricLayout, Graph, fiedler_values, graph_from_positions, is_connected
+from .graphs import fiedler_value  # noqa: F401  (perfbench/harness.py wraps experiments.fiedler_value)
 from .seeding import rng_for
 from .sets import Ball, BallStack
 from .tolerances import DEFAULT
@@ -196,7 +197,8 @@ def rate_sweep(n: int, q: int, rho_min: float, rho_max: float, realizations: int
     [rho_min, rho_max] and a fresh layout; disconnected layouts are skipped
     (the kept density distribution is therefore conditioned on connectivity)
     until `realizations` connected records exist.  Deterministic per
-    base_seed.
+    base_seed.  The kept graphs' Fiedler values come from one
+    ``fiedler_values`` call after the runs.
     """
     if not rho_min < rho_max:
         raise ValueError(f"need rho_min < rho_max, got [{rho_min}, {rho_max}]")
@@ -204,12 +206,12 @@ def rate_sweep(n: int, q: int, rho_min: float, rho_max: float, realizations: int
         raise ValueError(f"realizations must be positive, got {realizations}")
     _check_scenario(n, q, rho_min, epsilon)
     cap = max_attempts if max_attempts is not None else 200 * realizations + 100
-    records: list[SweepRecord] = []
+    kept: list[tuple] = []  # (graph, seed, rho, iters_dgtc, conv_dgtc, iters_dgpc, conv_dgpc)
     attempt = 0
-    while len(records) < realizations:
+    while len(kept) < realizations:
         if attempt >= cap:
             raise GenerationError(
-                f"only {len(records)}/{realizations} connected realizations "
+                f"only {len(kept)}/{realizations} connected realizations "
                 f"after {attempt} attempts")
         rng = rng_for(base_seed, attempt)
         rho = rho_min + (rho_max - rho_min) * rng.random()
@@ -218,18 +220,12 @@ def rate_sweep(n: int, q: int, rho_min: float, rho_max: float, realizations: int
         if loc is None:
             continue
         tr_dgtc, tr_dgpc = _run_pair(loc, max_iters, threshold)
-        records.append(SweepRecord(
-            trial=len(records),
-            seed=loc.seed,
-            rho=float(rho),
-            fiedler=fiedler_value(loc.graph),
-            iters_dgtc=tr_dgtc.iterations_used,
-            conv_dgtc=tr_dgtc.converged,
-            iters_dgpc=tr_dgpc.iterations_used,
-            conv_dgpc=tr_dgpc.converged,
-        ))
+        kept.append((loc.graph, loc.seed, float(rho), tr_dgtc.iterations_used, tr_dgtc.converged,
+                     tr_dgpc.iterations_used, tr_dgpc.converged))
         del tr_dgtc, tr_dgpc  # kept into the next pair's runs, they would raise peak memory
-    return records
+    fiedlers = fiedler_values(graph for graph, *_ in kept)
+    return [SweepRecord(trial, seed, rho, fiedler, *counts)
+            for trial, ((_, seed, rho, *counts), fiedler) in enumerate(zip(kept, fiedlers))]
 
 
 def median_split(records: list[SweepRecord], fiedler_cut: float) -> dict[str, float | int]:

@@ -171,6 +171,22 @@ def check_fiedler_connectivity(rng, **_):
     return True, "matches BFS connectivity on 60 graphs"
 
 
+def check_fiedler_lockstep(rng, **_):
+    """fiedler_values over a batch equals fiedler_value one graph at a time,
+    bit for bit, on random equal-n batches of mixed density."""
+    for _ in range(4):
+        n = int(rng.integers(2, 17))
+        batch = []
+        for p in rng.uniform(0.05, 0.9, 6):
+            batch.append(graphs.Graph.from_edges(
+                n, [(i, k) for i in range(n) for k in range(i + 1, n) if rng.random() < p]))
+        got = graphs.fiedler_values(batch)
+        want = [graphs.fiedler_value(g) for g in batch]
+        if got != want:
+            return False, f"n={n} batch: stacked {got} vs one at a time {want}"
+    return True, "stacked equals one at a time on 4 batches of 6 graphs"
+
+
 def _charpoly_eigenvalues(a: np.ndarray) -> np.ndarray:
     """Brute-force eigenvalues via Faddeev-LeVerrier coefficients + roots."""
     n = a.shape[0]
@@ -446,6 +462,7 @@ SUITES: dict[str, dict] = {
     "graph": {
         "laplacian_row_sums": check_laplacian_row_sums,
         "fiedler_connectivity": check_fiedler_connectivity,
+        "fiedler_lockstep": check_fiedler_lockstep,
         "jacobi_vs_charpoly": check_jacobi_charpoly,
         "rgg_reproducible": check_rgg_reproducible,
     },

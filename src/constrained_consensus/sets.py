@@ -264,10 +264,13 @@ class Halfspace(ConvexSet):
         y = x - (excess / self._norm_sq) * self.normal
         # rounding can leave y just outside: project again, each time twice
         # as far, until y passes the test above, so that projecting it
-        # again returns it as is
+        # again returns it as is.  An excess below the rounding of the dot
+        # itself (a subnormal offset, say) would not move y, so each step
+        # covers at least one spacing of the sum of the dot's absolute terms.
         grow = 1.0
         while (excess := self._excess(y)) > 0.0:
-            y = y - (grow * excess / self._norm_sq) * self.normal
+            step = max(excess, float(np.spacing(np.abs(self.normal) @ np.abs(y))))
+            y = y - (grow * step / self._norm_sq) * self.normal
             grow *= 2.0
         return y
 
@@ -320,11 +323,13 @@ class RowProjector:
             self._radii = np.array([s.radius for s in self.sets])
             self._fits = _fits(self._centers)
 
-    def project(self, x: np.ndarray) -> np.ndarray:
+    def project(self, x: np.ndarray, fits: bool | None = None) -> np.ndarray:
+        """Row n of x projected onto sets[n].  ``fits`` is ``_fits(x.T)``
+        when the caller has computed it already, so it is not recomputed."""
         if self._centers is not None:
             xt = np.asarray(x).T
             return _project_rows(xt, self._centers, self._radii, _row_squares,
-                                 self._fits and _fits(xt)).T
+                                 self._fits and (_fits(xt) if fits is None else fits)).T
         return np.array([s.project(row) for s, row in zip(self.sets, x)])
 
     def distances(self, x: np.ndarray) -> np.ndarray:

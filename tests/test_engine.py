@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import rand_connected_graph, rand_feasible_instance, rand_feasible_profile
-from constrained_consensus import engine
+from constrained_consensus import engine, sets
 from constrained_consensus.engine import (
     EngineState,
     InvariantError,
@@ -360,6 +360,28 @@ def test_dgpc_matches_centralized_update(rng):
         moved = stacked - step * grad
         oracle = np.array([s.project(row) for s, row in zip(inst.sets, moved)])
         assert np.max(np.abs(engine_next - oracle)) <= 1e-12
+
+
+def test_dgpc_round_dots_its_step_once(monkeypatch):
+    # per round: the start profile's feasibility check dots the (q, N)
+    # profile, the kernel's overflow guard dots the (q, N) step once and the
+    # projection reuses it, and the round's check dots its (q, 1, N) stack
+    loc = make_localization_instance(30, 2, 0.4, 0.01, seed=5)
+    inst = loc.game_instance
+    state = initial_state(inst, loc.layout, step_size=default_step_size(inst))
+    assert inst.projector is not None  # built, with its own dot, before counting
+    shapes = []
+    fits = sets._fits
+
+    def counted(*arrays):
+        shapes.extend(a.shape for a in arrays)
+        return fits(*arrays)
+    monkeypatch.setattr(engine, "_fits", counted)
+    monkeypatch.setattr(sets, "_fits", counted)
+    for _ in range(5):
+        shapes.clear()
+        state = dgpc_round(state)
+        assert shapes == [(2, 30), (2, 30), (2, 1, 30)]
 
 
 def test_dgpc_step_size_validation():

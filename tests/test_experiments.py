@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from constrained_consensus import experiments, graphs
 from constrained_consensus.engine import pocs_run
 from constrained_consensus.experiments import (
     _CSV_CHUNK,
@@ -125,6 +126,26 @@ def test_rate_sweep_records():
             assert rec.iters_dgpc <= 4000
         else:
             assert rec.iters_dgpc == 4000
+
+
+def test_rate_sweep_solves_every_fiedler_value_in_one_call(monkeypatch):
+    batches = []
+    solve = graphs.fiedler_values
+
+    def counted(gs):
+        gs = list(gs)
+        batches.append(len(gs))
+        return solve(gs)
+
+    def one_at_a_time(g):
+        raise AssertionError("rate_sweep solved one Fiedler value alone")
+    monkeypatch.setattr(experiments, "fiedler_values", counted)
+    monkeypatch.setattr(experiments, "fiedler_value", one_at_a_time)
+    monkeypatch.setattr(graphs, "fiedler_value", one_at_a_time)
+    records = rate_sweep(n=12, q=2, rho_min=0.3, rho_max=0.6, realizations=4,
+                         threshold=1e-5, base_seed=2, max_iters=400)
+    assert batches == [4]
+    assert all(r.fiedler > 0.0 for r in records)
 
 
 def test_rate_sweep_deterministic():

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from conftest import rand_connected_graph
+from constrained_consensus import graphs
 from constrained_consensus.game import GameInstance
 from constrained_consensus.graphs import (
     GeometricLayout,
     Graph,
     fiedler_value,
+    fiedler_values,
     graph_from_positions,
     is_connected,
     jacobi_eigenvalues,
@@ -151,6 +153,102 @@ def test_jacobi_matches_reference_loop_bit_for_bit(rng):
         matrices.append(laplacian(graph_from_positions(rng.random((n, 2)), 0.4)))
     for m in matrices:
         assert np.array_equal(jacobi_eigenvalues(m), reference_jacobi(m))
+
+
+def test_jacobi_rejects_non_finite_entries():
+    for bad in (np.nan, np.inf, -np.inf):
+        single = np.array([[1.0, bad], [bad, 2.0]])
+        with pytest.raises(ValueError, match="must be finite"):
+            jacobi_eigenvalues(single)
+        with pytest.raises(ValueError, match="must be finite"):
+            jacobi_eigenvalues(np.stack([np.eye(2), single]))
+    # a NaN is reported as non-finite, not as asymmetric
+    with pytest.raises(ValueError, match="must be finite"):
+        jacobi_eigenvalues(np.array([[np.nan, 1.0], [2.0, 0.0]]))
+
+
+def test_jacobi_empty_matrices():
+    assert jacobi_eigenvalues(np.zeros((0, 0))).shape == (0,)
+    assert jacobi_eigenvalues(np.zeros((3, 0, 0))).shape == (3, 0)
+    assert jacobi_eigenvalues(np.zeros((0, 4, 4))).shape == (0, 4)
+
+
+def test_jacobi_rejects_shapes_other_than_square_or_stack():
+    for shape in ((3,), (2, 3), (2, 3, 4), (2, 2, 2, 2)):
+        with pytest.raises(ValueError, match="expected an"):
+            jacobi_eigenvalues(np.zeros(shape))
+    with pytest.raises(ValueError, match="symmetric"):
+        jacobi_eigenvalues(np.stack([np.eye(2), [[1.0, 2.0], [3.0, 4.0]]]))
+
+
+def test_jacobi_stack_members_match_single_solves(rng):
+    # dense real entries, small integers with ties, and Laplacians, one stack per n
+    for n in (1, 2, 3, 8, 21):
+        stack = []
+        for _ in range(4):
+            b = rng.normal(size=(n, n))
+            stack.append(b + b.T)
+            b = rng.integers(-3, 4, (n, n)).astype(float)
+            stack.append(b + b.T)
+            stack.append(laplacian(graph_from_positions(rng.random((n, 2)), 0.4)))
+        stack = np.array(stack)
+        eig = jacobi_eigenvalues(stack)
+        assert eig.shape == (len(stack), n)
+        for member, values in zip(stack, eig):
+            assert np.array_equal(values, jacobi_eigenvalues(member))
+
+
+def sweeps_to_converge(g: Graph) -> int:
+    sweeps = [0]
+    sweep = graphs._sweep
+
+    def counted(a, rotate_above):
+        sweeps[0] += 1
+        sweep(a, rotate_above)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphs, "_sweep", counted)
+        fiedler_value(g)
+    return sweeps[0]
+
+
+def test_fiedler_values_match_fiedler_value(rng):
+    def complete(n):
+        return Graph.from_edges(n, [(i, k) for i in range(n) for k in range(i + 1, n)])
+
+    batches = [
+        [Graph(1, ((),)), Graph(1, ((),))],
+        [K2, Graph(2, ((), ())), K2],
+        [Graph(6, ((),) * 6), Graph.from_edges(6, [(0, 1), (2, 3), (4, 5)]), complete(6)],
+        [complete(9), rand_connected_graph(rng, 9), complete(9)],
+    ]
+    # random geometric graphs from sparse to dense, which stop after
+    # different numbers of sweeps, in one batch
+    rgg = [graph_from_positions(rng.random((24, 2)), rho) for rho in (0.2, 0.3, 0.45, 0.7, 1.5)]
+    assert len({sweeps_to_converge(g) for g in rgg}) > 1
+    batches.append(rgg)
+    for batch in batches:
+        assert fiedler_values(batch) == [fiedler_value(g) for g in batch]
+    assert fiedler_values([]) == []
+
+
+def test_fiedler_values_in_chunks(rng, monkeypatch):
+    gs = [graph_from_positions(rng.random((10, 2)), 0.5) for _ in range(8)]
+    want = [fiedler_value(g) for g in gs]
+    sizes = []
+    stack = graphs._jacobi_stack
+
+    def recorded(a):
+        sizes.append(len(a))
+        return stack(a)
+    monkeypatch.setattr(graphs, "_jacobi_stack", recorded)
+    monkeypatch.setattr(graphs, "_FIEDLER_ELEMENTS", 300)  # 3 Laplacians of 10 x 10
+    assert fiedler_values(iter(gs)) == want
+    assert sizes == [3, 3, 2]
+
+
+def test_fiedler_values_need_equal_n():
+    with pytest.raises(ValueError, match="equal n"):
+        fiedler_values([K2, PATH3])
 
 
 def test_is_connected_examples():

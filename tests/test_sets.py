@@ -59,6 +59,17 @@ def test_halfspace_rejects_a_normal_whose_squared_norm_leaves_the_float_range():
             assert h.project((1.0, -3.0)).tolist() == [moved, -3.0]
 
 
+def test_halfspace_projection_with_a_subnormal_offset_stays_finite():
+    # the first projection lands on normal @ y = 0 > -5e-324, an excess
+    # below the dot's rounding; steps of that size never moved y, and their
+    # doubling ran to inf
+    h = Halfspace((1.0, 1.0), -5e-324)
+    once = h.project((0.0, 5.0))
+    assert np.isfinite(once).all() and float(h.normal @ once) - h.offset <= 0.0
+    assert np.abs(once - (-2.5, 2.5)).max() <= 1e-15
+    assert h.project(once).tobytes() == once.tobytes()
+
+
 def test_halfspace_projection_lands_inside_by_its_own_test():
     # the plain formula gives normal @ P(x) - offset = 3.6e-15 here, so a
     # second projection moved the point by 1.8e-12

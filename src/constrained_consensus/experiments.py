@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .engine import Trace, float_text, initial_state, pocs_run, run
+from .engine import Trace, _count, float_text, initial_state, pocs_run, run
 from .game import GameInstance, default_step_size
 from .graphs import GeometricLayout, Graph, fiedler_values, graph_from_positions, is_connected
 from .graphs import fiedler_value  # noqa: F401  (perfbench/harness.py wraps experiments.fiedler_value)
@@ -56,7 +56,7 @@ class LocalizationInstance:
 
 def localization_sets(positions: np.ndarray, source: np.ndarray, epsilon: float) -> tuple[Ball, ...]:
     """One ball per node: center at the node, radius = source distance + epsilon."""
-    radii = np.linalg.norm(positions - source, axis=1) + epsilon
+    radii = (np.linalg.norm(positions - source, axis=1) + epsilon).tolist()
     return tuple(Ball(c, r) for c, r in zip(positions, radii))
 
 
@@ -67,9 +67,8 @@ def make_localization_instance(n: int, q: int, rho: float, epsilon: float, seed:
     Each attempt uses the sub-seed (seed, attempt); the first connected
     layout wins, so the result is deterministic per seed.
     """
-    _check_scenario(n, q, rho, epsilon)
-    if max_attempts < 1:
-        raise ValueError(f"max_attempts must be positive, got {max_attempts}")
+    n, q = _check_scenario(n, q, rho, epsilon)
+    max_attempts = _count(max_attempts, "max_attempts")
     for attempt in range(max_attempts):
         loc = _localization_from_rng(rng_for(seed, attempt), n, q, rho, epsilon, seed)
         if loc is not None:
@@ -78,15 +77,16 @@ def make_localization_instance(n: int, q: int, rho: float, epsilon: float, seed:
         f"no connected topology for n={n}, q={q}, rho={rho} after {max_attempts} attempts")
 
 
-def _check_scenario(n: int, q: int, rho: float, epsilon: float) -> None:
+def _check_scenario(n: int, q: int, rho: float, epsilon: float) -> tuple[int, int]:
+    """Check the scenario's parameters and return n and q as ints."""
+    n, q = _count(n, "n"), _count(q, "q")
     if n < 2:
         raise ValueError(f"need at least 2 nodes, got {n}")
-    if q < 1:
-        raise ValueError(f"dimension must be positive, got {q}")
     if not rho > 0:
         raise ValueError(f"communication range must be positive, got {rho}")
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
+    return n, q
 
 
 def _localization_from_rng(rng: np.random.Generator, n: int, q: int, rho: float,
@@ -143,8 +143,7 @@ def validation_study(n: int, q: int, rho: float, epsilon: float, trials: int,
     sufficient bound per instance.  The baseline performs `pocs_cycles`
     cycles of projections from the origin.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be positive, got {trials}")
+    trials = _count(trials, "trials")
     seeds, dgtc_traces, dgpc_traces, member_sets = [], [], [], []
     for trial in range(trials):
         seed = base_seed + trial
@@ -202,10 +201,9 @@ def rate_sweep(n: int, q: int, rho_min: float, rho_max: float, realizations: int
     """
     if not rho_min < rho_max:
         raise ValueError(f"need rho_min < rho_max, got [{rho_min}, {rho_max}]")
-    if realizations < 1:
-        raise ValueError(f"realizations must be positive, got {realizations}")
-    _check_scenario(n, q, rho_min, epsilon)
-    cap = max_attempts if max_attempts is not None else 200 * realizations + 100
+    realizations = _count(realizations, "realizations")
+    n, q = _check_scenario(n, q, rho_min, epsilon)
+    cap = 200 * realizations + 100 if max_attempts is None else _count(max_attempts, "max_attempts")
     kept: list[tuple] = []  # (graph, seed, rho, iters_dgtc, conv_dgtc, iters_dgpc, conv_dgpc)
     attempt = 0
     while len(kept) < realizations:

@@ -6,6 +6,11 @@ test, the combinatorial Laplacian and its spectrum via a cyclic Jacobi
 eigensolver, whose second-smallest eigenvalue (the algebraic connectivity,
 a.k.a. Fiedler value) is the network-density axis of the rate experiments.
 
+A ``Graph`` builds its CSR arrays once, at construction, and checks them
+there with a few array reductions; a per-entry loop runs only after a
+check has failed, to name the first fault.  ``graph_from_positions``
+splits one ``np.nonzero`` of the adjacency into the neighbor lists.
+
 There is one eigensolver, over a stack of matrices: a single matrix is a
 stack of one.  Its members rotate in lockstep and each gets the bits it
 would get alone, so ``fiedler_values`` solves a whole sweep's graphs at
@@ -16,37 +21,70 @@ each graph.
 from __future__ import annotations
 
 import math
+import operator
 from collections import deque
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
 
+from .sets import _row_squares
 from .tolerances import DEFAULT
 
 
 @dataclass(frozen=True, eq=False)
 class Graph:
-    """Undirected graph as per-node sorted neighbor tuples."""
+    """Undirected graph as per-node sorted neighbor tuples.
+
+    ``n`` and every id must be integers (anything ``operator.index``
+    takes); the lists are stored as tuples of ints.  The CSR encoding
+    ``csr = (indptr, indices, rows)`` is built and checked at construction
+    and kept read-only: ``indices[indptr[i]:indptr[i + 1]]`` are node i's
+    sorted neighbors and ``rows[j]`` is the node that entry j belongs to,
+    so ``(rows, indices)`` lists every directed edge once.  Every other
+    graph array derives from it.
+    """
 
     n: int
     neighbors: tuple[tuple[int, ...], ...]
+    csr: tuple[np.ndarray, np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.n < 1 or len(self.neighbors) != self.n:
-            raise ValueError(f"need one neighbor list per node, got {len(self.neighbors)} for n={self.n}")
-        seen = {i: set(nbrs) for i, nbrs in enumerate(self.neighbors)}
-        for i, nbrs in enumerate(self.neighbors):
-            for k in nbrs:
-                if not 0 <= k < self.n:
-                    raise ValueError(f"node id {k} out of range [0, {self.n})")
-                if k == i:
-                    raise ValueError(f"self-loop at node {i}")
-                if i not in seen[k]:
-                    raise ValueError(f"edge ({i}, {k}) is not symmetric")
-            if any(a >= b for a, b in zip(nbrs, nbrs[1:])):
-                raise ValueError(f"neighbor list of node {i} is not sorted and duplicate-free")
+        try:
+            n = operator.index(self.n)
+        except TypeError:
+            raise ValueError(f"node count must be an integer, got {self.n!r}") from None
+        nbrs = tuple(map(tuple, self.neighbors))
+        if n < 1 or len(nbrs) != n:
+            raise ValueError(f"need one neighbor list per node, got {len(nbrs)} for n={n}")
+        try:
+            # every id through operator.index first: fromiter alone would
+            # truncate a float id; an int comes back as the same object
+            flat = list(map(operator.index, chain.from_iterable(nbrs)))
+            indices = np.fromiter(flat, dtype=np.intp, count=len(flat))
+        except (TypeError, OverflowError):
+            raise ValueError(_first_fault(n, nbrs)) from None
+        deg = np.fromiter(map(len, nbrs), dtype=np.intp, count=n)
+        indptr = np.concatenate(([0], np.cumsum(deg)))
+        rows = np.repeat(np.arange(n), deg)
+        # with every id in range, the keys rows * n + indices increase
+        # strictly iff each list is sorted and duplicate-free, and then the
+        # edge set is symmetric iff a binary search finds every transposed
+        # key among them (sorting the transposed keys would do too, but
+        # np.sort's first call raised a run's peak memory by about 0.3 MB)
+        key, transposed = rows * n + indices, indices * n + rows
+        if not (np.logical_and.reduce((indices >= 0) & (indices < n))
+                and np.logical_and.reduce(rows != indices)
+                and np.logical_and.reduce(key[1:] > key[:-1])
+                and np.array_equal(key.take(np.searchsorted(key, transposed), mode="clip"),
+                                   transposed)):
+            raise ValueError(_first_fault(n, nbrs))
+        ends = indptr.tolist()
+        for a in (indptr, indices, rows):
+            a.flags.writeable = False
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "neighbors", tuple(tuple(flat[a:b]) for a, b in zip(ends, ends[1:])))
+        object.__setattr__(self, "csr", (indptr, indices, rows))
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
@@ -61,23 +99,6 @@ class Graph:
     def degree(self, i: int) -> int:
         return len(self.neighbors[i])
 
-    @cached_property
-    def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Read-only CSR encoding ``(indptr, indices, rows)`` of the neighbor lists.
-
-        ``indices[indptr[i]:indptr[i + 1]]`` are node i's sorted neighbors and
-        ``rows[j]`` is the node that entry j belongs to, so ``(rows, indices)``
-        lists every directed edge once.  Every other graph array derives
-        from this one.
-        """
-        deg = np.fromiter(map(len, self.neighbors), dtype=np.intp, count=self.n)
-        indptr = np.concatenate(([0], np.cumsum(deg)))
-        indices = np.fromiter(chain.from_iterable(self.neighbors), dtype=np.intp, count=int(indptr[-1]))
-        rows = np.repeat(np.arange(self.n), deg)
-        for a in (indptr, indices, rows):
-            a.flags.writeable = False
-        return indptr, indices, rows
-
     def degrees(self) -> np.ndarray:
         return np.diff(self.csr[0])
 
@@ -90,6 +111,31 @@ class Graph:
     @property
     def edge_count(self) -> int:
         return self.csr[1].size // 2
+
+
+def _first_fault(n: int, nbrs: tuple[tuple, ...]) -> str:
+    """The message for the first fault of neighbor lists that failed a
+    check in ``Graph``: the first id that is not an integer, else the first
+    fault node by node and id by id."""
+    lists = [[] for _ in nbrs]
+    for i, ids in enumerate(nbrs):
+        for k in ids:
+            try:
+                lists[i].append(operator.index(k))
+            except TypeError:
+                return f"neighbor list of node {i} holds {k!r}, which is not an integer node id"
+    seen = [set(ids) for ids in lists]
+    for i, ids in enumerate(lists):
+        for k in ids:
+            if not 0 <= k < n:
+                return f"node id {k} out of range [0, {n})"
+            if k == i:
+                return f"self-loop at node {i}"
+            if i not in seen[k]:
+                return f"edge ({i}, {k}) is not symmetric"
+        if any(a >= b for a, b in zip(ids, ids[1:])):
+            return f"neighbor list of node {i} is not sorted and duplicate-free"
+    raise AssertionError("neighbor lists without a fault failed a check")
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,21 +159,34 @@ class GeometricLayout:
             raise ValueError(f"communication range must be positive, got {self.range}")
 
 
-_ADJ_BLOCK = 128  # rows per distance block in graph_from_positions
+# coordinate differences per block in graph_from_positions, 256 KiB of
+# float64: 128-row blocks, 2 MB at N = 1000 and q = 2, raised the peak
+# memory of an N = 1000 run by 8%
+_ADJ_ELEMENTS = 1 << 15
 
 
 def graph_from_positions(positions: np.ndarray, rho: float) -> Graph:
-    """Edge (i, k) iff ||pos_i - pos_k|| <= rho (boundary counts as an edge)."""
+    """Edge (i, k) iff ||pos_i - pos_k|| <= rho (boundary counts as an edge).
+
+    The distances have ``np.linalg.norm``'s bits: each is summed from the
+    coordinate-first differences by ``_row_squares``.
+    """
     pos = np.asarray(positions, dtype=float)
-    n = pos.shape[0]
+    if pos.ndim != 2 or not pos.size:
+        raise ValueError(f"positions must be an (n, q) array with n, q >= 1, got shape {pos.shape}")
+    n, q = pos.shape
+    cols = np.ascontiguousarray(pos.T)
     adj = np.empty((n, n), dtype=bool)
-    # a block of rows at a time keeps the difference tensor at _ADJ_BLOCK x n x q;
+    # a block of rows at a time keeps the difference tensor at q x block x n;
     # each row's distances come out bit for bit as from the full tensor
-    for lo in range(0, n, _ADJ_BLOCK):
-        block = pos[lo:lo + _ADJ_BLOCK]
-        adj[lo:lo + _ADJ_BLOCK] = np.linalg.norm(block[:, None, :] - pos[None, :, :], axis=2) <= rho
+    block = max(1, _ADJ_ELEMENTS // (n * q))
+    for lo in range(0, n, block):
+        diff = cols[:, lo:lo + block, None] - cols[:, None, :]
+        adj[lo:lo + block] = np.sqrt(_row_squares(diff)) <= rho
     np.fill_diagonal(adj, False)
-    return Graph(n, tuple(tuple(np.flatnonzero(adj[i]).tolist()) for i in range(n)))
+    ends = np.cumsum(np.count_nonzero(adj, axis=1)).tolist()
+    flat = np.nonzero(adj)[1].tolist()
+    return Graph(n, tuple(tuple(flat[a:b]) for a, b in zip([0] + ends, ends)))
 
 
 def is_connected(g: Graph) -> bool:

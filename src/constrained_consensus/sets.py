@@ -27,6 +27,7 @@ every other caller as ``ndarray.dot`` does (``_dot_squares``).
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import cached_property
@@ -151,7 +152,7 @@ def as_point(coords, dim: int | None = None) -> np.ndarray:
     x = np.array(coords, dtype=float)
     if x.ndim != 1 or x.size < 1:
         raise ValueError(f"expected a 1-d point with at least one coordinate, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
+    if np.count_nonzero(np.isfinite(x)) != x.size:  # cheaper than a reduce
         raise ValueError("point coordinates must be finite")
     if dim is not None and x.size != dim:
         raise DimensionError(f"expected dimension {dim}, got {x.size}")
@@ -205,7 +206,7 @@ class Ball(ConvexSet):
     def __post_init__(self):
         object.__setattr__(self, "center", as_point(self.center))
         object.__setattr__(self, "radius", float(self.radius))
-        if not np.isfinite(self.radius) or self.radius < 0:
+        if not (math.isfinite(self.radius) and self.radius >= 0):
             raise ValueError(f"radius must be finite and nonnegative, got {self.radius}")
 
     @property

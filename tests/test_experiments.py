@@ -19,6 +19,7 @@ from constrained_consensus.experiments import (
     write_text,
 )
 from constrained_consensus.graphs import is_connected
+from constrained_consensus.seeding import rng_for
 
 
 def test_localization_radius_rule():
@@ -67,6 +68,59 @@ def test_instance_parameter_validation():
         make_localization_instance(10, 2, float("nan"), 0.01, seed=0)
     with pytest.raises(ValueError):
         make_localization_instance(10, 2, 0.3, float("nan"), seed=0)
+
+
+def test_count_arguments_must_be_positive_integers():
+    scenario = dict(n=10, q=2, rho=0.5, epsilon=0.01, seed=0)
+    for key, value in (("n", 10.5), ("q", 2.0), ("max_attempts", 2.5), ("n", "10")):
+        with pytest.raises(ValueError, match=rf"{key} must be an integer, got {value!r}"):
+            make_localization_instance(**{**scenario, key: value})
+    with pytest.raises(ValueError, match=r"max_attempts must be positive, got 0"):
+        make_localization_instance(**scenario, max_attempts=0)
+    with pytest.raises(ValueError, match=r"trials must be an integer, got 2.5"):
+        validation_study(n=10, q=2, rho=0.5, epsilon=0.01, trials=2.5)
+    sweep = dict(n=10, q=2, rho_min=0.35, rho_max=0.6, realizations=2)
+    with pytest.raises(ValueError, match=r"realizations must be an integer, got 2.5"):
+        rate_sweep(**{**sweep, "realizations": 2.5})
+    for cap in (0, -1):
+        with pytest.raises(ValueError, match=rf"max_attempts must be positive, got {cap}"):
+            rate_sweep(**sweep, max_attempts=cap)
+    with pytest.raises(ValueError, match=r"max_attempts must be an integer, got 5.0"):
+        rate_sweep(**sweep, max_attempts=5.0)
+    # integers of any type are taken as ints
+    loc = make_localization_instance(np.int64(10), np.int32(2), 0.5, 0.01, 0, max_attempts=np.int64(100))
+    assert loc.layout.positions.shape == (10, 2)
+
+
+def test_one_graph_build_and_connectivity_test_per_attempt(monkeypatch):
+    # perfbench counts attempts by wrapping these two names in experiments
+    calls = {"graph_from_positions": 0, "is_connected": 0}
+    for name in calls:
+        def counted(*args, name=name, inner=getattr(experiments, name)):
+            calls[name] += 1
+            return inner(*args)
+        monkeypatch.setattr(experiments, name, counted)
+    with pytest.raises(GenerationError, match="4 attempts"):
+        make_localization_instance(40, 2, 0.01, 0.01, seed=0, max_attempts=4)
+    assert calls == {"graph_from_positions": 4, "is_connected": 4}
+    # rho = 0.25 at n = 30 rejects some layouts and keeps others
+    most = 0
+    for seed in range(6):
+        calls.update(graph_from_positions=0, is_connected=0)
+        loc = make_localization_instance(30, 2, 0.25, 0.01, seed=seed)
+        attempts = calls["is_connected"]
+        assert calls["graph_from_positions"] == attempts >= 1
+        # the kept layout is the last attempt's
+        assert np.array_equal(loc.layout.positions, rng_for(seed, attempts - 1).random((30, 2)))
+        most = max(most, attempts)
+    assert most > 1
+    calls.update(graph_from_positions=0, is_connected=0)
+    records = rate_sweep(n=12, q=2, rho_min=0.15, rho_max=0.5, realizations=3,
+                         threshold=1e-3, base_seed=2, max_iters=2000)
+    # a record's seed is its attempt's index
+    attempts = records[-1].seed + 1
+    assert attempts > len(records)
+    assert calls == {"graph_from_positions": attempts, "is_connected": attempts}
 
 
 def test_validation_study_small():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -285,20 +286,29 @@ def one_shot_neighbors(pos: np.ndarray, rho: float) -> tuple[tuple[int, ...], ..
     return tuple(tuple(np.flatnonzero(row).tolist()) for row in adj)
 
 
-def test_block_build_matches_one_shot_formula(rng):
-    # n straddles the 128-row block; on a grid of spacing 0.25 many pairs sit
-    # at distance exactly rho = 0.25, nodes 0 and 1 among them
-    for q in (1, 2, 3, 4):
+def test_block_build_matches_one_shot_formula(rng, monkeypatch):
+    # on a grid of spacing 0.25 many pairs sit at distance exactly rho = 0.25,
+    # nodes 0 and 1 among them.  A range equal to one of the reference's
+    # distances, or one ulp below it, keeps or drops that edge only if the
+    # distance has the reference's bits: from q = 8 on numpy sums a row's
+    # squares pairwise, not in order
+    for q in (1, 2, 3, 4, 7, 8, 9, 16):
         for n in (2, 127, 128, 129, 300):
             pos = rng.random((n, q))
-            for rho in (0.1, 0.3, math.inf):
-                assert graph_from_positions(pos, rho).neighbors == one_shot_neighbors(pos, rho)
             grid = rng.integers(0, 5, (n, q)) / 4.0
             grid[:2] = 0.0
             grid[1, 0] = 0.25
-            g = graph_from_positions(grid, 0.25)
-            assert g.neighbors == one_shot_neighbors(grid, 0.25)
-            assert 1 in g.neighbors[0]
+            dist = np.linalg.norm(pos[0] - pos[1:4], axis=1)
+            ranges = (0.1, 0.3, math.inf, *dist, *np.nextafter(dist, 0.0))
+            # the default blocks, and blocks of 7 rows with a partial last one
+            for elements in (graphs._ADJ_ELEMENTS, 7 * n * q):
+                monkeypatch.setattr(graphs, "_ADJ_ELEMENTS", elements)
+                for rho in ranges:
+                    assert graph_from_positions(pos, rho).neighbors == one_shot_neighbors(pos, rho)
+                g = graph_from_positions(grid, 0.25)
+                assert g.neighbors == one_shot_neighbors(grid, 0.25)
+                assert 1 in g.neighbors[0]
+            monkeypatch.undo()
 
 
 def test_layout_validation():
@@ -317,14 +327,106 @@ def test_layout_validation():
 
 
 def test_graph_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"self-loop at node 0"):
         Graph.from_edges(3, [(0, 0)])
-    with pytest.raises(ValueError):
-        Graph(2, ((1,), ()))           # asymmetric
-    with pytest.raises(ValueError):
-        Graph(2, ((3,), (0,)))         # id out of range
-    with pytest.raises(ValueError):
-        Graph(2, ((1, 1), (0, 0)))     # unsorted duplicates
+    with pytest.raises(ValueError, match=r"self-loop at node 1"):
+        Graph(2, ((), (1,)))
+    with pytest.raises(ValueError, match=r"edge \(0, 1\) is not symmetric"):
+        Graph(2, ((1,), ()))
+    with pytest.raises(ValueError, match=r"node id 3 out of range \[0, 2\)"):
+        Graph(2, ((3,), (0,)))
+    with pytest.raises(ValueError, match=r"node id -1 out of range \[0, 2\)"):
+        Graph(2, ((-1,), (0,)))
+    with pytest.raises(ValueError, match=r"node id \d+ out of range"):
+        Graph(2, ((2 ** 70,), (0,)))
+    with pytest.raises(ValueError, match=r"list of node 0 is not sorted and duplicate-free"):
+        Graph(2, ((1, 1), (0, 0)))
+    with pytest.raises(ValueError, match=r"list of node 1 is not sorted and duplicate-free"):
+        Graph(3, ((1, 2), (2, 0), (0, 1)))
+    with pytest.raises(ValueError, match=r"need one neighbor list per node, got 1 for n=2"):
+        Graph(2, ((),))
+    with pytest.raises(ValueError, match=r"need one neighbor list per node, got 0 for n=0"):
+        Graph(0, ())
+
+
+def test_graph_reports_its_first_fault_in_loop_order():
+    # node 0's asymmetric edge comes before node 2's out-of-range id, and
+    # a list's ids are checked before its order
+    with pytest.raises(ValueError, match=r"edge \(0, 1\) is not symmetric"):
+        Graph(3, ((1,), (), (7,)))
+    with pytest.raises(ValueError, match=r"node id 5 out of range"):
+        Graph(3, ((5, 1), (0,), ()))
+    # an id that is not an integer is named before every other fault
+    with pytest.raises(ValueError, match=r"node 2 holds 0.5, which is not an integer"):
+        Graph(3, ((9,), (), (0.5,)))
+
+
+def reference_fault(n: int, nbrs) -> str | None:
+    # the per-entry loop over the lists, as the reference for the array checks
+    seen = {i: set(ids) for i, ids in enumerate(nbrs)}
+    for i, ids in enumerate(nbrs):
+        for k in ids:
+            if not 0 <= k < n:
+                return f"node id {k} out of range [0, {n})"
+            if k == i:
+                return f"self-loop at node {i}"
+            if i not in seen[k]:
+                return f"edge ({i}, {k}) is not symmetric"
+        if any(a >= b for a, b in zip(ids, ids[1:])):
+            return f"neighbor list of node {i} is not sorted and duplicate-free"
+    return None
+
+
+def test_graph_checks_match_reference_loop(rng):
+    # valid lists, then one or two random faults: a dropped, added, doubled
+    # or swapped id
+    faults = 0
+    for _ in range(400):
+        n = int(rng.integers(1, 9))
+        lists = [list(ids) for ids in rand_connected_graph(rng, n).neighbors] if n > 1 else [[]]
+        for _ in range(int(rng.integers(0, 3))):
+            ids = lists[int(rng.integers(n))]
+            kind = int(rng.integers(4))
+            if kind == 0 and ids:
+                ids.pop(int(rng.integers(len(ids))))
+            elif kind == 1:
+                ids.insert(int(rng.integers(len(ids) + 1)), int(rng.integers(-2, n + 2)))
+            elif kind == 2 and ids:
+                ids.append(ids[-1])
+            elif kind == 3 and len(ids) > 1:
+                ids[0], ids[-1] = ids[-1], ids[0]
+        want = reference_fault(n, lists)
+        if want is None:
+            assert Graph(n, lists).neighbors == tuple(map(tuple, lists))
+        else:
+            faults += 1
+            with pytest.raises(ValueError) as err:
+                Graph(n, lists)
+            assert str(err.value) == want
+    assert faults > 100
+
+
+def test_graph_ids_and_n_must_be_integers():
+    for ids in ((1.5,), (1.0,), (np.float64(1.0),), ("1",), (None,), ([1],)):
+        with pytest.raises(ValueError, match=rf"node 0 holds {re.escape(repr(ids[0]))}, "
+                                             r"which is not an integer node id"):
+            Graph(2, (ids, (0,)))
+    for n in (2.0, 2.5, "2", None):
+        with pytest.raises(ValueError, match=rf"node count must be an integer, got {re.escape(repr(n))}"):
+            Graph(n, ((1,), (0,)))
+    # anything operator.index takes is an id, stored as a tuple of ints
+    for g in (Graph(2, [[1], [0]]), Graph(np.int64(2), ((np.int64(1),), (np.int32(0),))),
+              Graph(2, ((True,), (False,))), Graph(2, (np.array([1]), range(0, 1)))):
+        assert g.n == 2 and type(g.n) is int
+        assert g.neighbors == ((1,), (0,))
+        assert all(type(ids) is tuple and all(type(k) is int for k in ids) for ids in g.neighbors)
+
+
+def test_graph_from_positions_needs_an_n_by_q_array():
+    for pos in (np.zeros(3), np.zeros((0, 2)), np.zeros((3, 0)), np.zeros((2, 2, 2)), 0.5):
+        with pytest.raises(ValueError, match=r"positions must be an \(n, q\) array with n, q >= 1"):
+            graph_from_positions(pos, 0.3)
+    assert graph_from_positions(np.zeros((1, 2)), 0.3).neighbors == ((),)
 
 
 def test_graph_degree_helpers():

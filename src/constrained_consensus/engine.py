@@ -62,7 +62,7 @@ from .game import (
     potential,
 )
 from .graphs import GeometricLayout
-from .sets import BallStack, _dot_squares, _fits, _norms, _row_squares
+from .sets import BallStack, _check_domain, _dot_squares, _row_squares
 from .tolerances import DEFAULT
 
 
@@ -299,19 +299,19 @@ def _dgtc_kernel(inst: GameInstance, prof: np.ndarray, t: int):
 
 def _dgpc_kernel(inst: GameInstance, prof: np.ndarray, s: float, t: int) -> np.ndarray:
     """Gradient-projection round ``t`` with step ``s``; asserts that the
-    gradient step stays finite.  Returns the new profile, C-ordered; the
-    caller checks it.
+    gradient step stays in the magnitude domain of ``sets``.  Returns the
+    new profile, C-ordered; the caller checks it.
 
     The step is taken on the rows, then checked and projected on its
     contiguous (q, N) transpose."""
     lap_p = inst.degree_column * prof - np.dot(inst.adjacency, prof)
     stepped = np.ascontiguousarray((prof - 2.0 * s * lap_p).T)
-    # checked before projecting, which would turn inf into NaN; entry by
-    # entry only when the one-dot guard, which the projection reuses, fails
-    fits = _fits(stepped)
-    if not fits and not np.logical_and.reduce(np.isfinite(stepped), axis=None):
-        raise InvariantError(f"gradient step with step size {s!r} overflowed in round {t}")
-    return np.ascontiguousarray(inst.projector.project(stepped.T, fits))
+    # checked before projecting, which would turn inf into NaN
+    try:
+        _check_domain(stepped, "gradient step")
+    except ValueError:
+        raise InvariantError(f"gradient step with step size {s!r} overflowed in round {t}") from None
+    return np.ascontiguousarray(inst.projector.project(stepped.T))
 
 
 def dgtc_round(state: EngineState) -> EngineState:
@@ -519,8 +519,8 @@ def pocs_run(inst: GameInstance | BallStack, x0, cycles: int) -> tuple[np.ndarra
     A ``BallStack`` projects a node's balls for all members at once;
     otherwise each set projects with its own formula.  Both give
     ``ConvexSet.project``'s bits, and the displacement is the norm
-    ``ConvexSet.distance_to`` takes, finite for a finite point whose squared
-    displacement overflows.
+    ``ConvexSet.distance_to`` takes.  The start must lie in the magnitude
+    domain of ``sets``.
     """
     cycles = _count(cycles, "cycles")
     x = np.array(x0, dtype=float)
@@ -528,24 +528,23 @@ def pocs_run(inst: GameInstance | BallStack, x0, cycles: int) -> tuple[np.ndarra
         if x.shape != (inst.size, inst.q):
             raise ValueError(f"expected {inst.size} starting points of dimension {inst.q}, "
                              f"got shape {x.shape}")
-        cycle = inst.project_cycle
+        cycle = inst._cycle
     elif x.shape != (inst.q,):
         raise ValueError(f"expected a starting point of dimension {inst.q}, got shape {x.shape}")
     else:
-        # x is checked once here, so the cycle calls each set's projection
-        # formula without ConvexSet.project's per-call coercion
         projections = [s._project for s in inst.sets]
 
         def cycle(x):
             for project in projections:
                 x = project(x)
             return x
-    if not np.isfinite(x).all():
-        raise ValueError("starting point coordinates must be finite")
+    # x is checked once here, so the cycles skip the per-call checks of
+    # BallStack.project_cycle and ConvexSet.project
+    _check_domain(x, "starting point coordinates")
     # (cycles,) or (cycles, B) displacements, returned member-major
     displacements = np.empty((cycles,) + x.shape[:-1])
     for k in range(cycles):
         start = x
         x = cycle(x)
-        displacements[k] = _norms(x.T, start.T, _dot_squares, _fits(x, start))
+        displacements[k] = np.sqrt(_dot_squares(x.T - start.T))
     return x, displacements.T.ravel().tolist()

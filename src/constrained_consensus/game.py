@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .graphs import Graph
-from .sets import ConvexSet, RowProjector
+from .sets import ConvexSet, RowProjector, _check_domain
 
 
 class DegenerateNodeError(ValueError):
@@ -101,8 +101,7 @@ def as_profile(inst: GameInstance, p) -> np.ndarray:
     prof = np.asarray(p, dtype=float)
     if prof.shape != (inst.n, inst.q):
         raise ValueError(f"expected a profile of shape {(inst.n, inst.q)}, got {prof.shape}")
-    if not np.logical_and.reduce(np.isfinite(prof), axis=None):
-        raise ValueError("profile entries must be finite")
+    _check_domain(prof, "profile entries")
     return prof
 
 

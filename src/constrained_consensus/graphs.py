@@ -90,6 +90,13 @@ class Graph:
     def from_edges(cls, n: int, edges) -> "Graph":
         nbrs: list[set[int]] = [set() for _ in range(n)]
         for i, k in edges:
+            try:
+                i, k = operator.index(i), operator.index(k)
+            except TypeError:
+                raise ValueError(f"edge ({i!r}, {k!r}) has an endpoint that is not an integer "
+                                 f"node id") from None
+            if not (0 <= i < n and 0 <= k < n):
+                raise ValueError(f"edge ({i}, {k}) has an endpoint out of range [0, {n})")
             if i == k:
                 raise ValueError(f"self-loop at node {i}")
             nbrs[i].add(k)

@@ -11,42 +11,44 @@ already inside the set; iterative algorithms rely on this to reach literal
 fixed points.
 
 Every ball projection (``Ball.project``, ``RowProjector`` and the lockstep
-``BallStack``) runs through one kernel, ``_project_rows``, and every
-distance through one norm of a difference, ``_norms``.  Both work on
+``BallStack``) runs through one kernel, ``_project_rows``.  It works on
 coordinate-first arrays, (q, B) for B points: callers pass ``.T`` views of
 their (B, q) rows, and a result's bits do not depend on the memory layout.
-A finite point whose difference from the center, or whose squared
-distance, overflows still lands on the boundary, with no warning: both
-kernels scale such a point by its largest component, in ``_rescue``,
-and ``RowProjector.distances`` takes a ball's radius off inside that
-scale, so a distance in range stays finite.  Callers differ only
-in how a point's squares are summed, which decides the last bits:
-``RowProjector`` sums them as ``np.linalg.norm`` does (``_row_squares``),
-every other caller as ``ndarray.dot`` does (``_dot_squares``).
+Callers differ only in how a point's squares are summed, which decides the
+last bits: ``RowProjector`` sums them as ``np.linalg.norm`` does
+(``_row_squares``), every other caller as ``ndarray.dot`` does
+(``_dot_squares``).
+
+Every value that enters a set's parameters, ``as_point``, ``project``,
+``distance_to`` or a ``BallStack`` method is finite and at most ``_LIMIT``
+= 2^480 (about 3.1e144) in magnitude, or ``_check_domain`` raises
+``ValueError``.  Projections of such values stay
+within a few ``_LIMIT``, so the differences the kernels meet stay below
+2^484 and a sum of their squares below 2^968 per term: nothing overflows,
+each kernel has one path, and numpy warns of nothing.  ``RowProjector`` is
+internal and checks nothing; its callers have.
 """
 
 from __future__ import annotations
 
-import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-# An array whose squares sum below this "fits": the difference of two
-# fitting arrays neither overflows nor has a point whose squares sum to
-# inf, since ||a - b||^2 <= 2 ||a||^2 + 2 ||b||^2 < max / 2.
-_ROOM = np.finfo(float).max / 8
+# The magnitude domain's bound (see the module docstring).
+_LIMIT = 2.0 ** 480
 
 
-def _fits(*arrays) -> bool:
-    """True when every array fits (see ``_ROOM``): one dot per array, which
-    copies an array that is not C-contiguous."""
-    for v in arrays:
-        if not np.vdot(v, v) < _ROOM:  # NaN fails too
-            return False
-    return True
+def _check_domain(x, what: str) -> None:
+    """Raise ``ValueError`` unless every entry of ``x``, an array or a float,
+    is finite and at most ``_LIMIT`` in magnitude.  A rounded sum of squares
+    is at least each rounded square, and an entry past the power of two
+    ``_LIMIT`` has a rounded square above _LIMIT^2: one dot settles most calls."""
+    if not (np.vdot(x, x) <= _LIMIT * _LIMIT
+            or np.maximum.reduce(np.abs(x), axis=None, initial=0.0) <= _LIMIT):
+        raise ValueError(f"{what} must be finite and at most 2**480 (about 3.1e144) in magnitude")
 
 
 def _row_squares(v: np.ndarray) -> np.ndarray:
@@ -74,73 +76,21 @@ def _dot_squares(v: np.ndarray) -> np.ndarray:
     return np.vecdot(w, w).T
 
 
-def _rescue(a: np.ndarray, b: np.ndarray, squares):
-    """The shared rescue, for coordinate-first (q, B) a and b in which a
-    difference or a point's sum of squares may overflow; numpy warns of
-    nothing.
-
-    Returns diff = a - b and the norms d = sqrt(squares(diff)) of its
-    points, and for the finite points whose norm overflowed to inf, their
-    mask ``rows`` and the scaled difference: with h = 1, or h = 2 where
-    the difference itself overflows, half = a / h - b / h, m its largest
-    absolute component and unit = ||half / m||, so that the point's norm,
-    stored in d, is h * (m * unit).  The last item is h.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        diff = a - b
-        d = np.array(np.sqrt(squares(diff)))
-        rows = np.isinf(d) & np.logical_and.reduce(np.isfinite(a) & np.isfinite(b), axis=0)
-        h = np.where(np.logical_and.reduce(np.isfinite(diff[:, rows]), axis=0), 1.0, 2.0)
-        half = a[:, rows] / h - b[:, rows] / h
-        m = np.maximum.reduce(np.abs(half), axis=0)
-        unit = np.sqrt(_row_squares(half / m))
-        d[rows] = h * (m * unit)
-    return diff, d, rows, half, m, unit, h
-
-
-def _norms(a: np.ndarray, b: np.ndarray, squares, fits: bool) -> np.ndarray:
-    """Euclidean norm of a - b over axis 0 of the coordinate-first a and b
-    (broadcast together), sqrt(squares(a - b)).  ``fits`` is True when the
-    caller knows the difference fits (see ``_fits``); otherwise a finite
-    point whose norm overflows is rescued (see ``_rescue``) and reads
-    h * (m * unit), which is inf only where the norm is out of range."""
-    if fits:
-        return np.sqrt(squares(a - b))
-    a, b = np.broadcast_arrays(a, b)
-    d = _rescue(a.reshape(len(a), -1), b.reshape(len(b), -1), squares)[1]
-    return d.reshape(a.shape[1:])
-
-
-def _project_rows(x: np.ndarray, c: np.ndarray, r: np.ndarray, squares, fits: bool) -> np.ndarray:
+def _project_rows(x: np.ndarray, c: np.ndarray, r: np.ndarray, squares) -> np.ndarray:
     """Point b of the coordinate-first (q, B) x, its column b, projected
     onto the ball (c[:, b], r[b]), its distance to the center taken as
     sqrt(squares(x[:, b] - c[:, b])); c may be one (q, 1) center.
 
     A point inside its ball keeps its bits, and its quotient's divisor is
     d + 1, so d = 0 divides nothing; when every point is inside, x comes
-    back as is.  ``fits`` is True when x - c is known to fit (see ``_fits``);
-    otherwise a finite point whose difference from the center or squared
-    distance overflows is scaled as ``_rescue`` scales it, and lands on
-    its boundary at c + half * ((r / m) / unit): its distance is
-    h * (m * unit), and diff = h * half.
+    back as is.
     """
-    if fits:
-        diff = x - c
-        d = np.sqrt(squares(diff))
-    else:
-        cs = np.broadcast_to(c, x.shape)
-        r = np.broadcast_to(r, x.shape[1:])
-        diff, d, rows, half, m, unit, _ = _rescue(x, cs, squares)
+    diff = x - c
+    d = np.sqrt(squares(diff))
     inside = d <= r
     if np.count_nonzero(inside) == inside.size:  # cheaper than a reduce
         return x
-    if fits:
-        return np.where(inside, x, c + diff * (r / (d + inside)))
-    with np.errstate(invalid="ignore"):  # inf * 0 at a rescued point, replaced below
-        out = np.where(inside, x, c + diff * (r / (d + inside)))
-    far = ~inside[rows]
-    out[:, rows & ~inside] = (cs[:, rows] + half * ((r[rows] / m) / unit))[:, far]
-    return out
+    return np.where(inside, x, c + diff * (r / (d + inside)))
 
 
 class DimensionError(ValueError):
@@ -152,8 +102,7 @@ def as_point(coords, dim: int | None = None) -> np.ndarray:
     x = np.array(coords, dtype=float)
     if x.ndim != 1 or x.size < 1:
         raise ValueError(f"expected a 1-d point with at least one coordinate, got shape {x.shape}")
-    if np.count_nonzero(np.isfinite(x)) != x.size:  # cheaper than a reduce
-        raise ValueError("point coordinates must be finite")
+    _check_domain(x, "point coordinates")
     if dim is not None and x.size != dim:
         raise DimensionError(f"expected dimension {dim}, got {x.size}")
     x.flags.writeable = False
@@ -175,11 +124,11 @@ class ConvexSet(ABC):
         return self._project(self._coerce(x))
 
     def distance_to(self, x) -> float:
-        x = self._coerce(x)
-        p = self._project(x)
-        # np.linalg.norm's arithmetic for a 1-d vector, sqrt of its dot product,
-        # except that a finite distance whose square overflows stays finite
-        return float(_norms(x, p, _dot_squares, _fits(x, p)))
+        return self._distance(self._coerce(x))
+
+    def _distance(self, x: np.ndarray) -> float:
+        # np.linalg.norm's arithmetic for a 1-d vector, sqrt of its dot product
+        return float(np.sqrt(_dot_squares(x - self._project(x))))
 
     def contains(self, x, tol: float = 0.0) -> bool:
         """True iff the distance from ``x`` to the set is at most ``tol``."""
@@ -193,6 +142,7 @@ class ConvexSet(ABC):
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
             raise DimensionError(f"expected a point of dimension {self.dim}, got shape {x.shape}")
+        _check_domain(x, "point coordinates")
         return x
 
 
@@ -206,8 +156,9 @@ class Ball(ConvexSet):
     def __post_init__(self):
         object.__setattr__(self, "center", as_point(self.center))
         object.__setattr__(self, "radius", float(self.radius))
-        if not (math.isfinite(self.radius) and self.radius >= 0):
-            raise ValueError(f"radius must be finite and nonnegative, got {self.radius}")
+        _check_domain(self.radius, "radius")
+        if self.radius < 0:
+            raise ValueError(f"radius must be nonnegative, got {self.radius}")
 
     @property
     def dim(self) -> int:
@@ -215,13 +166,12 @@ class Ball(ConvexSet):
 
     @cached_property
     def _kernel_args(self):
-        """The kernel's (q, 1) center, (1,) radius and the center's fit,
-        built at the first projection."""
-        return self.center[:, None], np.array([self.radius]), _fits(self.center)
+        """The kernel's (q, 1) center and (1,) radius, built at the first
+        projection."""
+        return self.center[:, None], np.array([self.radius])
 
     def _project(self, x):
-        c, r, fits = self._kernel_args
-        return _project_rows(x[:, None], c, r, _dot_squares, fits and _fits(x))[:, 0]
+        return _project_rows(x[:, None], *self._kernel_args, _dot_squares)[:, 0]
 
     def bounding_box(self):
         return self.center - self.radius, self.center + self.radius
@@ -233,8 +183,9 @@ class Halfspace(ConvexSet):
 
     A projected point passes the set's own test, ``normal . y <= offset``
     in floating point, so projecting it again returns it as is.  The
-    normal's squared norm, by which the projection divides, must be a
-    normal float: neither overflowing nor subnormal.
+    normal's squared norm, by which the projection divides, must not be
+    subnormal, and |offset| <= _LIMIT * ||normal||, so that a projection
+    moves a point by at most its own norm plus ``_LIMIT``.
     """
 
     normal: np.ndarray
@@ -243,12 +194,14 @@ class Halfspace(ConvexSet):
     def __post_init__(self):
         object.__setattr__(self, "normal", as_point(self.normal))
         object.__setattr__(self, "offset", float(self.offset))
-        with np.errstate(over="ignore"):
-            nn = float(np.linalg.norm(self.normal))
-        if not np.finfo(float).tiny <= nn * nn < np.inf:
+        nn = float(np.linalg.norm(self.normal))
+        if not np.finfo(float).tiny <= nn * nn:
             raise ValueError(f"half-space normal {self.normal.tolist()} must be nonzero, with a "
-                             f"squared norm that neither overflows nor is subnormal; its norm "
-                             f"reads {nn!r}")
+                             f"squared norm that is not subnormal; its norm reads {nn!r}")
+        _check_domain(self.offset, "half-space offset")
+        if not abs(self.offset) <= _LIMIT * nn:
+            raise ValueError(f"half-space offset {self.offset!r} must be at most 2**480 times "
+                             f"the normal's norm {nn!r} in magnitude")
         object.__setattr__(self, "_norm_sq", nn * nn)
 
     @property
@@ -314,6 +267,9 @@ class RowProjector:
     view of x and returns the ``.T`` view of a (q, N) array, so an x that
     is such a view is read and written in contiguous columns.  Anything
     else falls back to a per-row loop.
+
+    Internal: x must lie within a few ``_LIMIT`` of the origin, as the
+    engine's profiles, centroids and checked steps do, and is not checked.
     """
 
     def __init__(self, sets):
@@ -322,16 +278,12 @@ class RowProjector:
         if self.sets and all(isinstance(s, Ball) for s in self.sets):
             self._centers = np.array([s.center for s in self.sets]).T.copy()
             self._radii = np.array([s.radius for s in self.sets])
-            self._fits = _fits(self._centers)
 
-    def project(self, x: np.ndarray, fits: bool | None = None) -> np.ndarray:
-        """Row n of x projected onto sets[n].  ``fits`` is ``_fits(x.T)``
-        when the caller has computed it already, so it is not recomputed."""
+    def project(self, x: np.ndarray) -> np.ndarray:
+        """Row n of x projected onto sets[n]."""
         if self._centers is not None:
-            xt = np.asarray(x).T
-            return _project_rows(xt, self._centers, self._radii, _row_squares,
-                                 self._fits and (_fits(xt) if fits is None else fits)).T
-        return np.array([s.project(row) for s, row in zip(self.sets, x)])
+            return _project_rows(np.asarray(x).T, self._centers, self._radii, _row_squares).T
+        return np.array([s._project(row) for s, row in zip(self.sets, x)])
 
     def distances(self, x: np.ndarray) -> np.ndarray:
         """Distance of each row to its set: x is one (N, q) array, giving N
@@ -341,20 +293,10 @@ class RowProjector:
             # (q, N) or (q, K, N), C-contiguous for _row_squares
             xt = np.ascontiguousarray(x.T if x.ndim == 2 else x.transpose(2, 0, 1))
             c = self._centers if x.ndim == 2 else self._centers[:, None]
-            if self._fits and _fits(xt):
-                return np.maximum(np.sqrt(_row_squares(xt - c)) - self._radii, 0.0)
-            # the radius comes off inside a rescued point's scale: m * unit may overflow
-            xt, c = np.broadcast_arrays(xt, c)
-            r = np.broadcast_to(self._radii, xt.shape[1:]).reshape(-1)
-            _, d, rows, _, m, unit, h = _rescue(xt.reshape(len(xt), -1), c.reshape(len(c), -1),
-                                                _row_squares)
-            d -= r
-            with np.errstate(over="ignore"):
-                d[rows] = h * (m * (unit - (r[rows] / h) / m))
-            return np.maximum(d, 0.0).reshape(xt.shape[1:])
+            return np.maximum(np.sqrt(_row_squares(xt - c)) - self._radii, 0.0)
         if x.ndim == 3:
             return np.array([self.distances(member) for member in x]).reshape(x.shape[:2])
-        return np.array([s.distance_to(row) for s, row in zip(self.sets, x)])
+        return np.array([s._distance(row) for s, row in zip(self.sets, x)])
 
 
 class BallStack:
@@ -383,11 +325,6 @@ class BallStack:
         self.radii = np.array(radii).T.copy()
         # node j's slab as the kernels take it: its (q, B) centers and (B,) radii
         self._slabs = [(c.T, r) for c, r in zip(self.centers, self.radii)]
-        # with every ||c||^2 and r^2 below _ROOM / 4, a point in one ball is
-        # within 3 sqrt(max / 32) of the next one's center, so a cycle or a
-        # scan from a fitting x needs one guard, not one per slab
-        with np.errstate(over="ignore"):
-            self._fits = _fits(2.0 * self.centers, 2.0 * self.radii)
 
     @property
     def size(self) -> int:
@@ -401,10 +338,15 @@ class BallStack:
     def project_cycle(self, x: np.ndarray) -> np.ndarray:
         """Member b's point x[b] projected onto its balls in ascending node
         order, all members in lockstep, with ``Ball._project``'s bits."""
+        _check_domain(x, "point coordinates")
+        return self._cycle(x)
+
+    def _cycle(self, x: np.ndarray) -> np.ndarray:
+        """``project_cycle`` unchecked: a cycle's result, up to |center| +
+        radius from the origin, may be past ``_LIMIT`` and is cycled again."""
         xt = x.T
-        fits = self._fits and _fits(x)
         for c, r in self._slabs:
-            xt = _project_rows(xt, c, r, _dot_squares, fits)
+            xt = _project_rows(xt, c, r, _dot_squares)
         return xt.T
 
     def max_distances(self, x: np.ndarray) -> np.ndarray:
@@ -412,13 +354,11 @@ class BallStack:
         bit for bit, computed one node at a time over (B, q) slabs."""
         best = np.zeros(self.size)
         x = np.asarray(x, dtype=float)
+        _check_domain(x, "point coordinates")
         xt = x.T
-        # a projection moves a point by at most its distance to the center,
-        # so where x - c fits, x - p fits too
-        fits = self._fits and _fits(x)
         for c, r in self._slabs:
-            p = _project_rows(xt, c, r, _dot_squares, fits)
+            p = _project_rows(xt, c, r, _dot_squares)
             if p is not xt:  # a slab with every row inside adds only zero distances
-                np.maximum(best, _norms(xt, p, _dot_squares, fits), out=best)
+                np.maximum(best, np.sqrt(_dot_squares(xt - p)), out=best)
         return best
 

@@ -329,6 +329,13 @@ def test_layout_validation():
 def test_graph_validation():
     with pytest.raises(ValueError, match=r"self-loop at node 0"):
         Graph.from_edges(3, [(0, 0)])
+    # each endpoint is checked before it indexes a list: 5 raised IndexError,
+    # 1.5 TypeError, and -1 wrapped round to node 1
+    for edge, fault in (((0, 5), "out of range \\[0, 2\\)"), ((-1, 0), "out of range \\[0, 2\\)"),
+                        ((0, 1.5), "that is not an integer node id")):
+        with pytest.raises(ValueError, match=rf"^edge \({edge[0]}, {edge[1]}\) has an endpoint {fault}$"):
+            Graph.from_edges(2, [edge])
+    assert Graph.from_edges(2, [(np.int64(1), False)]).neighbors == ((1,), (0,))
     with pytest.raises(ValueError, match=r"self-loop at node 1"):
         Graph(2, ((), (1,)))
     with pytest.raises(ValueError, match=r"edge \(0, 1\) is not symmetric"):

@@ -1,14 +1,25 @@
 import math
 import re
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from constrained_consensus.engine import EngineState, InvariantError, dgtc_round, pocs_run
-from constrained_consensus.game import GameInstance
+from constrained_consensus.engine import (
+    EngineState,
+    InvariantError,
+    StepSizeWarning,
+    consensus_metric,
+    dgpc_round,
+    dgtc_round,
+    initialize,
+    pocs_run,
+    run,
+)
+from constrained_consensus.game import GameInstance, max_set_distance, potential
 from constrained_consensus.graphs import Graph
 from constrained_consensus.sets import (
     Ball,
@@ -17,9 +28,9 @@ from constrained_consensus.sets import (
     DimensionError,
     Halfspace,
     RowProjector,
+    _LIMIT,
     as_point,
 )
-from constrained_consensus.tolerances import DEFAULT
 
 
 def test_ball_interior_point_is_unchanged():
@@ -48,15 +59,24 @@ def test_halfspace_rejects_a_normal_whose_squared_norm_leaves_the_float_range():
     # NaN coordinates and a subnormal one a point that is not the nearest
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for scale in (1e155, 1e200, 1e-160, 1e-200):
+        # an overflowing squared norm needs a normal beyond the magnitude domain
+        for scale in (1e155, 1e200):
+            with pytest.raises(ValueError, match="^point coordinates " + OUT_OF_DOMAIN):
+                Halfspace((scale, 0.0), 0.0)
+        for scale in (1e-160, 1e-200):
             with pytest.raises(ValueError, match=rf"^half-space normal {re.escape(str([scale, 0.0]))} "
                                                  rf".* squared norm .* its norm reads \S+$"):
                 Halfspace((scale, 0.0), 0.0)
         # the range's ends keep their squared norms and projections
-        for scale, moved in ((1e150, -2.220446049250313e-16), (1e-150, 0.0)):
+        for scale, moved in ((3e144, -1.2325951644078307e-32), (1e-150, 0.0)):
             h = Halfspace((scale, 0.0), 0.0)
             assert h._norm_sq == scale * scale
             assert h.project((1.0, -3.0)).tolist() == [moved, -3.0]
+    # the hyperplane must lie within _LIMIT of the origin
+    with pytest.raises(ValueError, match=r"^half-space offset 1e\+143 must be at most 2\*\*480 times "
+                                         r"the normal's norm 0\.001 in magnitude$"):
+        Halfspace((1e-3, 0.0), 1e143)
+    assert Halfspace((1e-3, 0.0), 3e141).offset == 3e141
 
 
 def test_halfspace_projection_with_a_subnormal_offset_stays_finite():
@@ -158,67 +178,6 @@ def test_row_projector_mixed_sets_fallback(rng):
         assert np.array_equal(batch[i], s.project(x[i]))
 
 
-def test_row_projector_overflowing_rows_land_on_their_ball(rng):
-    # a finite row whose squared norm overflows goes to the boundary point in
-    # its own direction, not to the center, and numpy warns of nothing
-    for q in (1, 2, 3):
-        cs = [Ball(rng.uniform(-1, 1, q), rng.uniform(0.0, 1.0)) for _ in range(8)]
-        proj = RowProjector(cs)
-        centers = np.array([b.center for b in cs])
-        x = rng.uniform(-3, 3, (8, q))
-        x[1] = rng.normal(size=q) * 1e200
-        x[4] = rng.normal(size=q) * 1e300
-        x[6] = np.full(q, -1.5e308)  # for q >= 2 the norm exceeds the largest float
-        huge = np.zeros(8, dtype=bool)
-        huge[[1, 4, 6]] = True
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            out = proj.project(x)
-        for i in np.flatnonzero(huge):
-            b = cs[i]
-            v = out[i] - b.center
-            dist = np.linalg.norm(v)
-            assert abs(dist - b.radius) <= DEFAULT.membership
-            if b.radius > 0.0:
-                unit = x[i] / np.abs(x[i]).max()
-                unit /= np.linalg.norm(unit)
-                assert v / dist == pytest.approx(unit, abs=1e-12)
-        # every other row keeps the bits it gets in a batch without huge rows
-        tame = np.where(huge[:, None], 0.0, x)
-        assert np.array_equal(out[~huge], proj.project(tame)[~huge])
-        assert np.isfinite(out).all() and not np.array_equal(out[huge], centers[huge])
-
-
-def test_row_projector_distances_of_overflowing_rows(rng):
-    # a finite row whose squared norm overflows gets a finite distance close
-    # to the true one (math.hypot scales), not inf, and numpy warns of nothing
-    for q in (1, 2, 3):
-        cs = [Ball(rng.uniform(-1, 1, q), rng.uniform(0.0, 1.0)) for _ in range(8)]
-        proj = RowProjector(cs)
-        x = rng.uniform(-3, 3, (8, q))
-        x[1] = rng.normal(size=q) * 1e200
-        x[4] = rng.normal(size=q) * 1e300
-        x[6] = np.full(q, -1.5e308 / q)  # every component's square overflows
-        huge = np.zeros(8, dtype=bool)
-        huge[[1, 4, 6]] = True
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = proj.distances(x)
-        for i in np.flatnonzero(huge):
-            true = math.hypot(*(x[i] - cs[i].center)) - cs[i].radius
-            assert math.isfinite(got[i]) and got[i] == pytest.approx(true, rel=1e-12)
-        # every other row keeps the bits it gets in a batch without huge rows
-        tame = np.where(huge[:, None], 0.0, x)
-        assert np.array_equal(got[~huge], proj.distances(tame)[~huge])
-    # the feasibility check reports the distance, not inf
-    g = Graph.from_edges(2, [(0, 1)])
-    inst = GameInstance(g, (Ball((0.0, 0.0), 1.0), Ball((0.5, 0.0), 1.0)), 2)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(InvariantError, match=r"starting profile: distance 1\.000e\+200$"):
-            dgtc_round(EngineState(inst, np.array([[1e200, 0.0], [0.5, 0.0]])))
-
-
 def test_row_projector_row_at_a_large_ball_center_is_quiet():
     # a row exactly at the center of a ball whose radius / tiny overflows is
     # kept as is, with no divide by zero and no 0 * inf
@@ -230,81 +189,166 @@ def test_row_projector_row_at_a_large_ball_center_is_quiet():
     assert out[1].tolist() == (np.array([1.0, 1.0]) + np.array([2.0, 2.0]) * (0.5 / math.sqrt(8.0))).tolist()
 
 
+# the magnitude domain's message: every entry point raises it
+OUT_OF_DOMAIN = r"must be finite and at most 2\*\*480 \(about 3\.1e144\) in magnitude$"
+
+
+def _two_balls():
+    g = Graph.from_edges(2, [(0, 1)])
+    return GameInstance(g, (Ball((0.0, 0.0), 1.0), Ball((0.5, 0.0), 1.0)), 2)
+
+
+def test_row_projector_overflowing_rows_land_on_their_ball():
+    # rows whose squares overflow (1e200, 1e300, -1.5e308) lie outside the
+    # magnitude domain: a profile holding one is rejected where it enters,
+    # and a gradient step that reaches one fails its round
+    inst = _two_balls()
+    for huge in (1e200, 1e300, -1.5e308):
+        with pytest.raises(ValueError, match="^profile entries " + OUT_OF_DOMAIN):
+            dgpc_round(EngineState(inst, np.array([[huge, 0.0], [0.5, 0.0]]), step_size=0.1))
+    start = EngineState(inst, np.array([[0.0, 0.0], [0.5, 0.0]]), step_size=1e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", StepSizeWarning)
+        with pytest.raises(InvariantError,
+                           match=r"^gradient step with step size 1e\+300 overflowed in round 1$"):
+            dgpc_round(start)
+
+
+def test_row_projector_distances_of_overflowing_rows():
+    # a start at 1e200 is rejected before the feasibility check measures it
+    inst = _two_balls()
+    prof = np.array([[1e200, 0.0], [0.5, 0.0]])
+    for entry in (lambda: dgtc_round(EngineState(inst, prof)), lambda: max_set_distance(inst, prof)):
+        with pytest.raises(ValueError, match="^profile entries " + OUT_OF_DOMAIN):
+            entry()
+
+
 def test_ball_projection_of_a_point_whose_square_overflows():
-    # the squared distance 1e400 overflows: the point still goes to the
-    # boundary in its own direction, in the scalar and the stacked path, its
-    # distance reads about 1e200, and so does the cycle's displacement in
-    # the stacked and the generic loop, not inf
+    # a point whose squared distance overflows is rejected on every path,
+    # scalar and stacked
     balls = (Ball((0.0, 0.0), 1.0), Ball((0.5, 0.0), 1.0))
     mixed = GameInstance(Graph.from_edges(2, [(0, 1)]), (Box((-1.0, -1.0), (1.0, 1.0)), balls[1]), 2)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert Ball((0.0, 0.0), 1.0).project([1e200, 0.0]).tolist() == [1.0, 0.0]
-        assert Ball((0.0, 0.0), 2.0).project([-3e300, 4e300]).tolist() == pytest.approx([-1.2, 1.6])
-        assert Ball((0.0, 0.0), 1.0).distance_to([1e200, 0.0]) == 1e200
-        assert BallStack([balls]).max_distances([[1e200, 0.0]]).tolist() == [1e200]
-        x, disp = pocs_run(BallStack([balls]), [[1e200, 0.0]], 2)
-        mixed_x, mixed_disp = pocs_run(mixed, [1e200, 0.0], 2)
-    assert x.tolist() == [[1.0, 0.0]]
-    assert disp == [1e200, 0.0]
-    assert mixed_x.tolist() == [1.0, 0.0]
-    assert mixed_disp == [1e200, 0.0]
+    for entry in (lambda: balls[0].project([1e200, 0.0]),
+                  lambda: Ball((0.0, 0.0), 2.0).project([-3e300, 4e300]),
+                  lambda: balls[0].distance_to([1e200, 0.0]),
+                  lambda: BallStack([balls]).max_distances([[1e200, 0.0]]),
+                  lambda: pocs_run(BallStack([balls]), [[1e200, 0.0]], 2),
+                  lambda: pocs_run(mixed, [1e200, 0.0], 2)):
+        with pytest.raises(ValueError, match=OUT_OF_DOMAIN):
+            entry()
 
 
 def test_ball_projection_of_a_point_whose_difference_from_the_center_overflows():
-    # x - center = -2e308 is beyond the largest float: the point still goes
-    # to the boundary in its own direction, on every ball path, with no
-    # warning, and a distance out of range reads inf, not nan
-    near, far = Ball((1e308, 0.0), 1.0), Ball((1e308, 0.0), 1.5e308)
-    x = np.array([-1e308, 0.0])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert near.project(x).tolist() == [1e308 - 1.0, 0.0]
-        assert far.project(x).tolist() == [1e308 - 1.5e308, 0.0]
-        assert near.distance_to(x) == math.inf
-        assert far.distance_to(x) == 1.5e308 - 1e308
-        rows = RowProjector([near, far]).project(np.array([x, x]))
-        stack = BallStack([[near], [far]])
-        cycled = stack.project_cycle(np.array([x, x]))
-        farthest = stack.max_distances(np.array([x, x]))
-        _, disp = pocs_run(BallStack([[near]]), [x], 1)
-    assert rows.tolist() == cycled.tolist() == [[1e308 - 1.0, 0.0], [1e308 - 1.5e308, 0.0]]
-    assert farthest.tolist() == [math.inf, 1.5e308 - 1e308]
-    assert disp == [math.inf]
+    # no ball holds a center, radius or point whose difference can overflow
+    for entry in (lambda: Ball((1e308, 0.0), 1.0), lambda: Ball((0.0, 0.0), 1.5e308),
+                  lambda: Ball((0.0, 0.0), 1.0).project([-1e308, 0.0]),
+                  lambda: BallStack([[Ball((0.0, 0.0), 1.0)]]).project_cycle(np.array([[-1e308, 0.0]]))):
+        with pytest.raises(ValueError, match=OUT_OF_DOMAIN):
+            entry()
 
 
 def test_row_projector_distances_in_range_past_an_overflowing_difference():
-    # each row's difference from its center, or that difference's norm,
-    # overflows, yet its distance to the ball is in range: the row reads
-    # that distance, as distance_to does, in the 2-D and the stacked call
-    balls = [Ball((1e308, 0.0), 1.5e308), Ball((0.8e308, -0.8e308), 1.5e308),
-             Ball((-1e308, 1e308), 1e308), Ball((0.0, 0.0), 1.0)]
-    x = np.array([[[-1e308, 0.0], [-0.9e308, 0.9e308], [1e308, -0.5e308], [3.0, 4.0]],
-                  [[-1.5e308, 1e307], [-1.7e308, -1e308], [1.2e308, 0.7e308], [0.3, 0.4]]])
-    proj = RowProjector(balls)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        stacked = proj.distances(x)
-        for k, rows in enumerate(x):
-            got = proj.distances(rows)
-            assert got.tobytes() == stacked[k].tobytes()
-            want = [b.distance_to(row) for b, row in zip(balls, rows)]
-            assert np.isfinite(got).all()
-            assert got.tolist() == pytest.approx(want, rel=1e-15, abs=0)
-    assert RowProjector(balls[:1]).distances(x[0, :1]).tolist() == [5e307]
+    # a difference of 2e308 needs rows or balls beyond the domain, and
+    # both are rejected
+    inst = _two_balls()
+    for prof in ([[-1e308, 0.0], [0.5, 0.0]], [[0.0, 0.0], [-0.9e308, 0.9e308]]):
+        with pytest.raises(ValueError, match="^profile entries " + OUT_OF_DOMAIN):
+            max_set_distance(inst, np.array(prof))
+    with pytest.raises(ValueError, match="^radius " + OUT_OF_DOMAIN):
+        Ball((0.0, 0.0), 1.5e308)
 
 
 def test_ball_keeps_a_point_inside_whose_squared_distance_overflows():
-    # the squared distance (1.5e308)^2 overflows, but the distance is inside
-    # the radius 1.7e308: the point is kept as is, not sent to the boundary
-    b = Ball((1e308, 0.0), 1.7e308)
-    x = np.array([-5e307, 0.0])
+    # a ball of radius 1.7e308 is out of the domain; a point inside a ball
+    # at the domain's edge is kept as is, bit for bit
+    with pytest.raises(ValueError, match="^point coordinates " + OUT_OF_DOMAIN):
+        Ball((1e308, 0.0), 1.7e308)
+    b = Ball((_LIMIT / 2, 0.0), _LIMIT)
+    x = np.array([-_LIMIT / 2, 0.0])  # on the boundary, at distance _LIMIT
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert b.project(x).tobytes() == x.tobytes()
         assert b.distance_to(x) == 0.0
         assert RowProjector([b, b]).project(np.array([x, x])).tolist() == [x.tolist()] * 2
         assert RowProjector([b]).distances(x[None]).tolist() == [0.0]
+
+
+def _domain_entries():
+    # each entry takes one bad value v into the place it names
+    inst = _two_balls()
+    good = np.array([[0.0, 0.0], [0.5, 0.0]])
+    stack = BallStack([inst.sets, inst.sets])
+
+    def profile(v):
+        prof = good.copy()
+        prof[1, 0] = v
+        return prof
+
+    def points(v):
+        x = good.copy()
+        x[0, 1] = v
+        return x
+    return {
+        "Ball.center": lambda v: Ball((0.0, v), 1.0),
+        "Ball.radius": lambda v: Ball((0.0, 0.0), v),
+        "Box.lower": lambda v: Box((v, 0.0), (1.0, 1.0)),
+        "Box.upper": lambda v: Box((0.0, 0.0), (1.0, v)),
+        "Halfspace.normal": lambda v: Halfspace((1.0, v), 0.0),
+        "Halfspace.offset": lambda v: Halfspace((1.0, 0.0), v),
+        "ConvexSet.project": lambda v: Box((0.0, 0.0), (1.0, 1.0)).project((0.5, v)),
+        "ConvexSet.distance_to": lambda v: Halfspace((1.0, 0.0), 0.0).distance_to((v, 0.5)),
+        "initialize.layout": lambda v: initialize(inst, SimpleNamespace(positions=profile(v))),
+        "run": lambda v: run(EngineState(inst, profile(v)), "dgtc", 5),
+        "dgtc_round": lambda v: dgtc_round(EngineState(inst, profile(v))),
+        "dgpc_round": lambda v: dgpc_round(EngineState(inst, profile(v), step_size=0.1)),
+        "max_set_distance": lambda v: max_set_distance(inst, profile(v)),
+        "pocs_run.instance": lambda v: pocs_run(inst, (v, 0.0), 1),
+        "pocs_run.BallStack": lambda v: pocs_run(stack, points(v), 1),
+        "BallStack.project_cycle": lambda v: stack.project_cycle(points(v)),
+        "BallStack.max_distances": lambda v: stack.max_distances(points(v)),
+    }
+
+
+@pytest.mark.parametrize("value", [_LIMIT * 2, -math.inf, math.nan], ids=["2*limit", "-inf", "nan"])
+@pytest.mark.parametrize("entry", list(_domain_entries()))
+def test_every_entry_rejects_values_outside_the_magnitude_domain(entry, value):
+    with pytest.raises(ValueError, match=OUT_OF_DOMAIN):
+        _domain_entries()[entry](value)
+
+
+def test_values_at_the_domain_edge_stay_finite_and_exact():
+    # sets and points at +-_LIMIT: no square overflows, numpy warns of
+    # nothing, and every projection and distance matches math.hypot
+    L = _LIMIT
+    ball = Ball((L, -L), L)
+    box = Box((-L, -L), (-L / 2, L))
+    half = Halfspace((L, -L), -L)
+    x = np.array([-L, L])
+    hypot = math.hypot(*(x - ball.center))
+    want_p = ball.center + (x - ball.center) * (L / hypot)
+    excess = float(half.normal @ -x) - half.offset  # -x lies outside the half-space
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ball.project(x) == pytest.approx(want_p, rel=1e-15)
+        assert ball.distance_to(x) == pytest.approx(hypot - L, rel=1e-15)
+        assert box.project((L, L)).tolist() == [-L / 2, L]
+        assert box.distance_to((L, L)) == 1.5 * L
+        assert half.distance_to(-x) == pytest.approx(excess / math.hypot(L, L), rel=1e-15)
+        assert half.contains(half.project(-x)) and half.project(x).tobytes() == x.tobytes()
+        rows = RowProjector([ball, ball])
+        assert rows.project(np.array([x, -x])).tolist() == [ball.project(x).tolist(), (-x).tolist()]
+        assert rows.distances(np.array([x, -x])) == pytest.approx([hypot - L, 0.0], rel=1e-15)
+        stack = BallStack([[ball, Ball((-L, L), L)]])
+        assert np.isfinite(stack.project_cycle(x[None])).all()
+        assert stack.max_distances(x[None]) == pytest.approx([hypot - L], rel=1e-15)
+        end, disp = pocs_run(stack, x[None], 3)
+        assert np.isfinite(end).all() and disp[0] == pytest.approx(math.hypot(*(end[0] - x)), rel=1e-15)
+        # the engine's sums of squares over a profile at the edge
+        inst = GameInstance(Graph.from_edges(3, [(0, 1), (1, 2)]), (ball, ball, ball), 2)
+        prof = np.array([[L, -L], [-L, L], [L, L]])
+        assert potential(inst, prof) == -12.0 * L * L
+        dev = (prof - prof.mean(axis=0)).ravel()
+        assert consensus_metric(prof) == pytest.approx(math.hypot(*dev), rel=1e-15)
 
 
 def reference_ball_project(b, x):

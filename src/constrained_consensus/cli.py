@@ -12,7 +12,14 @@ Four commands:
 Parameters come from flags or from a flat ``key = value`` config file
 (``--config``); flags override file values.  Exit codes: 0 success,
 1 invariant failure, 2 usage/config error, 3 instance-generation failure,
-4 I/O error.
+4 I/O error.  The library owns every parameter rule and applies it before
+any round; ``ValueError`` is its type for a rejected input (``_count``,
+``_check_scenario``, ``_check_domain``, ``Graph``, ``GeometricLayout`` and
+``DimensionError`` raise it), so ``main`` reports any ``ValueError`` as a
+usage error.  The CLI adds two rules: float flags are finite (the library
+takes ``rho = inf``, the complete graph), and ``fiedler_cut`` is positive.
+A bug surfaces as an ``InvariantError``, or as a traceback unless it
+raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ import sys
 
 import numpy as np
 
-from .engine import InvariantError, float_text
+from .engine import InvariantError, _count, float_text
 from .experiments import (
     GenerationError,
     median_split,
@@ -35,7 +42,7 @@ from .experiments import (
     validation_study,
     write_text,
 )
-from .selfcheck import SUITES, run_checks
+from .selfcheck import run_checks
 from .sets import BallStack
 
 EXIT_OK = 0
@@ -55,7 +62,6 @@ SCHEMAS: dict[str, dict[str, tuple[type, object]]] = {
     "validate": {
         "seed": (int, 0),
         "suite": (str, None),
-        "debug_step_scale": (float, 1.0),
     },
     "run": {
         "n": (int, 100),
@@ -96,10 +102,6 @@ SCHEMAS: dict[str, dict[str, tuple[type, object]]] = {
         "out": (str, "pocs.csv"),
     },
 }
-
-_POSITIVE = {"n", "q", "trials", "realizations", "cycles", "pocs_cycles",
-             "max_iters", "max_attempts", "rho", "rho_min", "rho_max", "epsilon", "step_size",
-             "fiedler_cut", "debug_step_scale"}
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -158,24 +160,13 @@ def _validate_ranges(command: str, cfg: dict) -> None:
             continue
         if SCHEMAS[command][key][0] is float and not math.isfinite(value):
             raise ConfigError(f"{key} must be finite, got {value}")
-        if key in _POSITIVE and value <= 0:
-            raise ConfigError(f"{key} must be positive, got {value}")
-    if cfg["seed"] < 0:
-        raise ConfigError(f"seed must be nonnegative, got {cfg['seed']}")
-    if cfg.get("n") is not None and cfg["n"] < 2:
-        raise ConfigError(f"n must be at least 2, got {cfg['n']}")
-    if cfg.get("threshold") is not None and cfg["threshold"] < 0:
-        raise ConfigError(f"threshold must be nonnegative, got {cfg['threshold']}")
-    if command == "sweep" and not cfg["rho_min"] < cfg["rho_max"]:
-        raise ConfigError(f"need rho_min < rho_max, got [{cfg['rho_min']}, {cfg['rho_max']}]")
-    suite = cfg.get("suite")
-    if suite is not None and suite not in SUITES:
-        raise ConfigError(f"unknown suite {suite!r}; available: {', '.join(sorted(SUITES))}")
+    if cfg.get("fiedler_cut") is not None and not cfg["fiedler_cut"] > 0:
+        raise ConfigError(f"fiedler_cut must be positive, got {cfg['fiedler_cut']}")
 
 
 def cmd_validate(cfg: dict) -> int:
     suites = [cfg["suite"]] if cfg["suite"] else None
-    results = run_checks(suites=suites, seed=cfg["seed"], step_scale=cfg["debug_step_scale"])
+    results = run_checks(suites=suites, seed=cfg["seed"])
     failures = 0
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -231,7 +222,7 @@ def cmd_pocs(cfg: dict) -> int:
     from .engine import pocs_run
     from .experiments import make_localization_instance
 
-    trials, cycles = cfg["trials"], cfg["cycles"]
+    trials, cycles = _count(cfg["trials"], "trials"), _count(cfg["cycles"], "cycles")
     seeds = range(cfg["seed"], cfg["seed"] + trials)
     # every trial's balls in one stack; each instance is dropped once stacked
     stack = BallStack(make_localization_instance(cfg["n"], cfg["q"], cfg["rho"], cfg["epsilon"],
@@ -289,7 +280,7 @@ def main(argv=None) -> int:
     try:
         cfg = resolve_config(args.command, args)
         return handlers[args.command](cfg)
-    except ConfigError as exc:
+    except ValueError as exc:  # a rejected input, ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InvariantError as exc:

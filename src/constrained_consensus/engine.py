@@ -538,8 +538,8 @@ def pocs_run(inst: GameInstance | BallStack, x0, cycles: int) -> tuple[np.ndarra
             for project in projections:
                 x = project(x)
             return x
-    # x is checked once here, so the cycles skip the per-call checks of
-    # BallStack.project_cycle and ConvexSet.project
+    # x is checked once here, so the cycles (BallStack._cycle or the sets'
+    # _project) skip the per-call checks of ConvexSet.project
     _check_domain(x, "starting point coordinates")
     # (cycles,) or (cycles, B) displacements, returned member-major
     displacements = np.empty((cycles,) + x.shape[:-1])

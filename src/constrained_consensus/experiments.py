@@ -31,7 +31,7 @@ from .game import GameInstance, default_step_size
 from .graphs import GeometricLayout, Graph, fiedler_values, graph_from_positions, is_connected
 from .graphs import fiedler_value  # noqa: F401  (perfbench/harness.py wraps experiments.fiedler_value)
 from .seeding import rng_for
-from .sets import Ball, BallStack
+from .sets import Ball, BallStack, _check_domain
 from .tolerances import DEFAULT
 
 
@@ -77,15 +77,16 @@ def make_localization_instance(n: int, q: int, rho: float, epsilon: float, seed:
         f"no connected topology for n={n}, q={q}, rho={rho} after {max_attempts} attempts")
 
 
-def _check_scenario(n: int, q: int, rho: float, epsilon: float) -> tuple[int, int]:
-    """Check the scenario's parameters and return n and q as ints."""
+def _check_scenario(n: int, q: int, rho: float, epsilon: float, rho_name="rho") -> tuple[int, int]:
+    """Check the scenario's parameters (the range as ``rho_name``); return n and q as ints."""
     n, q = _count(n, "n"), _count(q, "q")
     if n < 2:
         raise ValueError(f"need at least 2 nodes, got {n}")
     if not rho > 0:
-        raise ValueError(f"communication range must be positive, got {rho}")
+        raise ValueError(f"{rho_name} must be positive, got {rho}")
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
+    _check_domain(epsilon, "epsilon")
     return n, q
 
 
@@ -144,6 +145,7 @@ def validation_study(n: int, q: int, rho: float, epsilon: float, trials: int,
     cycles of projections from the origin.
     """
     trials = _count(trials, "trials")
+    pocs_cycles = _count(pocs_cycles, "pocs_cycles")
     seeds, dgtc_traces, dgpc_traces, member_sets = [], [], [], []
     for trial in range(trials):
         seed = base_seed + trial
@@ -166,9 +168,12 @@ def _run_pair(loc: LocalizationInstance, max_iters: int | None, threshold: float
     """Both distributed algorithms on one scenario, each started from the
     layout anchors; the gradient step defaults to ``default_step_size``."""
     inst = loc.game_instance
-    tr_dgtc = run(initial_state(inst, loc.layout), "dgtc", max_iters, threshold)
     s = step_size if step_size is not None else default_step_size(inst)
-    tr_dgpc = run(initial_state(inst, loc.layout, step_size=s), "dgpc", max_iters, threshold)
+    # both starts first, so a bad step fails before either run
+    dgtc_start = initial_state(inst, loc.layout)
+    dgpc_start = initial_state(inst, loc.layout, step_size=s)
+    tr_dgtc = run(dgtc_start, "dgtc", max_iters, threshold)
+    tr_dgpc = run(dgpc_start, "dgpc", max_iters, threshold)
     return tr_dgtc, tr_dgpc
 
 
@@ -202,7 +207,7 @@ def rate_sweep(n: int, q: int, rho_min: float, rho_max: float, realizations: int
     if not rho_min < rho_max:
         raise ValueError(f"need rho_min < rho_max, got [{rho_min}, {rho_max}]")
     realizations = _count(realizations, "realizations")
-    n, q = _check_scenario(n, q, rho_min, epsilon)
+    n, q = _check_scenario(n, q, rho_min, epsilon, "rho_min")
     cap = 200 * realizations + 100 if max_attempts is None else _count(max_attempts, "max_attempts")
     kept: list[tuple] = []  # (graph, seed, rho, iters_dgtc, conv_dgtc, iters_dgpc, conv_dgpc)
     attempt = 0

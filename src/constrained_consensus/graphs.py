@@ -28,7 +28,7 @@ from itertools import chain
 
 import numpy as np
 
-from .sets import _row_squares
+from .sets import _check_domain, _row_squares
 from .tolerances import DEFAULT
 
 
@@ -50,13 +50,8 @@ class Graph:
     csr: tuple[np.ndarray, np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
-        try:
-            n = operator.index(self.n)
-        except TypeError:
-            raise ValueError(f"node count must be an integer, got {self.n!r}") from None
         nbrs = tuple(map(tuple, self.neighbors))
-        if n < 1 or len(nbrs) != n:
-            raise ValueError(f"need one neighbor list per node, got {len(nbrs)} for n={n}")
+        n = _node_count(self.n, len(nbrs))
         try:
             # every id through operator.index first: fromiter alone would
             # truncate a float id; an int comes back as the same object
@@ -88,6 +83,7 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
+        n = _node_count(n)
         nbrs: list[set[int]] = [set() for _ in range(n)]
         for i, k in edges:
             try:
@@ -97,8 +93,6 @@ class Graph:
                                  f"node id") from None
             if not (0 <= i < n and 0 <= k < n):
                 raise ValueError(f"edge ({i}, {k}) has an endpoint out of range [0, {n})")
-            if i == k:
-                raise ValueError(f"self-loop at node {i}")
             nbrs[i].add(k)
             nbrs[k].add(i)
         return cls(n, tuple(tuple(sorted(s)) for s in nbrs))
@@ -118,6 +112,20 @@ class Graph:
     @property
     def edge_count(self) -> int:
         return self.csr[1].size // 2
+
+
+def _node_count(n, lists: int | None = None) -> int:
+    """``n`` as an int, or a ``ValueError``: an integer node count, at least
+    1, and equal to ``lists``, the count of neighbor lists, if given."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValueError(f"node count must be an integer, got {n!r}") from None
+    if lists is not None and (n < 1 or lists != n):
+        raise ValueError(f"need one neighbor list per node, got {lists} for n={n}")
+    if n < 1:
+        raise ValueError(f"node count must be positive, got {n}")
+    return n
 
 
 def _first_fault(n: int, nbrs: tuple[tuple, ...]) -> str:
@@ -227,15 +235,15 @@ def jacobi_eigenvalues(matrix: np.ndarray) -> np.ndarray:
 
     ``matrix`` is one (n, n) matrix, giving n eigenvalues, or a (B, n, n)
     stack, giving (B, n); a member's eigenvalues have the same bits either
-    way.  Each matrix is swept over its upper triangle until its
-    off-diagonal Frobenius norm drops to ``DEFAULT.jacobi_offdiag`` (or 100
-    sweeps are done).  Deterministic, O(n^3) per sweep.
+    way.  Each matrix A, its entries in the magnitude domain of ``sets``,
+    is swept over its upper triangle until its off-diagonal Frobenius norm
+    drops to ``DEFAULT.jacobi_offdiag`` * min(1, ||A||_F) (or 100 sweeps
+    are done).  Deterministic, scale-invariant, O(n^3) per sweep.
     """
     a = np.array(matrix, dtype=float)
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected an (n, n) matrix or a (B, n, n) stack, got shape {a.shape}")
-    if not np.logical_and.reduce(np.isfinite(a), axis=None):
-        raise ValueError("matrix entries must be finite")
+    _check_domain(a, "matrix entries")
     if not np.array_equal(a, a.swapaxes(-1, -2)):
         raise ValueError("matrix must be symmetric")
     if a.ndim == 2:
@@ -258,30 +266,31 @@ def _jacobi_stack(a: np.ndarray) -> np.ndarray:
     if n < 2 or not members:
         out[:] = a.diagonal(axis1=1, axis2=2)
         return out
-    # rotating every |a_pq| above tol/n leaves the off-diagonal norm below tol
-    tol = DEFAULT.jacobi_offdiag
-    rotate_above = tol / n
+    # each member's stop, relative to its norm if below 1; rotating every
+    # |a_pq| above tol/n leaves the off-diagonal norm below tol
+    tol = DEFAULT.jacobi_offdiag * np.minimum(1.0, np.linalg.norm(a, axis=(1, 2)))
     live = np.arange(members)  # the row of out that each stacked member fills
     for _ in range(100):
-        going = np.array([not _offdiag_norm(m) <= tol for m in a], dtype=bool)
+        going = np.array([not _offdiag_norm(m) <= t for m, t in zip(a, tol.tolist())], dtype=bool)
         if not going.all():
             out[live[~going]] = np.sort(a[~going].diagonal(axis1=1, axis2=2), axis=1)
-            a, live = a[going], live[going]
+            a, live, tol = a[going], live[going], tol[going]
             if not live.size:
                 return out
-        _sweep(a, rotate_above)
+        _sweep(a, (tol / n).tolist())
     out[live] = np.sort(a.diagonal(axis1=1, axis2=2), axis=1)
     return out
 
 
-def _sweep(a: np.ndarray, rotate_above: float) -> None:
-    """One cyclic sweep over the upper triangle of every member of a, in place."""
+def _sweep(a: np.ndarray, rotate_above: list[float]) -> None:
+    """One cyclic sweep over the upper triangle of every member of a, in
+    place; member m rotates each |a_pq| above ``rotate_above[m]``."""
     members, n = a.shape[:2]
     diagonal = a.diagonal(axis1=1, axis2=2)
     for p in range(n - 1):
         for q in range(p + 1, n):
             apq = a[:, p, q].tolist()
-            who = [m for m, v in enumerate(apq) if not abs(v) <= rotate_above]
+            who = [m for m, v in enumerate(apq) if not abs(v) <= rotate_above[m]]
             if not who:
                 continue
             app, aqq = diagonal[:, p].tolist(), diagonal[:, q].tolist()

@@ -9,4 +9,7 @@ import numpy as np
 
 
 def rng_for(*key: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(tuple(int(k) for k in key)))
+    key = tuple(int(k) for k in key)
+    if min(key, default=0) < 0:
+        raise ValueError(f"seed must be nonnegative, got {min(key)}")
+    return np.random.default_rng(np.random.SeedSequence(key))

@@ -9,7 +9,6 @@ instead of raising, so the CLI can report every failure by name.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,7 +101,7 @@ def random_feasible_profile(inst: game.GameInstance, rng: np.random.Generator) -
 # ---------------------------------------------------------------------------
 # convex-set checks
 
-def check_projection_idempotent(rng, **_):
+def check_projection_idempotent(rng):
     worst = 0.0
     for _ in range(300):
         q = int(rng.integers(1, 5))
@@ -114,7 +113,7 @@ def check_projection_idempotent(rng, **_):
     return worst <= DEFAULT.idempotence, f"max per-coordinate drift {worst:.2e}"
 
 
-def check_projection_nonexpansive(rng, **_):
+def check_projection_nonexpansive(rng):
     worst = -np.inf
     for _ in range(300):
         q = int(rng.integers(1, 5))
@@ -125,7 +124,7 @@ def check_projection_nonexpansive(rng, **_):
     return worst <= DEFAULT.nonexpansive, f"max expansion {worst:.2e}"
 
 
-def check_projection_membership(rng, **_):
+def check_projection_membership(rng):
     worst = 0.0
     for _ in range(300):
         q = int(rng.integers(1, 5))
@@ -134,7 +133,7 @@ def check_projection_membership(rng, **_):
     return worst <= DEFAULT.membership, f"max residual distance {worst:.2e}"
 
 
-def check_projection_variational(rng, **_):
+def check_projection_variational(rng):
     """(x - Px) . (y - Px) <= 0 for every y in the set."""
     worst = -np.inf
     for _ in range(300):
@@ -150,7 +149,7 @@ def check_projection_variational(rng, **_):
 # ---------------------------------------------------------------------------
 # graph checks
 
-def check_laplacian_row_sums(rng, **_):
+def check_laplacian_row_sums(rng):
     for _ in range(50):
         g = random_connected_graph(rng, int(rng.integers(2, 15)))
         if np.any(graphs.laplacian(g).sum(axis=1) != 0.0):
@@ -158,7 +157,7 @@ def check_laplacian_row_sums(rng, **_):
     return True, "row sums exactly zero on 50 graphs"
 
 
-def check_fiedler_connectivity(rng, **_):
+def check_fiedler_connectivity(rng):
     """fiedler > 0 iff connected, over random graphs with n <= 20."""
     for _ in range(60):
         n = int(rng.integers(2, 21))
@@ -171,7 +170,7 @@ def check_fiedler_connectivity(rng, **_):
     return True, "matches BFS connectivity on 60 graphs"
 
 
-def check_fiedler_lockstep(rng, **_):
+def check_fiedler_lockstep(rng):
     """fiedler_values over a batch equals fiedler_value one graph at a time,
     bit for bit, on random equal-n batches of mixed density."""
     for _ in range(4):
@@ -199,7 +198,7 @@ def _charpoly_eigenvalues(a: np.ndarray) -> np.ndarray:
     return np.sort(np.roots(coeffs).real)
 
 
-def check_jacobi_charpoly(rng, **_):
+def check_jacobi_charpoly(rng):
     worst = 0.0
     for _ in range(100):
         n = int(rng.integers(2, 5))
@@ -211,7 +210,7 @@ def check_jacobi_charpoly(rng, **_):
     return worst <= 1e-8, f"max eigenvalue deviation {worst:.2e}"
 
 
-def check_rgg_reproducible(rng, **_):
+def check_rgg_reproducible(rng):
     seed = int(rng.integers(2**31))
     a, b = (experiments.make_localization_instance(30, 2, 0.3, 0.01, seed) for _ in range(2))
     if a.graph.neighbors != b.graph.neighbors or not np.array_equal(a.layout.positions, b.layout.positions):
@@ -231,7 +230,7 @@ def _rel_close(a: float, b: float, tol: float) -> bool:
     return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
 
 
-def check_exact_potential(rng, **_):
+def check_exact_potential(rng):
     """Single-node deviations move the potential by the deviator's utility change."""
     for _ in range(1000):
         inst, _ = random_feasible_instance(rng)
@@ -246,7 +245,7 @@ def check_exact_potential(rng, **_):
     return True, "1000 single-node deviations"
 
 
-def check_independent_set_decomposition(rng, **_):
+def check_independent_set_decomposition(rng):
     """Simultaneous deviations of pairwise non-adjacent nodes add up."""
     for _ in range(200):
         inst, _ = random_feasible_instance(rng)
@@ -266,7 +265,7 @@ def check_independent_set_decomposition(rng, **_):
     return True, "200 independent-set deviations"
 
 
-def check_gradient_block_identity(rng, **_):
+def check_gradient_block_identity(rng):
     for _ in range(100):
         inst, _ = random_feasible_instance(rng)
         p = random_feasible_profile(inst, rng)
@@ -278,7 +277,7 @@ def check_gradient_block_identity(rng, **_):
     return True, "blocks equal -utility gradient exactly"
 
 
-def check_gradient_finite_difference(rng, **_):
+def check_gradient_finite_difference(rng):
     h = 1e-6
     for _ in range(100):
         inst, _ = random_feasible_instance(rng)
@@ -298,7 +297,7 @@ def check_gradient_finite_difference(rng, **_):
     return True, "100 random profiles vs central differences"
 
 
-def check_best_response_optimality(rng, **_):
+def check_best_response_optimality(rng):
     worst = -np.inf
     for _ in range(20):
         inst, _ = random_feasible_instance(rng)
@@ -315,7 +314,7 @@ def check_best_response_optimality(rng, **_):
     return worst <= DEFAULT.optimality, f"max utility shortfall {worst:.2e} over 1000 candidates"
 
 
-def check_lipschitz_inequality(rng, **_):
+def check_lipschitz_inequality(rng):
     worst = -np.inf
     for _ in range(20):
         inst, _ = random_feasible_instance(rng)
@@ -329,7 +328,7 @@ def check_lipschitz_inequality(rng, **_):
     return worst <= DEFAULT.lipschitz, f"max violation {worst:.2e} over 1000 pairs"
 
 
-def check_potential_concavity(rng, **_):
+def check_potential_concavity(rng):
     for _ in range(300):
         inst, _ = random_feasible_instance(rng)
         x = random_feasible_profile(inst, rng)
@@ -345,7 +344,7 @@ def check_potential_concavity(rng, **_):
 # ---------------------------------------------------------------------------
 # engine checks
 
-def check_dgtc_structure(rng, **_):
+def check_dgtc_structure(rng):
     """Winner independence, potential monotonicity and feasibility per round.
 
     The engine asserts these internally (raising InvariantError); the trace
@@ -369,16 +368,14 @@ def check_dgtc_structure(rng, **_):
     return True, "25 best-response runs"
 
 
-def check_dgpc_matches_centralized(rng, step_scale: float = 1.0, **_):
+def check_dgpc_matches_centralized(rng):
     """Per-node rounds equal the stacked projected-gradient update."""
     for _ in range(50):
         inst, _ = random_feasible_instance(rng)
         p = random_feasible_profile(inst, rng)
-        s = step_scale * game.default_step_size(inst)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", engine.StepSizeWarning)
-            state = engine.EngineState(inst, p, step_size=s)
-            dist = engine.dgpc_round(state).profile
+        s = game.default_step_size(inst)
+        state = engine.EngineState(inst, p, step_size=s)
+        dist = engine.dgpc_round(state).profile
         stacked = p.ravel() - s * game.cost_gradient(inst, p)
         central = np.array([cs.project(row) for cs, row in
                             zip(inst.sets, stacked.reshape(p.shape))])
@@ -387,26 +384,24 @@ def check_dgpc_matches_centralized(rng, step_scale: float = 1.0, **_):
     return True, "50 random rounds, per-coordinate 1e-12"
 
 
-def check_dgpc_cost_descent(rng, step_scale: float = 1.0, **_):
+def check_dgpc_cost_descent(rng):
     """Observed: the consensus cost does not increase along admissible-step
     runs.  Not guaranteed once the step exceeds its sufficient bound."""
     for _ in range(25):
         inst, _ = random_feasible_instance(rng)
-        s = step_scale * game.default_step_size(inst)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", engine.StepSizeWarning)
-            state = engine.EngineState(inst, engine.initialize(inst), step_size=s)
-            prev = -game.potential(inst, state.profile)
-            for _ in range(60):
-                state = engine.dgpc_round(state)
-                cost = -game.potential(inst, state.profile)
-                if cost > prev + DEFAULT.monotonicity:
-                    return False, f"cost rose {prev!r} -> {cost!r} (step {s:.3g})"
-                prev = cost
+        s = game.default_step_size(inst)
+        state = engine.EngineState(inst, engine.initialize(inst), step_size=s)
+        prev = -game.potential(inst, state.profile)
+        for _ in range(60):
+            state = engine.dgpc_round(state)
+            cost = -game.potential(inst, state.profile)
+            if cost > prev + DEFAULT.monotonicity:
+                return False, f"cost rose {prev!r} -> {cost!r} (step {s:.3g})"
+            prev = cost
     return True, "25 runs x 60 rounds"
 
 
-def check_fixed_point_consensus(rng, **_):
+def check_fixed_point_consensus(rng):
     """Rounds whose largest update metric is tiny are near-consensus states."""
     seen = 0
     for _ in range(25):
@@ -422,7 +417,7 @@ def check_fixed_point_consensus(rng, **_):
     return True, f"{seen} tiny-update rounds, all near consensus"
 
 
-def check_near_consensus_feasibility(rng, **_):
+def check_near_consensus_feasibility(rng):
     """The mean point is within the consensus metric of every node's set."""
     for _ in range(25):
         inst, _ = random_feasible_instance(rng)
@@ -436,7 +431,7 @@ def check_near_consensus_feasibility(rng, **_):
     return True, "25 converged runs"
 
 
-def check_pocs_displacement(rng, **_):
+def check_pocs_displacement(rng):
     """Cycle displacements never increase and vanish on feasible instances."""
     for _ in range(50):
         inst, common = random_feasible_instance(rng)
@@ -486,7 +481,7 @@ SUITES: dict[str, dict] = {
 }
 
 
-def run_checks(suites=None, seed: int = 0, step_scale: float = 1.0) -> list[CheckResult]:
+def run_checks(suites=None, seed: int = 0) -> list[CheckResult]:
     """Run the selected suites (all by default) and collect results."""
     if suites is None:
         suites = list(SUITES)
@@ -498,7 +493,7 @@ def run_checks(suites=None, seed: int = 0, step_scale: float = 1.0) -> list[Chec
         for name, fn in SUITES[suite].items():
             rng = rng_for(seed, _stable_key(suite), _stable_key(name))
             try:
-                passed, detail = fn(rng, step_scale=step_scale)
+                passed, detail = fn(rng)
             except engine.InvariantError as exc:
                 passed, detail = False, f"invariant violated: {exc}"
             results.append(CheckResult(suite, name, bool(passed), detail))

@@ -335,15 +335,11 @@ class BallStack:
     def q(self) -> int:
         return self.centers.shape[2]
 
-    def project_cycle(self, x: np.ndarray) -> np.ndarray:
-        """Member b's point x[b] projected onto its balls in ascending node
-        order, all members in lockstep, with ``Ball._project``'s bits."""
-        _check_domain(x, "point coordinates")
-        return self._cycle(x)
-
     def _cycle(self, x: np.ndarray) -> np.ndarray:
-        """``project_cycle`` unchecked: a cycle's result, up to |center| +
-        radius from the origin, may be past ``_LIMIT`` and is cycled again."""
+        """Member b's point x[b] projected onto its balls in ascending node
+        order, all members in lockstep, with ``Ball._project``'s bits.
+        Unchecked: a cycle's result, up to |center| + radius from the
+        origin, may be past ``_LIMIT`` and is cycled again."""
         xt = x.T
         for c, r in self._slabs:
             xt = _project_rows(xt, c, r, _dot_squares)

@@ -33,7 +33,7 @@ class Tolerances:
     consensus_at_fixed_point: float = 1e-6
     # default stopping threshold on the consensus metric
     convergence_threshold: float = 1e-5
-    # off-diagonal Frobenius tolerance of the Jacobi eigensolver
+    # off-diagonal Frobenius tolerance of the Jacobi eigensolver, times min(1, ||A||_F)
     jacobi_offdiag: float = 1e-12
     # eigenvalue level separating "connected" from "disconnected"
     connectivity: float = 1e-9

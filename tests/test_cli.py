@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from constrained_consensus import experiments, game
 from constrained_consensus.cli import (
     EXIT_GENERATION,
     EXIT_INVARIANT,
@@ -42,10 +43,13 @@ def test_validate_unknown_suite_is_usage_error(capsys):
     assert "unknown suite" in capsys.readouterr().err
 
 
-def test_validate_corrupted_step_fails(capsys):
+def test_validate_corrupted_step_fails(capsys, monkeypatch):
     # a 10x step-size corruption makes the observed gradient-descent
     # monotonicity check fail (convergence no longer guaranteed there)
-    code = main(["validate", "--suite", "engine", "--debug-step-scale", "10.0"])
+    step = game.default_step_size
+    monkeypatch.setattr(game, "default_step_size", lambda inst: 10.0 * step(inst))
+    with pytest.warns(StepSizeWarning):
+        code = main(["validate", "--suite", "engine"])
     out = capsys.readouterr().out
     assert code == EXIT_INVARIANT
     assert "FAIL engine.dgpc_cost_descent" in out
@@ -127,6 +131,42 @@ def test_usage_errors(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["run", "--not-a-flag", "1"])
     assert exc.value.code == EXIT_USAGE
+
+
+# small instances, so that a rule applied late still fails fast
+SMALL = {"validate": [], "run": ["--n", "10", "--rho", "0.5", "--trials", "2"],
+         "sweep": ["--n", "10", "--rho-min", "0.35", "--rho-max", "0.6", "--realizations", "2"],
+         "pocs": ["--n", "10", "--rho", "0.5", "--trials", "2"]}
+
+
+BAD_FLAGS = [
+    (["run", "--epsilon", "1e200"], "epsilon"),
+    (["sweep", "--epsilon", "1e200"], "epsilon"),
+    (["pocs", "--epsilon", "1e200"], "epsilon"),
+    (["run", "--pocs-cycles", "0"], "pocs_cycles"),
+    (["run", "--step-size", "-1"], "step size"),
+    (["pocs", "--trials", "0"], "trials"),
+    (["pocs", "--cycles", "0"], "cycles"),
+    (["validate", "--seed", "-1"], "seed"),
+    (["run", "--seed", "-1"], "seed"),
+    (["sweep", "--seed", "-1"], "seed"),
+    (["pocs", "--seed", "-1"], "seed"),
+]
+
+
+@pytest.mark.parametrize("argv, named", BAD_FLAGS, ids=[" ".join(argv) for argv, _ in BAD_FLAGS])
+def test_bad_flag_is_a_usage_error_before_any_run(argv, named, tmp_path, monkeypatch, capsys):
+    # the library rejects the parameter, by name, before a run starts, and
+    # the CLI reports it as a usage error, not as a traceback
+    calls = []
+    run = experiments.run
+    monkeypatch.setattr(experiments, "run", lambda *args: calls.append(args) or run(*args))
+    command = argv[0]
+    out = [] if command == "validate" else ["--out", str(tmp_path / "x.csv")]
+    assert main([command] + SMALL[command] + argv[1:] + out) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err, err
+    assert calls == []
 
 
 def test_invariant_failure_exit_code(tmp_path, capsys):

@@ -92,6 +92,17 @@ def test_count_arguments_must_be_positive_integers():
     assert loc.layout.positions.shape == (10, 2)
 
 
+@pytest.mark.parametrize("bad, message", [({"pocs_cycles": 0}, "pocs_cycles must be positive"),
+                                          ({"step_size": -1.0}, "step size must be positive")])
+def test_validation_study_rejects_its_parameters_before_any_run(monkeypatch, bad, message):
+    calls = []
+    run = experiments.run
+    monkeypatch.setattr(experiments, "run", lambda *args: calls.append(args) or run(*args))
+    with pytest.raises(ValueError, match=message):
+        validation_study(n=10, q=2, rho=0.5, epsilon=0.01, trials=2, **bad)
+    assert calls == []
+
+
 def test_one_graph_build_and_connectivity_test_per_attempt(monkeypatch):
     # perfbench counts attempts by wrapping these two names in experiments
     calls = {"graph_from_positions": 0, "is_connected": 0}

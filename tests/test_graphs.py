@@ -168,6 +168,20 @@ def test_jacobi_rejects_non_finite_entries():
         jacobi_eigenvalues(np.array([[np.nan, 1.0], [2.0, 0.0]]))
 
 
+def test_jacobi_is_scale_invariant(rng):
+    # the stop is relative to the matrix's norm below 1: at 1e-14 an
+    # absolute stop returned the diagonal (an error of about 1), and past
+    # the magnitude domain the rotations overflowed
+    b = rng.normal(size=(8, 8))
+    a = b + b.T
+    want = np.linalg.eigvalsh(a)
+    for scale in (1e-14, 1e-10, 1.0, 1e100, 1e140):
+        got = jacobi_eigenvalues(a * scale) / scale
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), scale
+    with pytest.raises(ValueError, match="matrix entries must be finite"):
+        jacobi_eigenvalues(a * 1e160)
+
+
 def test_jacobi_empty_matrices():
     assert jacobi_eigenvalues(np.zeros((0, 0))).shape == (0,)
     assert jacobi_eigenvalues(np.zeros((3, 0, 0))).shape == (3, 0)
@@ -427,6 +441,15 @@ def test_graph_ids_and_n_must_be_integers():
         assert g.n == 2 and type(g.n) is int
         assert g.neighbors == ((1,), (0,))
         assert all(type(ids) is tuple and all(type(k) is int for k in ids) for ids in g.neighbors)
+
+
+def test_from_edges_checks_the_node_count_before_the_edges():
+    # a float or a string escaped as a TypeError from range(n), and -1
+    # blamed the edge
+    for n, fault in ((2.5, "must be an integer, got 2.5"), ("3", "must be an integer, got '3'"),
+                     (-1, "must be positive, got -1"), (0, "must be positive, got 0")):
+        with pytest.raises(ValueError, match=rf"^node count {re.escape(fault)}$"):
+            Graph.from_edges(n, [(0, 1)])
 
 
 def test_graph_from_positions_needs_an_n_by_q_array():

@@ -1,5 +1,7 @@
 import pytest
 
+from constrained_consensus import game
+from constrained_consensus.engine import StepSizeWarning
 from constrained_consensus.graphs import is_connected
 from constrained_consensus.selfcheck import (
     SUITES,
@@ -23,8 +25,11 @@ def test_suite_filter_and_unknown_suite():
         run_checks(suites=["nope"])
 
 
-def test_corrupted_step_breaks_descent_check():
-    results = run_checks(suites=["engine"], seed=0, step_scale=10.0)
+def test_corrupted_step_breaks_descent_check(monkeypatch):
+    step = game.default_step_size
+    monkeypatch.setattr(game, "default_step_size", lambda inst: 10.0 * step(inst))
+    with pytest.warns(StepSizeWarning):
+        results = run_checks(suites=["engine"], seed=0)
     by_name = {r.name: r for r in results}
     assert not by_name["dgpc_cost_descent"].passed
 

@@ -242,7 +242,7 @@ def test_ball_projection_of_a_point_whose_difference_from_the_center_overflows()
     # no ball holds a center, radius or point whose difference can overflow
     for entry in (lambda: Ball((1e308, 0.0), 1.0), lambda: Ball((0.0, 0.0), 1.5e308),
                   lambda: Ball((0.0, 0.0), 1.0).project([-1e308, 0.0]),
-                  lambda: BallStack([[Ball((0.0, 0.0), 1.0)]]).project_cycle(np.array([[-1e308, 0.0]]))):
+                  lambda: pocs_run(BallStack([[Ball((0.0, 0.0), 1.0)]]), np.array([[-1e308, 0.0]]), 1)):
         with pytest.raises(ValueError, match=OUT_OF_DOMAIN):
             entry()
 
@@ -304,7 +304,6 @@ def _domain_entries():
         "max_set_distance": lambda v: max_set_distance(inst, profile(v)),
         "pocs_run.instance": lambda v: pocs_run(inst, (v, 0.0), 1),
         "pocs_run.BallStack": lambda v: pocs_run(stack, points(v), 1),
-        "BallStack.project_cycle": lambda v: stack.project_cycle(points(v)),
         "BallStack.max_distances": lambda v: stack.max_distances(points(v)),
     }
 
@@ -339,7 +338,6 @@ def test_values_at_the_domain_edge_stay_finite_and_exact():
         assert rows.project(np.array([x, -x])).tolist() == [ball.project(x).tolist(), (-x).tolist()]
         assert rows.distances(np.array([x, -x])) == pytest.approx([hypot - L, 0.0], rel=1e-15)
         stack = BallStack([[ball, Ball((-L, L), L)]])
-        assert np.isfinite(stack.project_cycle(x[None])).all()
         assert stack.max_distances(x[None]) == pytest.approx([hypot - L], rel=1e-15)
         end, disp = pocs_run(stack, x[None], 3)
         assert np.isfinite(end).all() and disp[0] == pytest.approx(math.hypot(*(end[0] - x)), rel=1e-15)

@@ -42,7 +42,6 @@ from .experiments import (
     validation_study,
     write_text,
 )
-from .selfcheck import run_checks
 from .sets import BallStack
 
 EXIT_OK = 0
@@ -165,6 +164,9 @@ def _validate_ranges(command: str, cfg: dict) -> None:
 
 
 def cmd_validate(cfg: dict) -> int:
+    # imported here: the other commands need no check suites
+    from .selfcheck import run_checks
+
     suites = [cfg["suite"]] if cfg["suite"] else None
     results = run_checks(suites=suites, seed=cfg["seed"])
     failures = 0
@@ -224,10 +226,11 @@ def cmd_pocs(cfg: dict) -> int:
 
     trials, cycles = _count(cfg["trials"], "trials"), _count(cfg["cycles"], "cycles")
     seeds = range(cfg["seed"], cfg["seed"] + trials)
-    # every trial's balls in one stack; each instance is dropped once stacked
-    stack = BallStack(make_localization_instance(cfg["n"], cfg["q"], cfg["rho"], cfg["epsilon"],
-                                                 seed, cfg["max_attempts"]).sets
-                      for seed in seeds)
+    # every trial's balls in one stack, from each instance's center and
+    # radius arrays; each instance is dropped once stacked
+    instances = (make_localization_instance(cfg["n"], cfg["q"], cfg["rho"], cfg["epsilon"],
+                                            seed, cfg["max_attempts"]) for seed in seeds)
+    stack = BallStack.from_arrays((loc.centers, loc.radii) for loc in instances)
     x = np.zeros((trials, cfg["q"]))
     # (trials, cycles): per-cycle displacement and largest set distance; one
     # pocs_run call per cycle, because the distance needs every cycle's point

@@ -231,9 +231,14 @@ def initial_state(inst: GameInstance, layout: GeometricLayout | None = None,
     return EngineState(inst, initialize(inst, layout), 0, step_size)
 
 
-def _check_step(inst: GameInstance, s: float, stacklevel: int) -> None:
+def _check_step_sign(s: float) -> None:
+    """The instance-free half of the step rule."""
     if not s > 0:
         raise ValueError(f"step size must be positive, got {s}")
+
+
+def _check_step(inst: GameInstance, s: float, stacklevel: int) -> None:
+    _check_step_sign(s)
     bound = max_step_size(inst)
     if s >= bound:
         warnings.warn(
@@ -352,9 +357,9 @@ def run(state: EngineState, algo: str, max_iters: int | None = None,
     """
     prof = _checked_profile(state, algo)
     inst = state.instance
-    max_iters = 100 * inst.n if max_iters is None else _count(max_iters, "max_iters")
-    if not threshold >= 0:
-        raise ValueError(f"threshold must be nonnegative, got {threshold}")
+    max_iters = _check_stop(max_iters, threshold)
+    if max_iters is None:
+        max_iters = 100 * inst.n
 
     best_response = algo == "dgtc"
     # one row per round; t is the row index and the rounds recorded
@@ -450,6 +455,15 @@ def _count(value, name: str) -> int:
     if value < 1:
         raise ValueError(f"{name} must be positive, got {value}")
     return value
+
+
+def _check_stop(max_iters: int | None, threshold: float) -> int | None:
+    """Check ``run``'s stop parameters; return ``max_iters`` as an int, or
+    None for the default."""
+    max_iters = None if max_iters is None else _count(max_iters, "max_iters")
+    if not threshold >= 0:
+        raise ValueError(f"threshold must be nonnegative, got {threshold}")
+    return max_iters
 
 
 def _block_length(inst: GameInstance) -> int:

@@ -26,12 +26,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .engine import Trace, _count, float_text, initial_state, pocs_run, run
+from .engine import (Trace, _check_step_sign, _check_stop, _count, float_text, initial_state,
+                     pocs_run, run)
 from .game import GameInstance, default_step_size
 from .graphs import GeometricLayout, Graph, fiedler_values, graph_from_positions, is_connected
 from .graphs import fiedler_value  # noqa: F401  (perfbench/harness.py wraps experiments.fiedler_value)
 from .seeding import rng_for
-from .sets import Ball, BallStack, _check_domain
+from .sets import Ball, BallStack, _check_domain, _check_radii
 from .tolerances import DEFAULT
 
 
@@ -41,23 +42,42 @@ class GenerationError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class LocalizationInstance:
-    """A connected localization scenario and its per-node constraint balls."""
+    """A connected localization scenario.  Node i's constraint ball has
+    center ``centers[i]``, the node's position, and radius ``radii[i]``;
+    the ``Ball`` objects are built only when ``sets`` is first read."""
 
     layout: GeometricLayout
     graph: Graph
     source: np.ndarray
-    sets: tuple[Ball, ...]
+    radii: np.ndarray
     seed: int
+
+    @property
+    def centers(self) -> np.ndarray:
+        return self.layout.positions
+
+    @cached_property
+    def sets(self) -> tuple[Ball, ...]:
+        return tuple(Ball(c, r) for c, r in zip(self.centers, self.radii.tolist()))
 
     @cached_property
     def game_instance(self) -> GameInstance:
         return GameInstance(self.graph, self.sets, self.layout.positions.shape[1])
 
 
+def localization_radii(positions: np.ndarray, source: np.ndarray, epsilon: float) -> np.ndarray:
+    """Each node's ball radius, its distance to the source plus epsilon, as
+    a checked read-only array."""
+    radii = np.linalg.norm(positions - source, axis=1) + epsilon
+    _check_radii(radii)
+    radii.flags.writeable = False
+    return radii
+
+
 def localization_sets(positions: np.ndarray, source: np.ndarray, epsilon: float) -> tuple[Ball, ...]:
     """One ball per node: center at the node, radius = source distance + epsilon."""
-    radii = (np.linalg.norm(positions - source, axis=1) + epsilon).tolist()
-    return tuple(Ball(c, r) for c, r in zip(positions, radii))
+    return tuple(Ball(c, r) for c, r in
+                 zip(positions, localization_radii(positions, source, epsilon).tolist()))
 
 
 def make_localization_instance(n: int, q: int, rho: float, epsilon: float, seed: int,
@@ -103,7 +123,7 @@ def _localization_from_rng(rng: np.random.Generator, n: int, q: int, rho: float,
         layout=GeometricLayout(positions, rho),
         graph=graph,
         source=source,
-        sets=localization_sets(positions, source, epsilon),
+        radii=localization_radii(positions, source, epsilon),
         seed=seed,
     )
 
@@ -146,7 +166,10 @@ def validation_study(n: int, q: int, rho: float, epsilon: float, trials: int,
     """
     trials = _count(trials, "trials")
     pocs_cycles = _count(pocs_cycles, "pocs_cycles")
-    seeds, dgtc_traces, dgpc_traces, member_sets = [], [], [], []
+    _check_stop(max_iters, threshold)
+    if step_size is not None:
+        _check_step_sign(step_size)
+    seeds, dgtc_traces, dgpc_traces, member_balls = [], [], [], []
     for trial in range(trials):
         seed = base_seed + trial
         loc = make_localization_instance(n, q, rho, epsilon, seed, max_attempts)
@@ -154,9 +177,9 @@ def validation_study(n: int, q: int, rho: float, epsilon: float, trials: int,
         tr_dgtc, tr_dgpc = _run_pair(loc, max_iters, threshold, step_size)
         dgtc_traces.append(tr_dgtc)
         dgpc_traces.append(tr_dgpc)
-        member_sets.append(loc.sets)
+        member_balls.append((loc.centers, loc.radii))
     # the baseline of every trial in one lockstep pass
-    stack = BallStack(member_sets)
+    stack = BallStack.from_arrays(member_balls)
     x, disp = pocs_run(stack, np.zeros((trials, q)), pocs_cycles)
     pocs_results = [PocsResult(disp[b * pocs_cycles:(b + 1) * pocs_cycles], dmax)
                     for b, dmax in enumerate(stack.max_distances(x).tolist())]
@@ -208,6 +231,7 @@ def rate_sweep(n: int, q: int, rho_min: float, rho_max: float, realizations: int
         raise ValueError(f"need rho_min < rho_max, got [{rho_min}, {rho_max}]")
     realizations = _count(realizations, "realizations")
     n, q = _check_scenario(n, q, rho_min, epsilon, "rho_min")
+    _check_stop(max_iters, threshold)
     cap = 200 * realizations + 100 if max_attempts is None else _count(max_attempts, "max_attempts")
     kept: list[tuple] = []  # (graph, seed, rho, iters_dgtc, conv_dgtc, iters_dgpc, conv_dgpc)
     attempt = 0

@@ -9,7 +9,9 @@ a.k.a. Fiedler value) is the network-density axis of the rate experiments.
 A ``Graph`` builds its CSR arrays once, at construction, and checks them
 there with a few array reductions; a per-entry loop runs only after a
 check has failed, to name the first fault.  ``graph_from_positions``
-splits one ``np.nonzero`` of the adjacency into the neighbor lists.
+hands the CSR split of one ``np.nonzero`` of the adjacency to
+``Graph.from_csr``, which runs the same checks and builds the neighbor
+tuples once.
 
 There is one eigensolver, over a stack of matrices: a single matrix is a
 stack of one.  Its members rotate in lockstep and each gets the bits it
@@ -42,7 +44,8 @@ class Graph:
     and kept read-only: ``indices[indptr[i]:indptr[i + 1]]`` are node i's
     sorted neighbors and ``rows[j]`` is the node that entry j belongs to,
     so ``(rows, indices)`` lists every directed edge once.  Every other
-    graph array derives from it.
+    graph array derives from it.  ``from_csr`` builds a graph from
+    ``indptr`` and ``indices`` with the same checks and messages.
     """
 
     n: int
@@ -52,34 +55,28 @@ class Graph:
     def __post_init__(self):
         nbrs = tuple(map(tuple, self.neighbors))
         n = _node_count(self.n, len(nbrs))
-        try:
-            # every id through operator.index first: fromiter alone would
-            # truncate a float id; an int comes back as the same object
-            flat = list(map(operator.index, chain.from_iterable(nbrs)))
-            indices = np.fromiter(flat, dtype=np.intp, count=len(flat))
-        except (TypeError, OverflowError):
-            raise ValueError(_first_fault(n, nbrs)) from None
         deg = np.fromiter(map(len, nbrs), dtype=np.intp, count=n)
-        indptr = np.concatenate(([0], np.cumsum(deg)))
-        rows = np.repeat(np.arange(n), deg)
-        # with every id in range, the keys rows * n + indices increase
-        # strictly iff each list is sorted and duplicate-free, and then the
-        # edge set is symmetric iff a binary search finds every transposed
-        # key among them (sorting the transposed keys would do too, but
-        # np.sort's first call raised a run's peak memory by about 0.3 MB)
-        key, transposed = rows * n + indices, indices * n + rows
-        if not (np.logical_and.reduce((indices >= 0) & (indices < n))
-                and np.logical_and.reduce(rows != indices)
-                and np.logical_and.reduce(key[1:] > key[:-1])
-                and np.array_equal(key.take(np.searchsorted(key, transposed), mode="clip"),
-                                   transposed)):
-            raise ValueError(_first_fault(n, nbrs))
-        ends = indptr.tolist()
-        for a in (indptr, indices, rows):
-            a.flags.writeable = False
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "neighbors", tuple(tuple(flat[a:b]) for a, b in zip(ends, ends[1:])))
-        object.__setattr__(self, "csr", (indptr, indices, rows))
+        _store_csr(self, n, np.concatenate(([0], np.cumsum(deg))), list(chain.from_iterable(nbrs)))
+
+    @classmethod
+    def from_csr(cls, n: int, indptr, indices) -> "Graph":
+        """The graph whose node i has the neighbors
+        ``indices[indptr[i]:indptr[i + 1]]``, checked as the neighbor lists
+        are, with the same messages; the arrays are copied."""
+        n = _node_count(n)
+        indptr, indices = np.asarray(indptr), np.asarray(indices)
+        if not (indptr.shape == (n + 1,) and indptr.dtype.kind in "iu" and indices.ndim == 1
+                and indptr[0] == 0 and indptr[-1] == indices.size
+                and np.logical_and.reduce(indptr[1:] >= indptr[:-1])):
+            raise ValueError(f"indptr must be n + 1 = {n + 1} nondecreasing integers from 0 "
+                             f"to len(indices) = {indices.size}")
+        if np.can_cast(indices.dtype, np.intp):
+            indices = indices.astype(np.intp)
+        else:  # through operator.index, as list ids go
+            indices = indices.tolist()
+        graph = cls.__new__(cls)
+        _store_csr(graph, n, indptr.astype(np.intp), indices)
+        return graph
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
@@ -112,6 +109,47 @@ class Graph:
     @property
     def edge_count(self) -> int:
         return self.csr[1].size // 2
+
+
+def _store_csr(graph: Graph, n: int, indptr: np.ndarray, ids) -> None:
+    """Check the CSR encoding of ``graph``, node count n, and store it and
+    the neighbor tuples in ``graph``.  ``indptr`` holds the n + 1 list ends,
+    and ``ids`` the ids in list order: an intp array, or anything else
+    whose entries ``operator.index`` takes."""
+    ends = indptr.tolist()
+
+    def fault() -> str:
+        flat = ids.tolist() if isinstance(ids, np.ndarray) else ids
+        return _first_fault(n, [flat[a:b] for a, b in zip(ends, ends[1:])])
+
+    if isinstance(ids, np.ndarray):
+        indices = ids
+    else:
+        try:
+            # every id through operator.index first: fromiter alone would
+            # truncate a float id
+            indices = np.fromiter(map(operator.index, ids), dtype=np.intp, count=len(ids))
+        except (TypeError, OverflowError):
+            raise ValueError(fault()) from None
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    # with every id in range, the keys rows * n + indices increase
+    # strictly iff each list is sorted and duplicate-free, and then the
+    # edge set is symmetric iff a binary search finds every transposed
+    # key among them (sorting the transposed keys would do too, but
+    # np.sort's first call raised a run's peak memory by about 0.3 MB)
+    key, transposed = rows * n + indices, indices * n + rows
+    if not (np.logical_and.reduce((indices >= 0) & (indices < n))
+            and np.logical_and.reduce(rows != indices)
+            and np.logical_and.reduce(key[1:] > key[:-1])
+            and np.array_equal(key.take(np.searchsorted(key, transposed), mode="clip"),
+                               transposed)):
+        raise ValueError(fault())
+    flat = indices.tolist()
+    for a in (indptr, indices, rows):
+        a.flags.writeable = False
+    object.__setattr__(graph, "n", n)
+    object.__setattr__(graph, "neighbors", tuple(tuple(flat[a:b]) for a, b in zip(ends, ends[1:])))
+    object.__setattr__(graph, "csr", (indptr, indices, rows))
 
 
 def _node_count(n, lists: int | None = None) -> int:
@@ -199,9 +237,8 @@ def graph_from_positions(positions: np.ndarray, rho: float) -> Graph:
         diff = cols[:, lo:lo + block, None] - cols[:, None, :]
         adj[lo:lo + block] = np.sqrt(_row_squares(diff)) <= rho
     np.fill_diagonal(adj, False)
-    ends = np.cumsum(np.count_nonzero(adj, axis=1)).tolist()
-    flat = np.nonzero(adj)[1].tolist()
-    return Graph(n, tuple(tuple(flat[a:b]) for a, b in zip([0] + ends, ends)))
+    indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(adj, axis=1))))
+    return Graph.from_csr(n, indptr, np.nonzero(adj)[1])
 
 
 def is_connected(g: Graph) -> bool:

@@ -487,7 +487,8 @@ def run_checks(suites=None, seed: int = 0) -> list[CheckResult]:
         suites = list(SUITES)
     unknown = [s for s in suites if s not in SUITES]
     if unknown:
-        raise ValueError(f"unknown suite(s) {unknown}; available: {sorted(SUITES)}")
+        raise ValueError(f"unknown suite {', '.join(map(repr, unknown))}; "
+                         f"available: {', '.join(sorted(SUITES))}")
     results = []
     for suite in suites:
         for name, fn in SUITES[suite].items():

@@ -51,6 +51,15 @@ def _check_domain(x, what: str) -> None:
         raise ValueError(f"{what} must be finite and at most 2**480 (about 3.1e144) in magnitude")
 
 
+def _check_radii(r) -> None:
+    """Raise ``ValueError`` unless every radius in ``r``, an array or a
+    float, is in the magnitude domain and nonnegative."""
+    _check_domain(r, "radius")
+    lowest = np.minimum.reduce(r, axis=None, initial=0.0)
+    if lowest < 0:
+        raise ValueError(f"radius must be nonnegative, got {lowest}")
+
+
 def _row_squares(v: np.ndarray) -> np.ndarray:
     """Sum of squares over axis 0 of the coordinate-first v, with the bits
     of ``np.add.reduce(w * w, axis=-1)`` over the rows w = v.T.
@@ -156,9 +165,7 @@ class Ball(ConvexSet):
     def __post_init__(self):
         object.__setattr__(self, "center", as_point(self.center))
         object.__setattr__(self, "radius", float(self.radius))
-        _check_domain(self.radius, "radius")
-        if self.radius < 0:
-            raise ValueError(f"radius must be nonnegative, got {self.radius}")
+        _check_radii(self.radius)
 
     @property
     def dim(self) -> int:
@@ -303,26 +310,46 @@ class BallStack:
     """The ball sets of B members with equal (n, q), stacked node-major.
 
     ``centers`` is (n, B, q) and ``radii`` (n, B), so node j's balls across
-    all members are one contiguous (B, q) slab.  Built from the members' set
-    sequences one at a time; only the two arrays are kept.
+    all members are one contiguous (B, q) slab.  Built from the members'
+    ball sequences, or by ``from_arrays`` from their center and radius
+    arrays, one member at a time; only the two stacked arrays are kept.
     """
 
     def __init__(self, members):
-        centers, radii = [], []
-        for sets in members:
+        def arrays(sets):
             sets = tuple(sets)
             if not all(isinstance(s, Ball) for s in sets):
                 raise ValueError("a BallStack holds balls only")
-            c = np.array([s.center for s in sets])
+            return [s.center for s in sets], [s.radius for s in sets]
+
+        self._stack(map(arrays, members))
+
+    @classmethod
+    def from_arrays(cls, members) -> "BallStack":
+        """The stack of ``members``, each a pair of (n, q) centers and (n,)
+        radii, checked as ``Ball`` checks its fields."""
+        stack = cls.__new__(cls)
+        stack._stack(members)
+        return stack
+
+    def _stack(self, members) -> None:
+        centers, radii = [], []
+        for c, r in members:
+            c, r = np.asarray(c, dtype=float), np.asarray(r, dtype=float)
+            if c.ndim != 2 or not c.size or r.shape != c.shape[:1]:
+                raise ValueError(f"member {len(centers)} needs (n, q) centers and (n,) radii with "
+                                 f"n, q >= 1, got shapes {c.shape} and {r.shape}")
             if centers and c.shape != centers[0].shape:
                 raise ValueError(f"member {len(centers)} has (n, q) = {c.shape}, "
                                  f"expected {centers[0].shape}")
             centers.append(c)
-            radii.append([s.radius for s in sets])
-        if not centers or not centers[0].size:
-            raise ValueError("a BallStack needs at least one member with at least one ball")
+            radii.append(r)
+        if not centers:
+            raise ValueError("a BallStack needs at least one member")
         self.centers = np.stack(centers, axis=1)
-        self.radii = np.array(radii).T.copy()
+        self.radii = np.stack(radii, axis=1)
+        _check_domain(self.centers, "point coordinates")
+        _check_radii(self.radii)
         # node j's slab as the kernels take it: its (q, B) centers and (B,) radii
         self._slabs = [(c.T, r) for c, r in zip(self.centers, self.radii)]
 

@@ -18,6 +18,7 @@ from constrained_consensus.cli import (
     parse_config_text,
 )
 from constrained_consensus.engine import StepSizeWarning
+from constrained_consensus.sets import Ball
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -41,6 +42,15 @@ def test_validate_suite_filter(capsys):
 def test_validate_unknown_suite_is_usage_error(capsys):
     assert main(["validate", "--suite", "nonsense"]) == EXIT_USAGE
     assert "unknown suite" in capsys.readouterr().err
+
+
+def test_importing_the_cli_leaves_the_check_suites_out():
+    # only validate runs the suites, so no other command compiles selfcheck
+    code = ("import sys; sys.path.insert(0, 'src'); import constrained_consensus.cli; "
+            "print('constrained_consensus.selfcheck' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, capture_output=True, text=True,
+                          timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
 
 def test_validate_corrupted_step_fails(capsys, monkeypatch):
@@ -91,6 +101,18 @@ def test_pocs_command(tmp_path, capsys):
     assert "max final distance" in capsys.readouterr().out
 
 
+def test_pocs_builds_no_ball(tmp_path, monkeypatch):
+    # the baseline stacks each instance's center and radius arrays
+    built = []
+    init = Ball.__post_init__
+    monkeypatch.setattr(Ball, "__post_init__", lambda ball: built.append(ball) or init(ball))
+    assert main(["pocs", "--n", "20", "--rho", "0.5", "--trials", "3", "--cycles", "4",
+                 "--out", str(tmp_path / "pocs.csv")]) == EXIT_OK
+    assert built == []
+    # the counter counts: an instance's sets are balls
+    assert len(experiments.make_localization_instance(20, 2, 0.5, 0.01, 0).sets) == len(built) == 20
+
+
 def test_generation_failure_exit_code(tmp_path, capsys):
     code = main(["run", "--n", "40", "--rho", "0.01", "--trials", "1",
                  "--max-attempts", "3", "--out", str(tmp_path / "x.csv")])
@@ -139,6 +161,11 @@ SMALL = {"validate": [], "run": ["--n", "10", "--rho", "0.5", "--trials", "2"],
          "pocs": ["--n", "10", "--rho", "0.5", "--trials", "2"]}
 
 
+# scenarios that draw no instance in their few attempts: a stop rule applied
+# only once an instance exists would read as a generation error
+NO_RUN_INSTANCE = ["--n", "40", "--rho", "0.01", "--trials", "1", "--max-attempts", "3"]
+NO_SWEEP_INSTANCE = ["--n", "40", "--rho-min", "0.01", "--rho-max", "0.02", "--realizations", "2"]
+
 BAD_FLAGS = [
     (["run", "--epsilon", "1e200"], "epsilon"),
     (["sweep", "--epsilon", "1e200"], "epsilon"),
@@ -151,6 +178,11 @@ BAD_FLAGS = [
     (["run", "--seed", "-1"], "seed"),
     (["sweep", "--seed", "-1"], "seed"),
     (["pocs", "--seed", "-1"], "seed"),
+    (["run", *NO_RUN_INSTANCE, "--threshold", "-1"], "threshold"),
+    (["run", *NO_RUN_INSTANCE, "--max-iters", "0"], "max_iters"),
+    (["run", *NO_RUN_INSTANCE, "--step-size", "-1"], "step size"),
+    (["sweep", *NO_SWEEP_INSTANCE, "--threshold", "-1"], "threshold"),
+    (["sweep", *NO_SWEEP_INSTANCE, "--max-iters", "0"], "max_iters"),
 ]
 
 

@@ -31,6 +31,22 @@ def test_localization_radius_rule():
     assert np.array_equal(balls[0].center, positions[0])
 
 
+def test_instance_sets_are_the_localization_balls_of_its_arrays():
+    # the balls are built from centers and radii when first read, to the bit
+    for seed in range(5):
+        loc = make_localization_instance(25, 2, 0.4, 0.01, seed=seed)
+        assert loc.centers is loc.layout.positions
+        assert not loc.centers.flags.writeable and not loc.radii.flags.writeable
+        want = localization_sets(loc.layout.positions, loc.source, 0.01)
+        assert loc.sets is loc.sets and len(loc.sets) == len(want) == 25
+        for got, ball in zip(loc.sets, want):
+            assert got.center.tolist() == ball.center.tolist()
+            assert got.radius == ball.radius
+        assert [b.radius for b in loc.sets] == loc.radii.tolist()
+    with pytest.raises(ValueError, match="radius must be nonnegative, got -1.0"):
+        localization_sets(np.zeros((2, 2)), np.zeros(2), -1.0)
+
+
 def test_instance_source_contained_exactly():
     loc = make_localization_instance(30, 2, 0.35, 0.01, seed=3)
     for ball in loc.sets:

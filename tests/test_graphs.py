@@ -498,3 +498,62 @@ def test_csr_agrees_with_neighbor_lists(rng):
         inst = GameInstance(g, tuple(Ball(np.zeros(q), 1.0) for _ in range(g.n)), q)
         assert np.array_equal(inst.adjacency, ref_adj)
         assert list(zip(*(ends.tolist() for ends in inst.edge_pairs))) == ref_edges
+
+
+def test_csr_entry_matches_the_neighbor_lists(rng):
+    # random geometric graphs, the production path, against the same lists
+    # through the tuple constructor: equal n, lists, CSR arrays and dtypes
+    for n, q, rho in ((1, 2, 0.3), (2, 1, 0.5), (30, 2, 0.25), (60, 3, 0.4), (200, 2, 0.1)):
+        g = graph_from_positions(rng.random((n, q)), rho)
+        h = Graph(n, g.neighbors)
+        assert (g.n, g.neighbors) == (h.n, h.neighbors)
+        assert all(type(ids) is tuple and all(type(k) is int for k in ids) for ids in g.neighbors)
+        for a, b in zip(g.csr, h.csr):
+            assert a.dtype == b.dtype == np.intp and a.tolist() == b.tolist()
+            assert not a.flags.writeable
+        indptr, indices, _ = h.csr
+        # the entry copies what it is given, in any integer dtype
+        mine = indices.astype(np.int32)
+        f = Graph.from_csr(np.int64(n), indptr.tolist(), mine)
+        assert f.neighbors == h.neighbors and mine.flags.writeable
+
+
+def test_corrupt_csr_raises_the_neighbor_list_messages(rng):
+    # the faults of test_graph_checks_match_reference_loop, as CSR arrays
+    faults = 0
+    for _ in range(300):
+        n = int(rng.integers(1, 9))
+        lists = [list(ids) for ids in rand_connected_graph(rng, n).neighbors] if n > 1 else [[]]
+        for _ in range(int(rng.integers(1, 3))):
+            ids = lists[int(rng.integers(n))]
+            kind = int(rng.integers(3))
+            if kind == 0 and ids:
+                ids.pop(int(rng.integers(len(ids))))
+            elif kind == 1:
+                ids.insert(int(rng.integers(len(ids) + 1)), int(rng.integers(-2, n + 2)))
+            elif kind == 2 and len(ids) > 1:
+                ids[0], ids[-1] = ids[-1], ids[0]
+        indptr = np.cumsum([0] + [len(ids) for ids in lists])
+        indices = np.array([k for ids in lists for k in ids], dtype=np.intp)
+        want = reference_fault(n, lists)
+        if want is None:
+            assert Graph.from_csr(n, indptr, indices).neighbors == tuple(map(tuple, lists))
+            continue
+        faults += 1
+        for make in (lambda: Graph(n, lists), lambda: Graph.from_csr(n, indptr, indices)):
+            with pytest.raises(ValueError) as err:
+                make()
+            assert str(err.value) == want
+    assert faults > 100
+    # ids that are not integers, and node counts, get the tuple path's messages
+    with pytest.raises(ValueError, match=r"^neighbor list of node 0 holds 1.0, which is not an"):
+        Graph.from_csr(2, [0, 1, 2], np.array([1.0, 0.0]))
+    with pytest.raises(ValueError, match=r"^node id \d+ out of range \[0, 2\)$"):
+        Graph.from_csr(2, [0, 1, 2], np.array([2 ** 64 - 1, 0], dtype=np.uint64))
+    for n, fault in ((2.5, "must be an integer, got 2.5"), (0, "must be positive, got 0")):
+        with pytest.raises(ValueError, match=rf"^node count {re.escape(fault)}$"):
+            Graph.from_csr(n, [0], [])
+    for indptr in ([0, 1], [0, 1, 1, 2], [1, 1, 2], [0, 2, 1], [0, 1, 3], [0.0, 1.0, 2.0],
+                   [[0, 1, 2]]):
+        with pytest.raises(ValueError, match=r"^indptr must be n \+ 1 = 3 nondecreasing integers"):
+            Graph.from_csr(2, indptr, [1, 0])

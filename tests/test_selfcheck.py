@@ -21,8 +21,9 @@ def test_all_checks_pass_at_default_seed():
 def test_suite_filter_and_unknown_suite():
     results = run_checks(suites=["graph"], seed=1)
     assert {r.suite for r in results} == {"graph"}
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as err:
         run_checks(suites=["nope"])
+    assert str(err.value) == "unknown suite 'nope'; available: engine, graph, potential, sets"
 
 
 def test_corrupted_step_breaks_descent_check(monkeypatch):

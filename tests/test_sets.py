@@ -432,6 +432,47 @@ def test_ball_stack_layout_and_rejections():
         BallStack([])
 
 
+def test_ball_stack_from_arrays_matches_the_ball_built_stack(rng):
+    # compared with ==: the array entry stores the same stack, so cycles and
+    # distances keep their bits
+    for q in (1, 2, 3):
+        x = rng.uniform(-3, 3, q)
+        balls = _balls_around(rng, x, 6)
+        members = [balls, balls[::-1], balls[3:] + balls[:3]]
+        arrays = [(np.array([b.center for b in m]), [b.radius for b in m]) for m in members]
+        stacks = BallStack(members), BallStack.from_arrays(iter(arrays))
+        points = rng.uniform(-3, 3, (3, q))
+        for got, want in zip(*((s.centers, s.radii, s._cycle(points), s.max_distances(points))
+                               for s in stacks)):
+            assert got.tolist() == want.tolist()
+        assert pocs_run(stacks[0], points, 3)[1] == pocs_run(stacks[1], points, 3)[1]
+
+
+def test_ball_stack_from_arrays_rejections():
+    centers, radii = np.zeros((2, 2)), np.ones(2)
+    with pytest.raises(ValueError, match=r"member 1 has \(n, q\) = \(1, 2\), expected \(2, 2\)"):
+        BallStack.from_arrays([(centers, radii), (centers[:1], radii[:1])])
+    with pytest.raises(ValueError, match=r"member 1 has \(n, q\) = \(2, 3\)"):
+        BallStack.from_arrays([(centers, radii), (np.zeros((2, 3)), radii)])
+    with pytest.raises(ValueError, match="at least one member"):
+        BallStack.from_arrays([])
+    for c, r in ((np.zeros((0, 2)), np.ones(0)), (np.zeros((2, 0)), radii), (np.zeros(2), radii),
+                 (centers, np.ones(3)), (centers, 1.0)):
+        with pytest.raises(ValueError, match=r"member 0 needs \(n, q\) centers and \(n,\) radii"):
+            BallStack.from_arrays([(c, r)])
+    for c, r, fault in ((centers + [[0.0, 1e200]], radii, "point coordinates must be finite"),
+                        (centers + [[0.0, np.nan]], radii, "point coordinates must be finite"),
+                        (centers, [1.0, np.inf], "radius must be finite"),
+                        (centers, [1.0, 1e200], "radius must be finite"),
+                        (centers, [1.0, -0.5], "radius must be nonnegative, got -0.5")):
+        with pytest.raises(ValueError, match=fault):
+            BallStack.from_arrays([(centers, radii), (c, r)])
+    # the ball-sequence constructor has the same rules, and -0.0 is a radius
+    with pytest.raises(ValueError, match=r"member 0 needs \(n, q\) centers"):
+        BallStack([()])
+    assert BallStack.from_arrays([(centers, [0.0, -0.0])]).radii.tolist() == [[0.0], [-0.0]]
+
+
 coords = st.floats(min_value=-50, max_value=50, allow_nan=False)
 
 

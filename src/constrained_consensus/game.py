@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, _node_id
 from .sets import ConvexSet, RowProjector, _check_domain
 
 
@@ -105,18 +105,11 @@ def as_profile(inst: GameInstance, p) -> np.ndarray:
     return prof
 
 
-def _check_node(inst: GameInstance, n: int) -> int:
-    if not 0 <= n < inst.n:
-        raise ValueError(f"node id {n} out of range [0, {inst.n})")
-    return n
-
-
 def utility(inst: GameInstance, p, n: int) -> float:
     """U_n(p) = -sum over neighbors of ||p_n - p_k||^2 (always <= 0)."""
     prof = as_profile(inst, p)
-    _check_node(inst, n)
-    nbrs = list(inst.graph.neighbors[n])
-    diffs = prof[nbrs] - prof[n]
+    n = _node_id(inst.graph, n)
+    diffs = prof[_neighbor_ids(inst, n)] - prof[n]
     return -float(np.sum(diffs * diffs))
 
 
@@ -145,14 +138,20 @@ def potential(inst: GameInstance, p):
     return float(phis) if prof.ndim == 2 else phis
 
 
+def _neighbor_ids(inst: GameInstance, n: int) -> np.ndarray:
+    """Node n's sorted neighbors, the ``graph.csr`` slice."""
+    indptr, indices, _ = inst.graph.csr
+    return indices[indptr[n]:indptr[n + 1]]
+
+
 def _neighbor_sum(inst: GameInstance, prof: np.ndarray, n: int) -> np.ndarray:
-    return prof[list(inst.graph.neighbors[n])].sum(axis=0)
+    return prof[_neighbor_ids(inst, n)].sum(axis=0)
 
 
 def utility_gradient(inst: GameInstance, p, n: int) -> np.ndarray:
     """Gradient of U_n in the p_n block: -2 sum_k (p_n - p_k)."""
     prof = as_profile(inst, p)
-    _check_node(inst, n)
+    n = _node_id(inst.graph, n)
     deg = inst.graph.degree(n)
     return -2.0 * (deg * prof[n] - _neighbor_sum(inst, prof, n))
 
@@ -166,7 +165,7 @@ def cost_gradient(inst: GameInstance, p) -> np.ndarray:
 def centroid(inst: GameInstance, p, n: int) -> np.ndarray:
     """Mean of the neighbors' strategies."""
     prof = as_profile(inst, p)
-    _check_node(inst, n)
+    n = _node_id(inst.graph, n)
     deg = inst.graph.degree(n)
     if deg == 0:
         raise DegenerateNodeError(f"node {n} has no neighbors")
@@ -179,12 +178,14 @@ def best_response(inst: GameInstance, p, n: int) -> np.ndarray:
     The utility's level sets are spheres around the neighborhood centroid, so
     the maximizer over C_n is the projection of that centroid onto C_n.
     """
+    n = _node_id(inst.graph, n)
     return inst.sets[n].project(centroid(inst, p, n))
 
 
 def update_metric(inst: GameInstance, p, n: int) -> float:
     """Squared length of the move the best response would make."""
     prof = as_profile(inst, p)
+    n = _node_id(inst.graph, n)
     r = best_response(inst, prof, n)
     return float(np.sum((r - prof[n]) ** 2))
 

@@ -6,12 +6,12 @@ test, the combinatorial Laplacian and its spectrum via a cyclic Jacobi
 eigensolver, whose second-smallest eigenvalue (the algebraic connectivity,
 a.k.a. Fiedler value) is the network-density axis of the rate experiments.
 
-A ``Graph`` builds its CSR arrays once, at construction, and checks them
-there with a few array reductions; a per-entry loop runs only after a
-check has failed, to name the first fault.  ``graph_from_positions``
-hands the CSR split of one ``np.nonzero`` of the adjacency to
-``Graph.from_csr``, which runs the same checks and builds the neighbor
-tuples once.
+A ``Graph`` is its CSR arrays: it builds them once, at construction, and
+checks them there with a few array reductions; a per-entry loop runs only
+after a check has failed, to name the first fault.  Every graph
+computation here reads the arrays.  ``graph_from_positions`` hands the CSR
+split of one ``np.nonzero`` of the adjacency to ``Graph.from_csr``, which
+runs the same checks.
 
 There is one eigensolver, over a stack of matrices: a single matrix is a
 stack of one.  Its members rotate in lockstep and each gets the bits it
@@ -26,6 +26,7 @@ import math
 import operator
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -34,29 +35,37 @@ from .sets import _check_domain, _row_squares
 from .tolerances import DEFAULT
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Graph:
-    """Undirected graph as per-node sorted neighbor tuples.
+    """Undirected graph stored as its CSR encoding and nothing else.
 
-    ``n`` and every id must be integers (anything ``operator.index``
-    takes); the lists are stored as tuples of ints.  The CSR encoding
-    ``csr = (indptr, indices, rows)`` is built and checked at construction
-    and kept read-only: ``indices[indptr[i]:indptr[i + 1]]`` are node i's
-    sorted neighbors and ``rows[j]`` is the node that entry j belongs to,
-    so ``(rows, indices)`` lists every directed edge once.  Every other
-    graph array derives from it.  ``from_csr`` builds a graph from
-    ``indptr`` and ``indices`` with the same checks and messages.
+    ``Graph(n, neighbors)`` takes one sorted, duplicate-free neighbor list
+    per node; ``n`` and every id must be integers (anything
+    ``operator.index`` takes).  The CSR encoding ``csr = (indptr, indices,
+    rows)`` is built and checked at construction and kept read-only:
+    ``indices[indptr[i]:indptr[i + 1]]`` are node i's sorted neighbors and
+    ``rows[j]`` is the node that entry j belongs to, so ``(rows, indices)``
+    lists every directed edge once.  Every other graph array derives from
+    it.  ``from_csr`` builds a graph from ``indptr`` and ``indices`` with
+    the same checks and messages.
     """
 
     n: int
-    neighbors: tuple[tuple[int, ...], ...]
-    csr: tuple[np.ndarray, np.ndarray, np.ndarray] = field(init=False, repr=False)
+    csr: tuple[np.ndarray, np.ndarray, np.ndarray] = field(repr=False)
 
-    def __post_init__(self):
-        nbrs = tuple(map(tuple, self.neighbors))
-        n = _node_count(self.n, len(nbrs))
+    def __init__(self, n: int, neighbors):
+        nbrs = tuple(map(tuple, neighbors))
+        n = _node_count(n, len(nbrs))
         deg = np.fromiter(map(len, nbrs), dtype=np.intp, count=n)
         _store_csr(self, n, np.concatenate(([0], np.cumsum(deg))), list(chain.from_iterable(nbrs)))
+
+    @cached_property
+    def neighbors(self) -> tuple[tuple[int, ...], ...]:
+        """Each node's sorted neighbor ids as a tuple of ints: a read-only
+        view of ``csr``, built on first read."""
+        indptr, indices, _ = self.csr
+        ends, flat = indptr.tolist(), indices.tolist()
+        return tuple(tuple(flat[a:b]) for a, b in zip(ends, ends[1:]))
 
     @classmethod
     def from_csr(cls, n: int, indptr, indices) -> "Graph":
@@ -95,7 +104,9 @@ class Graph:
         return cls(n, tuple(tuple(sorted(s)) for s in nbrs))
 
     def degree(self, i: int) -> int:
-        return len(self.neighbors[i])
+        i = _node_id(self, i)
+        indptr = self.csr[0]
+        return int(indptr[i + 1] - indptr[i])
 
     def degrees(self) -> np.ndarray:
         return np.diff(self.csr[0])
@@ -112,13 +123,13 @@ class Graph:
 
 
 def _store_csr(graph: Graph, n: int, indptr: np.ndarray, ids) -> None:
-    """Check the CSR encoding of ``graph``, node count n, and store it and
-    the neighbor tuples in ``graph``.  ``indptr`` holds the n + 1 list ends,
-    and ``ids`` the ids in list order: an intp array, or anything else
-    whose entries ``operator.index`` takes."""
-    ends = indptr.tolist()
+    """Check the CSR encoding of ``graph``, node count n, and store n and
+    the arrays in ``graph``.  ``indptr`` holds the n + 1 list ends, and
+    ``ids`` the ids in list order: an intp array, or anything else whose
+    entries ``operator.index`` takes."""
 
     def fault() -> str:
+        ends = indptr.tolist()
         flat = ids.tolist() if isinstance(ids, np.ndarray) else ids
         return _first_fault(n, [flat[a:b] for a, b in zip(ends, ends[1:])])
 
@@ -144,11 +155,9 @@ def _store_csr(graph: Graph, n: int, indptr: np.ndarray, ids) -> None:
             and np.array_equal(key.take(np.searchsorted(key, transposed), mode="clip"),
                                transposed)):
         raise ValueError(fault())
-    flat = indices.tolist()
     for a in (indptr, indices, rows):
         a.flags.writeable = False
     object.__setattr__(graph, "n", n)
-    object.__setattr__(graph, "neighbors", tuple(tuple(flat[a:b]) for a, b in zip(ends, ends[1:])))
     object.__setattr__(graph, "csr", (indptr, indices, rows))
 
 
@@ -164,6 +173,19 @@ def _node_count(n, lists: int | None = None) -> int:
     if n < 1:
         raise ValueError(f"node count must be positive, got {n}")
     return n
+
+
+def _node_id(g: Graph, i) -> int:
+    """``i`` as an int node id of ``g``, or a ``ValueError`` naming it: an
+    integer (anything ``operator.index`` takes, as in neighbor lists) in
+    [0, n)."""
+    try:
+        k = operator.index(i)
+    except TypeError:
+        raise ValueError(f"node id {i!r} is not an integer") from None
+    if not 0 <= k < g.n:
+        raise ValueError(f"node id {k} out of range [0, {g.n})")
+    return k
 
 
 def _first_fault(n: int, nbrs: tuple[tuple, ...]) -> str:
@@ -243,13 +265,15 @@ def graph_from_positions(positions: np.ndarray, rho: float) -> Graph:
 
 def is_connected(g: Graph) -> bool:
     """BFS from node 0 reaches all nodes."""
+    indptr, indices, _ = g.csr
+    ends, ids = indptr.tolist(), indices.tolist()
     seen = [False] * g.n
     seen[0] = True
     queue = deque([0])
     count = 1
     while queue:
         i = queue.popleft()
-        for k in g.neighbors[i]:
+        for k in ids[ends[i]:ends[i + 1]]:
             if not seen[k]:
                 seen[k] = True
                 count += 1

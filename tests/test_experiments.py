@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from constrained_consensus import experiments, graphs
-from constrained_consensus.engine import pocs_run
+from constrained_consensus import game
+from constrained_consensus.engine import initial_state, pocs_run, run
 from constrained_consensus.experiments import (
     _CSV_CHUNK,
     GenerationError,
@@ -18,7 +19,7 @@ from constrained_consensus.experiments import (
     validation_study,
     write_text,
 )
-from constrained_consensus.graphs import is_connected
+from constrained_consensus.graphs import fiedler_values, is_connected, laplacian
 from constrained_consensus.seeding import rng_for
 
 
@@ -64,6 +65,33 @@ def test_instance_deterministic_per_seed():
     assert a.graph.neighbors == b.graph.neighbors
     c = make_localization_instance(25, 2, 0.35, 0.01, seed=12)
     assert not np.array_equal(a.layout.positions, c.layout.positions)
+
+
+def test_graph_stays_csr_only():
+    # instance generation, runs, spectra and the per-node game functions
+    # read the CSR arrays; the neighbor tuples are a view built on demand
+    loc = make_localization_instance(100, 2, 0.3, 0.01, 1)
+    inst, g = loc.game_instance, loc.graph
+    for algo, step in (("dgtc", None), ("dgpc", game.default_step_size(inst))):
+        trace = run(initial_state(inst, loc.layout, step_size=step), algo, 50, 1e-9)
+        assert trace.iterations_used == 50
+    prof = initial_state(inst, loc.layout).profile
+    assert is_connected(g) and fiedler_values([g])[0] > 0.0
+    laplacian(g), list(g.edges()), g.degrees(), g.edge_count
+    game.cost_gradient(inst, prof), game.potential(inst, prof)
+    for i in range(g.n):
+        g.degree(i), game.utility(inst, prof, i), game.utility_gradient(inst, prof, i)
+        game.centroid(inst, prof, i), game.best_response(inst, prof, i)
+        game.update_metric(inst, prof, i)
+    assert sorted(vars(g)) == ["csr", "n"]
+
+    indptr, indices, _ = g.csr
+    nbrs = g.neighbors
+    assert type(nbrs) is tuple and len(nbrs) == g.n
+    for i, ids in enumerate(nbrs):
+        assert type(ids) is tuple and all(type(k) is int for k in ids)
+        assert ids == tuple(indices[indptr[i]:indptr[i + 1]].tolist())
+    assert g.neighbors is nbrs
 
 
 def test_instance_generation_error_reports_attempts():

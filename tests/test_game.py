@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -253,3 +254,30 @@ def test_max_set_distance():
     inst = GameInstance(g, (interval(0.0, 1.0), interval(0.0, 1.0)), 1)
     assert max_set_distance(inst, [[0.5], [3.0]]) == pytest.approx(2.0, abs=0)
     assert max_set_distance(inst, [[0.5], [0.9]]) == 0.0
+
+
+def test_one_node_id_rule():
+    # a node id is what a neighbor list takes, anything operator.index
+    # takes, in [0, n); anything else, a negative id too, is a ValueError
+    # naming it, and a bool or numpy integer reads the node it stands for
+    inst = path3_instance(q=2, big=4.0)
+    p = np.array([[0.0, 1.0], [2.0, 3.0], [5.0, 7.0]])
+    calls = {
+        "degree": inst.graph.degree,
+        "utility": lambda n: utility(inst, p, n),
+        "utility_gradient": lambda n: utility_gradient(inst, p, n),
+        "centroid": lambda n: centroid(inst, p, n),
+        "best_response": lambda n: best_response(inst, p, n),
+        "update_metric": lambda n: update_metric(inst, p, n),
+    }
+    for name, read in calls.items():
+        want = read(1)
+        for n in (True, np.int64(1)):
+            got = read(n)
+            assert type(got) is type(want) and np.array_equal(got, want), (name, n)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (name, n)
+        for bad, fault in ((-1, "-1 out of range [0, 3)"), (3, "3 out of range [0, 3)"),
+                           (1.5, "1.5 is not an integer"), ("1", "'1' is not an integer")):
+            with pytest.raises(ValueError, match=rf"^node id {re.escape(fault)}$"):
+                read(bad)
+    assert type(inst.graph.degree(np.int64(1))) is int

@@ -25,6 +25,7 @@ from .experiments import (
     SweepRecord,
     ValidationResult,
     make_localization_instance,
+    pocs_study,
     rate_sweep,
     validation_study,
 )

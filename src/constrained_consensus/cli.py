@@ -1,21 +1,19 @@
 """Command-line driver.
 
-Four commands:
+Four commands; the last three each call one ``experiments`` protocol,
+write the CSV that ``experiments`` renders, and print a summary:
 
 * ``validate`` - run the randomized invariant suites, print PASS/FAIL per
   check, exit nonzero on any failure.
-* ``run``      - Monte-Carlo validation study (both algorithms + baseline),
-  CSV out.
-* ``sweep``    - convergence-rate sweep across network densities, CSV out.
-* ``pocs``     - baseline-only cyclic-projection runs, CSV out.
+* ``run``      - ``validation_study``: both algorithms + baseline.
+* ``sweep``    - ``rate_sweep``: convergence rate across network densities.
+* ``pocs``     - ``pocs_study``: the baseline alone.
 
 Parameters come from flags or from a flat ``key = value`` config file
 (``--config``); flags override file values.  Exit codes: 0 success,
 1 invariant failure, 2 usage/config error, 3 instance-generation failure,
-4 I/O error.  The library owns every parameter rule and applies it before
-any round; ``ValueError`` is its type for a rejected input (``_count``,
-``_check_scenario``, ``_check_domain``, ``Graph``, ``GeometricLayout`` and
-``DimensionError`` raise it), so ``main`` reports any ``ValueError`` as a
+4 I/O error.  The library checks every parameter before any round and
+raises ``ValueError`` on a rejected input, which ``main`` reports as a
 usage error.  The CLI adds two rules: float flags are finite (the library
 takes ``rho = inf``, the complete graph), and ``fiedler_cut`` is positive.
 A bug surfaces as an ``InvariantError``, or as a traceback unless it
@@ -29,12 +27,12 @@ import math
 import statistics
 import sys
 
-import numpy as np
-
-from .engine import InvariantError, _count, float_text
+from .engine import InvariantError
 from .experiments import (
     GenerationError,
     median_split,
+    pocs_csv_chunks,
+    pocs_study,
     rate_sweep,
     sweep_csv_text,
     validation_csv_chunks,
@@ -42,7 +40,6 @@ from .experiments import (
     validation_study,
     write_text,
 )
-from .sets import BallStack
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
@@ -219,39 +216,14 @@ def _default_cut(q: int) -> float:
 
 
 def cmd_pocs(cfg: dict) -> int:
-    # looked up per call: perfbench/harness.py wraps both module attributes
-    # after cli is imported, and counts pocs_cycles from wrapped calls only
-    from .engine import pocs_run
-    from .experiments import make_localization_instance
-
-    trials, cycles = _count(cfg["trials"], "trials"), _count(cfg["cycles"], "cycles")
-    seeds = range(cfg["seed"], cfg["seed"] + trials)
-    # every trial's balls in one stack, from each instance's center and
-    # radius arrays; each instance is dropped once stacked
-    instances = (make_localization_instance(cfg["n"], cfg["q"], cfg["rho"], cfg["epsilon"],
-                                            seed, cfg["max_attempts"]) for seed in seeds)
-    stack = BallStack.from_arrays((loc.centers, loc.radii) for loc in instances)
-    x = np.zeros((trials, cfg["q"]))
-    # (trials, cycles): per-cycle displacement and largest set distance; one
-    # pocs_run call per cycle, because the distance needs every cycle's point
-    disp, dist = np.empty((trials, cycles)), np.empty((trials, cycles))
-    for k in range(cycles):
-        x, disp[:, k] = pocs_run(stack, x, 1)
-        dist[:, k] = stack.max_distances(x)
-    write_text(_pocs_csv_chunks(seeds, disp, dist), cfg["out"])
-    print(f"trials: {trials}, cycles: {cycles}")
+    disp, dist = pocs_study(
+        n=cfg["n"], q=cfg["q"], rho=cfg["rho"], epsilon=cfg["epsilon"], trials=cfg["trials"],
+        cycles=cfg["cycles"], base_seed=cfg["seed"], max_attempts=cfg["max_attempts"])
+    write_text(pocs_csv_chunks(disp, dist, cfg["seed"]), cfg["out"])
+    print(f"trials: {cfg['trials']}, cycles: {cfg['cycles']}")
     print(f"max final distance to any set: {dist[:, -1].max():.3e}")
     print(f"wrote {cfg['out']}")
     return EXIT_OK
-
-
-def _pocs_csv_chunks(seeds, disp, dist):
-    """The pocs CSV, trial-major, one string per trial."""
-    yield "trial,seed,cycle,displacement,max_set_distance\n"
-    for trial, seed in enumerate(seeds):
-        yield "".join(f"{trial},{seed},{cycle},{float_text(a)},{float_text(b)}\n"
-                      for cycle, a, b in zip(range(1, disp.shape[1] + 1),
-                                             disp[trial].tolist(), dist[trial].tolist()))
 
 
 def build_parser() -> argparse.ArgumentParser:

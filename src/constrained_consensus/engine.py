@@ -177,11 +177,6 @@ class TraceRecords(Sequence):
             yield record(t)
 
 
-def float_text(x: float) -> str:
-    """Shortest round-trip text of a float, as every CSV column writes it."""
-    return repr(float(x))
-
-
 def consensus_metric(p):
     """Root-sum-square deviation of all strategies from their coordinate mean.
 

@@ -6,28 +6,28 @@ knows only a ball around its own position whose radius is its true distance
 to the source plus a margin epsilon (so the source lies in every ball and
 the intersection is nonempty).
 
-On top of the scenario sit the two experiment protocols:
+On top of the scenario sit the three experiment protocols:
 
 * ``validation_study`` - Monte-Carlo convergence runs of both distributed
-  algorithms plus the centralized cyclic-projections baseline, and
+  algorithms plus the centralized cyclic-projections baseline,
 * ``rate_sweep`` - iterations-to-threshold for both algorithms across
-  network densities, indexed by the Fiedler value of each realization.
+  network densities, indexed by the Fiedler value of each realization, and
+* ``pocs_study`` - the baseline alone, with each cycle's set distance.
 
-Everything is reproducible from a base seed; rerunning with the same seed
-yields byte-identical CSV output.
+Each protocol's CSV is rendered here too.  Everything is reproducible from
+a base seed; rerunning with the same seed yields byte-identical CSV output.
 """
 
 from __future__ import annotations
 
 import statistics
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
-from .engine import (Trace, _check_step_sign, _check_stop, _count, float_text, initial_state,
-                     pocs_run, run)
+from .engine import Trace, _check_step_sign, _check_stop, _count, initial_state, pocs_run, run
 from .game import GameInstance, default_step_size
 from .graphs import GeometricLayout, Graph, fiedler_values, graph_from_positions, is_connected
 from .graphs import fiedler_value  # noqa: F401  (perfbench/harness.py wraps experiments.fiedler_value)
@@ -171,9 +171,8 @@ def validation_study(n: int, q: int, rho: float, epsilon: float, trials: int,
         _check_step_sign(step_size)
     seeds, dgtc_traces, dgpc_traces, member_balls = [], [], [], []
     for trial in range(trials):
-        seed = base_seed + trial
-        loc = make_localization_instance(n, q, rho, epsilon, seed, max_attempts)
-        seeds.append(seed)
+        loc = make_localization_instance(n, q, rho, epsilon, base_seed + trial, max_attempts)
+        seeds.append(loc.seed)
         tr_dgtc, tr_dgpc = _run_pair(loc, max_iters, threshold, step_size)
         dgtc_traces.append(tr_dgtc)
         dgpc_traces.append(tr_dgpc)
@@ -188,16 +187,35 @@ def validation_study(n: int, q: int, rho: float, epsilon: float, trials: int,
 
 def _run_pair(loc: LocalizationInstance, max_iters: int | None, threshold: float,
               step_size: float | None = None) -> tuple[Trace, Trace]:
-    """Both distributed algorithms on one scenario, each started from the
-    layout anchors; the gradient step defaults to ``default_step_size``."""
+    """Both distributed algorithms on one scenario, from one start at the
+    layout anchors.  The gradient step defaults to ``default_step_size``;
+    the gradient-projection run checks it, so a step past its bound warns once."""
     inst = loc.game_instance
     s = step_size if step_size is not None else default_step_size(inst)
-    # both starts first, so a bad step fails before either run
-    dgtc_start = initial_state(inst, loc.layout)
-    dgpc_start = initial_state(inst, loc.layout, step_size=s)
-    tr_dgtc = run(dgtc_start, "dgtc", max_iters, threshold)
-    tr_dgpc = run(dgpc_start, "dgpc", max_iters, threshold)
+    start = initial_state(inst, loc.layout)
+    tr_dgtc = run(start, "dgtc", max_iters, threshold)
+    tr_dgpc = run(replace(start, step_size=s), "dgpc", max_iters, threshold)
     return tr_dgtc, tr_dgpc
+
+
+def pocs_study(n: int, q: int, rho: float, epsilon: float, trials: int, cycles: int = 40,
+               base_seed: int = 0, max_attempts: int = 100) -> tuple[np.ndarray, np.ndarray]:
+    """The cyclic-projections baseline alone: trial i starts at the origin on
+    instance seed base_seed + i, and all trials run in lockstep on one
+    ``BallStack``.  Returns (trials, cycles) arrays of each cycle's
+    displacement and of its point's largest distance to any set."""
+    trials, cycles = _count(trials, "trials"), _count(cycles, "cycles")
+    # each instance is dropped once its center and radius arrays are stacked
+    instances = (make_localization_instance(n, q, rho, epsilon, base_seed + trial, max_attempts)
+                 for trial in range(trials))
+    stack = BallStack.from_arrays((loc.centers, loc.radii) for loc in instances)
+    x = np.zeros((trials, q))
+    # one pocs_run call per cycle, because the distance needs every cycle's point
+    disp, dist = np.empty((trials, cycles)), np.empty((trials, cycles))
+    for k in range(cycles):
+        x, disp[:, k] = pocs_run(stack, x, 1)
+        dist[:, k] = stack.max_distances(x)
+    return disp, dist
 
 
 @dataclass(frozen=True)
@@ -268,6 +286,11 @@ def median_split(records: list[SweepRecord], fiedler_cut: float) -> dict[str, fl
     return out
 
 
+def float_text(x: float) -> str:
+    """Shortest round-trip text of a float, as every CSV column writes it."""
+    return repr(float(x))
+
+
 _CSV_CHUNK = 4096  # trace rows per string yielded by validation_csv_chunks
 
 
@@ -311,6 +334,15 @@ def sweep_csv_text(records: list[SweepRecord]) -> str:
             f"{r.trial},{r.seed},{float_text(r.rho)},{float_text(r.fiedler)},"
             f"{r.iters_dgtc},{int(r.conv_dgtc)},{r.iters_dgpc},{int(r.conv_dgpc)}")
     return "\n".join(lines) + "\n"
+
+
+def pocs_csv_chunks(disp: np.ndarray, dist: np.ndarray, base_seed: int = 0) -> Iterator[str]:
+    """The CSV of ``pocs_study``'s arrays, trial-major, one string per trial."""
+    yield "trial,seed,cycle,displacement,max_set_distance\n"
+    for trial, (disps, dists) in enumerate(zip(disp, dist)):
+        head = f"{trial},{base_seed + trial},"
+        yield "".join(f"{head}{cycle},{float_text(a)},{float_text(b)}\n"
+                      for cycle, (a, b) in enumerate(zip(disps.tolist(), dists.tolist()), 1))
 
 
 def write_text(text: str | Iterable[str], path) -> None:

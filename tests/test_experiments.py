@@ -1,17 +1,21 @@
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from constrained_consensus import experiments, graphs
 from constrained_consensus import game
-from constrained_consensus.engine import initial_state, pocs_run, run
+from constrained_consensus.engine import StepSizeWarning, initial_state, pocs_run, run
 from constrained_consensus.experiments import (
     _CSV_CHUNK,
     GenerationError,
     localization_sets,
     make_localization_instance,
     median_split,
+    pocs_csv_chunks,
+    pocs_study,
     rate_sweep,
     sweep_csv_text,
     validation_csv_chunks,
@@ -202,6 +206,72 @@ def test_validation_pocs_distance_matches_scalar_sets():
         x, _ = pocs_run(inst, np.zeros(2), 2)
         assert pr.max_set_distance == max(s.distance_to(x) for s in inst.sets)
     assert max(pr.max_set_distance for pr in result.pocs) > 0.0
+
+
+def test_pocs_study_matches_the_scalar_path():
+    # each trial and cycle, bit for bit: one scalar pocs_run cycle from the
+    # origin, then the largest ConvexSet.distance_to over the instance's sets
+    disp, dist = pocs_study(n=20, q=2, rho=0.4, epsilon=0.001, trials=3, cycles=5, base_seed=4)
+    assert disp.shape == dist.shape == (3, 5)
+    for trial in range(3):
+        loc = make_localization_instance(20, 2, 0.4, 0.001, 4 + trial)
+        x = np.zeros(2)
+        for cycle in range(5):
+            x, (d,) = pocs_run(loc.game_instance, x, 1)
+            assert disp[trial, cycle] == d
+            assert dist[trial, cycle] == max(s.distance_to(x) for s in loc.sets)
+    # no trial is feasible after its first cycle, so the distances are tested
+    assert dist[:, 0].min() > 0.0
+
+
+@pytest.mark.parametrize("bad", ["trials", "cycles"])
+def test_pocs_study_checks_its_counts_before_drawing(monkeypatch, bad):
+    calls = []
+    monkeypatch.setattr(experiments, "make_localization_instance",
+                        lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match=rf"{bad} must be positive, got 0"):
+        pocs_study(n=10, q=2, rho=0.5, epsilon=0.01, **{"trials": 2, "cycles": 3, bad: 0})
+    assert calls == []
+
+
+def test_pocs_csv_chunks_one_string_per_trial():
+    disp, dist = np.array([[0.5, 0.25], [0.5, 0.25]]), np.array([[0.125, 0.0], [0.125, 0.0]])
+    chunks = list(pocs_csv_chunks(disp, dist, base_seed=7))
+    assert chunks == ["trial,seed,cycle,displacement,max_set_distance\n",
+                      "0,7,1,0.5,0.125\n0,7,2,0.25,0.0\n",
+                      "1,8,1,0.5,0.125\n1,8,2,0.25,0.0\n"]
+
+
+def test_seeds_must_be_integers():
+    # a non-integer seed names itself; it is not truncated to another seed's stream
+    for bad in ("3", 1.9, np.float64(2.0)):
+        with pytest.raises(ValueError, match=re.escape(f"seed must be an integer, got {bad!r}")):
+            rng_for(bad)
+        with pytest.raises(ValueError, match=r"seed must be an integer"):
+            rng_for(0, bad)
+    with pytest.raises(ValueError, match=r"seed must be an integer, got 1.9"):
+        make_localization_instance(12, 2, 0.5, 0.01, seed=1.9)
+    for study in (validation_study, pocs_study):
+        with pytest.raises(ValueError, match=r"seed must be an integer, got 0.5"):
+            study(n=10, q=2, rho=0.5, epsilon=0.01, trials=2, base_seed=0.5)
+    with pytest.raises(ValueError, match=r"seed must be an integer, got 0.5"):
+        rate_sweep(n=10, q=2, rho_min=0.35, rho_max=0.6, realizations=2, base_seed=0.5)
+    # integers of any type keep their streams
+    for seed in (np.int64(3), np.uint8(3), True):
+        assert rng_for(seed, 2).random() == rng_for(int(seed), 2).random()
+
+
+def test_one_step_size_warning_per_trial():
+    # the two runs of a trial share one start, so a step past the bound is
+    # reported once per trial, not once by the start and again by the run
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = validation_study(n=10, q=2, rho=0.5, epsilon=0.01, trials=2, step_size=0.3,
+                                  max_iters=50)
+    assert [w.category for w in caught] == [StepSizeWarning] * 2
+    for seed in result.seeds:
+        loc = make_localization_instance(10, 2, 0.5, 0.01, seed)
+        assert 0.3 >= game.max_step_size(loc.game_instance)
 
 
 def test_validation_csv_deterministic():

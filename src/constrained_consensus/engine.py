@@ -33,13 +33,19 @@ before a best-response round that finds a literal fixed point.  The kept
 rounds are checked and recorded; the round that found the fixed point is
 checked but not kept.  Later rounds are never checked, recorded or
 counted, so a run spends at most K - 1 rounds past its stop, and its trace
-is the one a round-by-round loop would give.  A best-response round's
-winners are one (N,) mask from the winner rule to the block check, which
-tests the stacked masks and takes the recorded winner ids from them.  A
-violation raises ``InvariantError`` naming the first failing round, found
-once per block, at most K - 1 rounds after it happened and before any
-later error leaves the run; an error raised in a round past the stop is
-dropped with that round.  Violations indicate a bug, not a user error.
+is the one a round-by-round loop would give.  K = 2^15 // (E * q) for E
+edges in dimension q, from 1 to 64 (see ``_BLOCK_ELEMENTS``): 15 for N = 100
+with 1078 edges in the plane, 1 for N = 1000.  The block's potentials are
+one ``potential`` call whose edge gathers land in two (K, E, q) buffers
+allocated once per run.  A best-response round's winners are one (N,) mask
+from the winner rule to the block check, which tests the stacked masks and
+takes the recorded winner ids from them: it packs each node's K winner bits
+into one uint64, ANDs the two ends of every edge once, and reads the first
+clashing round from the lowest set bit.  A violation raises
+``InvariantError`` naming the first failing round, found once per block,
+at most K - 1 rounds after it happened and before any later error leaves
+the run; an error raised in a round past the stop is dropped with that
+round.  Violations indicate a bug, not a user error.
 """
 
 from __future__ import annotations
@@ -66,10 +72,17 @@ from .sets import BallStack, _check_domain, _dot_squares, _row_squares
 from .tolerances import DEFAULT
 
 
-# Elements of a block's gathered edge differences, K * E * q for E edges in
-# dimension q: ``run`` checks K rounds at once, and K is 1 where one round's
-# differences already fill half of this (at N = 1000, a block buys nothing).
-_BLOCK_ELEMENTS = 1 << 14
+# ``run`` checks K rounds at once, K = _BLOCK_ELEMENTS // (E * q) for E
+# edges in dimension q, at least 1 and at most _MAX_BLOCK.  The budget
+# bounds the block's K * E * q gathered edge differences, which live in two
+# buffers allocated once per run; K is 1 where one round's differences
+# already fill half of it (N = 1000 in the plane: 18500 elements), so there
+# the buffers are the two arrays one round's potential needs anyway.  The
+# cap is the width of the uint64 that packs a node's K winner bits.
+_BLOCK_ELEMENTS = 1 << 15
+_MAX_BLOCK = 64
+# bit r of a uint64 winner word stands for round r of a block
+_ROUND_BITS = np.arange(_MAX_BLOCK, dtype=np.uint64)
 
 
 class InvariantError(RuntimeError):
@@ -271,10 +284,16 @@ def _select_winners(inst: GameInstance, metrics: np.ndarray) -> np.ndarray:
     attaining that maximum.  Comparisons are exact floating point.
     Requires every node to have at least one neighbor and finite metrics.
 
-    That is, a node updates iff its (metric, id) beats every neighbor's, so
-    the rule runs edge by edge: on edge (i, k) with i < k, i loses unless
-    its metric exceeds k's, and otherwise k loses.
+    That is, a node updates iff its (metric, id) beats every neighbor's.
+    Without a tie between neighbors, the winners are the nodes whose metric
+    exceeds their neighbors' largest, one max per ``graph.csr`` row.  With
+    one, the rule runs edge by edge: on edge (i, k) with i < k, i loses
+    unless its metric exceeds k's, and otherwise k loses.
     """
+    indptr, indices, _ = inst.graph.csr
+    largest = np.maximum.reduceat(metrics[indices], indptr[:-1])
+    if not np.logical_or.reduce(metrics == largest):
+        return metrics > largest
     i, k = inst.edge_pairs
     lost = np.zeros(inst.n, dtype=bool)
     lost[np.where(metrics[i] > metrics[k], k, i)] = True
@@ -365,6 +384,9 @@ def run(state: EngineState, algo: str, max_iters: int | None = None,
     length = _block_length(inst)
     block = np.empty((length + 1, inst.n, inst.q))
     block[0] = prof
+    # potential's edge gathers over a block, allocated once: arrays this
+    # large, allocated per block, are mapped and page-faulted anew each time
+    scratch = np.empty((2, length, inst.graph.edge_count, inst.q))
     if best_response:
         max_metrics, winners, winner_offsets = array("d"), array("q"), array("q", [0])
         maxes, wins = np.empty(length), np.empty((length, inst.n), dtype=bool)
@@ -393,7 +415,7 @@ def run(state: EngineState, algo: str, max_iters: int | None = None,
                 kept, stop = int(settled.argmax()), "fixed_point"
         checked = kept + (stop == "fixed_point")
         phis = _check_rounds(inst, block[1:checked + 1], None if wins is None else wins[:checked], t,
-                             potentials[-1] if best_response else None)
+                             potentials[-1] if best_response else None, scratch)
         metrics.frombytes(ms[:kept].tobytes())
         potentials.frombytes(phis[:kept].tobytes())
         if best_response:
@@ -463,32 +485,30 @@ def _check_stop(max_iters: int | None, threshold: float) -> int | None:
 
 def _block_length(inst: GameInstance) -> int:
     """K, the rounds ``run`` checks at once (see ``_BLOCK_ELEMENTS``)."""
-    return max(1, _BLOCK_ELEMENTS // (inst.graph.edge_count * inst.q))
+    return max(1, min(_MAX_BLOCK, _BLOCK_ELEMENTS // (inst.graph.edge_count * inst.q)))
 
 
 def _check_rounds(inst: GameInstance, profs: np.ndarray, wins: np.ndarray | None, t: int,
-                  phi: float | None) -> np.ndarray:
+                  phi: float | None, scratch: np.ndarray | None = None) -> np.ndarray:
     """Check rounds t + 1, ..., t + K, whose profiles are stacked in ``profs``
     (K, N, q), and return their K potentials.
 
     Every round's strategies must lie in their sets.  Best-response rounds
-    pass their winner masks ``wins`` (K, N), which must be independent sets,
-    and, unless ``phi`` (the potential before round t + 1) is None, their
-    potentials must not decrease.  The first failing round raises
-    ``InvariantError``, its checks made in a round's order: independence,
-    feasibility, monotonicity.  Each check runs once over the stack; the
-    failing round is found once, and its message built from its mask or,
-    by ``_assert_feasible``, its profile.
+    pass their winner masks ``wins`` (K, N), K <= 64, which must be
+    independent sets, and, unless ``phi`` (the potential before round
+    t + 1) is None, their potentials must not decrease.  The first failing
+    round raises ``InvariantError``, its checks made in a round's order:
+    independence, feasibility, monotonicity.  Each check runs once over the
+    stack; the failing round is found once, and its message built from its
+    mask or, by ``_assert_feasible``, its profile.  ``scratch`` is passed
+    on to ``potential``.
     """
     dists = inst.projector.distances(profs)
     failed = ~(np.maximum.reduce(dists, axis=-1) <= DEFAULT.membership)
-    if wins is not None:
-        # per round, whether an edge joins two winners
-        u, v = inst.edge_pairs
-        clash = np.logical_or.reduce(np.take(wins, u, axis=1) & np.take(wins, v, axis=1), axis=1)
-        failed |= clash
     k = int(failed.argmax()) if np.logical_or.reduce(failed) else len(profs)
-    phis = potential(inst, profs[:k])
+    clash = len(profs) if wins is None else _first_clash(inst, wins)
+    k = min(k, clash)
+    phis = potential(inst, profs[:k], scratch)
     if phi is not None:
         before = np.concatenate(([phi], phis[:-1]))
         drops = phis < before - DEFAULT.monotonicity
@@ -497,11 +517,26 @@ def _check_rounds(inst: GameInstance, profs: np.ndarray, wins: np.ndarray | None
             raise InvariantError(f"potential decreased in round {t + i + 1}: "
                                  f"{float(before[i])!r} -> {float(phis[i])!r}")
     if k < len(profs):
-        if wins is not None and clash[k]:
+        if k == clash:
             raise InvariantError(f"adjacent winners in round {t + k + 1} update: "
                                  f"{np.flatnonzero(wins[k]).tolist()}")
         _assert_feasible(inst, profs[k], t + k + 1)
     return phis
+
+
+def _first_clash(inst: GameInstance, wins: np.ndarray) -> int:
+    """The first round of the (K, N) winner masks ``wins``, K <= 64, in
+    which an edge joins two winners, or K if there is none.
+
+    Bit r of node n's uint64 word is wins[r, n], so one gather over the
+    edges ANDs all K rounds at once, and the lowest set bit of the OR over
+    the edges is the first clashing round.  The words are built by shifts
+    and one OR over the rounds, which is cheaper than ``np.packbits`` along
+    the round axis."""
+    words = np.bitwise_or.reduce(np.left_shift(wins, _ROUND_BITS[:len(wins), None]), axis=0)
+    u, v = inst.edge_pairs
+    clashes = int(np.bitwise_or.reduce(words[u] & words[v]))
+    return (clashes & -clashes).bit_length() - 1 if clashes else len(wins)
 
 
 def _assert_feasible(inst: GameInstance, prof: np.ndarray, t: int | None) -> None:

@@ -291,7 +291,7 @@ def float_text(x: float) -> str:
     return repr(float(x))
 
 
-_CSV_CHUNK = 4096  # trace rows per string yielded by validation_csv_chunks
+_CSV_CHUNK = 1024  # trace rows per string yielded by validation_csv_chunks
 
 
 def validation_csv_chunks(result: ValidationResult) -> Iterator[str]:

@@ -113,7 +113,7 @@ def utility(inst: GameInstance, p, n: int) -> float:
     return -float(np.sum(diffs * diffs))
 
 
-def potential(inst: GameInstance, p):
+def potential(inst: GameInstance, p, scratch: np.ndarray | None = None):
     """Exact potential: the negated sum of squared differences over edges.
 
     Equals zero iff neighboring strategies agree (consensus, on a connected
@@ -121,6 +121,11 @@ def potential(inst: GameInstance, p):
     in floating point alike.  ``p`` is one profile (N, q), giving a float, or
     a stack (K, N, q) of them, giving the K potentials as an array, each
     with its own profile's bits.
+
+    For a stack, ``scratch`` may be a float array of shape (2, K', E, q)
+    with K' >= K, for E edges: the edge gathers are written into its first
+    K rows instead of into new arrays, which a caller that checks stacks
+    round after round allocates once.  The result is the same.
     """
     prof = np.asarray(p, dtype=float)
     if prof.ndim not in (2, 3) or prof.shape[-2:] != (inst.n, inst.q):
@@ -129,8 +134,16 @@ def potential(inst: GameInstance, p):
     if not np.logical_and.reduce(np.isfinite(prof), axis=None):
         raise ValueError("profile entries must be finite")
     i, k = inst.edge_pairs
-    diffs = np.take(prof, i, axis=-2)
-    diffs -= np.take(prof, k, axis=-2)
+    if scratch is None:
+        diffs = np.take(prof, i, axis=-2)
+        diffs -= np.take(prof, k, axis=-2)
+    else:
+        # mode="clip" (the ids are in range) writes straight into out,
+        # where the default mode would buffer the result first
+        diffs, other = scratch[0, :len(prof)], scratch[1, :len(prof)]
+        np.take(prof, i, axis=1, out=diffs, mode="clip")
+        np.take(prof, k, axis=1, out=other, mode="clip")
+        diffs -= other
     # each profile's differences as one vector, edge by edge; np.vecdot
     # sums it as diffs @ diffs sums a vector
     diffs = diffs.reshape(*prof.shape[:-2], i.size * inst.q)
@@ -157,9 +170,19 @@ def utility_gradient(inst: GameInstance, p, n: int) -> np.ndarray:
 
 
 def cost_gradient(inst: GameInstance, p) -> np.ndarray:
-    """Stacked gradient of the cost J = -phi; block n is -utility_gradient(n)."""
+    """Stacked gradient of the cost J = -phi; block n is -utility_gradient(n),
+    with its bits."""
     prof = as_profile(inst, p)
-    return np.concatenate([-utility_gradient(inst, prof, n) for n in range(inst.n)])
+    indptr, indices, _ = inst.graph.csr
+    degrees = inst.degrees
+    sums = np.zeros_like(prof)
+    # the nodes of one degree d at once: a (nodes, d, q) gather summed over
+    # its d axis adds each node's neighbor rows in csr order, as
+    # _neighbor_sum's (d, q) sum does, with the same bits at every q
+    for d in np.unique(degrees[degrees > 0]).tolist():
+        nodes = np.flatnonzero(degrees == d)
+        sums[nodes] = prof[indices[indptr[nodes, None] + np.arange(d)]].sum(axis=1)
+    return (2.0 * (inst.degree_column * prof - sums)).ravel()
 
 
 def centroid(inst: GameInstance, p, n: int) -> np.ndarray:

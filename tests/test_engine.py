@@ -3,6 +3,7 @@ import math
 import tracemalloc
 import warnings
 from array import array
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -714,13 +715,13 @@ def test_run_equals_single_rounds_bit_for_bit(monkeypatch):
     mixed, _ = rand_feasible_instance(rng, n_max=12, q_max=3)
     while {type(s) for s in mixed.sets} != {Ball, Box, Halfspace}:
         mixed, _ = rand_feasible_instance(rng, n_max=12, q_max=3)
-    complete = Graph.from_edges(130, [(i, k) for i in range(130) for k in range(i + 1, 130)])
-    wide = GameInstance(complete, tuple(Ball((0.01 * i,), 1.0) for i in range(130)), 1)
+    complete = Graph.from_edges(200, [(i, k) for i in range(200) for k in range(i + 1, 200)])
+    wide = GameInstance(complete, tuple(Ball((0.01 * i,), 1.0) for i in range(200)), 1)
     assert engine._block_length(balls) > 1 and engine._block_length(mixed) > 1
     # one round's edge differences fill more than half the budget: K = 1
     assert engine._block_length(wide) == 1
     starts = (initialize(balls, loc.layout), rand_feasible_profile(mixed, rng),
-              np.array([[0.01 * i + 0.9 * math.sin(i)] for i in range(130)]))
+              np.array([[0.01 * i + 0.9 * math.sin(i)] for i in range(200)]))
     for inst, start in zip((balls, mixed, wide), starts):
         state = EngineState(inst, start, step_size=default_step_size(inst))
         for algo in ("dgtc", "dgpc"):
@@ -763,6 +764,34 @@ def test_run_equals_single_rounds_at_a_fixed_point(monkeypatch):
         trace = assert_same_as_single_rounds(state, "dgtc", 100, 0.0)
         assert trace.fixed_point and trace.iterations_used == rounds
         monkeypatch.undo()
+
+
+def trace_fields(trace):
+    # every field of a trace, columns as bytes
+    columns = [trace.metrics, trace.potentials, trace.final_profile]
+    if trace.winners is not None:
+        columns += [trace.max_metrics, trace.winners, trace.winner_offsets]
+    return [c.tobytes() for c in columns] + [trace.iterations_used, trace.converged,
+                                             trace.fixed_point]
+
+
+def test_block_length_moves_no_trace_byte_at_n100(monkeypatch):
+    # the benchmark's deep-n100 instance (N = 100, 1078 edges), 300 rounds
+    # checked in blocks of 1, 7, the natural length and 64 rounds
+    loc = make_localization_instance(100, 2, 0.3, 0.01, seed=1)
+    inst = loc.game_instance
+    start = initial_state(inst, loc.layout)
+    natural = engine._block_length(inst)
+    assert natural == 15
+    for algo, state in (("dgtc", start), ("dgpc", replace(start, step_size=default_step_size(inst)))):
+        fields = []
+        for k in (1, 7, natural, 64):
+            set_block_length(monkeypatch, inst, k)
+            trace = run(state, algo, 300, 0.0)
+            monkeypatch.undo()
+            assert trace.iterations_used == 300
+            fields.append(trace_fields(trace))
+        assert all(f == fields[0] for f in fields[1:])
 
 
 def test_consensus_metric_of_a_stack_matches_each_profile(rng):
@@ -934,6 +963,32 @@ def test_adjacent_winners_fail_in_their_round(monkeypatch, bad_round):
         run(state, "dgtc", 40, 0.0)
     ids = json.loads(str(err.value).split(": ", 1)[1])
     assert i[0] in ids and k[0] in ids
+
+
+@pytest.mark.parametrize("k, clash_round", [(64, 1), (64, 64), (13, 23), (1, 5)])
+def test_packed_independence_check_finds_the_clashing_round(monkeypatch, k, clash_round):
+    # a clash in round 1, in the last round of a 64-round block (bit 63),
+    # inside a block of 13, not a multiple of 8, and in blocks of one; an
+    # infeasible strategy in the next round and a potential decrease in the
+    # one after come later
+    state = fault_state(monkeypatch)
+    set_block_length(monkeypatch, state.instance, k)
+    i, k_end = state.instance.edge_pairs
+    proj = state.instance.projector
+    start = state.profile
+
+    def clash(win):
+        win = win.copy()
+        win[[i[0], k_end[0]]] = True
+        return win
+    monkeypatch.setattr(engine, "_select_winners", on_round(engine._select_winners, clash_round, clash))
+    monkeypatch.setattr(proj, "project", on_round(proj.project, clash_round + 1, move_far(3, 10.0)))
+    monkeypatch.setattr(engine, "_dgtc_kernel", on_round(
+        engine._dgtc_kernel, clash_round + 2, lambda out: (start.copy(),) + out[1:]))
+    with pytest.raises(InvariantError, match=rf"^adjacent winners in round {clash_round} update: \[") as err:
+        run(state, "dgtc", 200, 0.0)
+    ids = json.loads(str(err.value).split(": ", 1)[1])
+    assert i[0] in ids and k_end[0] in ids
 
 
 def test_the_round_that_finds_a_fixed_point_is_checked(monkeypatch):

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import rand_feasible_instance, rand_feasible_profile, sample_point
+from conftest import rand_feasible_instance, rand_feasible_profile, rand_set, sample_point
 from constrained_consensus.game import (
     DegenerateInstanceError,
     DegenerateNodeError,
@@ -22,7 +22,7 @@ from constrained_consensus.game import (
     utility_gradient,
 )
 from constrained_consensus.graphs import Graph
-from constrained_consensus.sets import Ball, Box, interval
+from constrained_consensus.sets import Ball, Box, Halfspace, interval
 
 
 def pair_instance(q=1, big=10.0):
@@ -77,13 +77,22 @@ def test_cost_gradient_examples():
 
 
 def test_gradient_blocks_equal_negated_utility_gradient(rng):
-    for _ in range(30):
-        inst, _ = rand_feasible_instance(rng)
+    # bit for bit, on small instances and on dense ones, whose nodes have
+    # the 8 and more neighbors that numpy sums pairwise at q = 1; node 0 of
+    # each dense instance is isolated
+    instances = [rand_feasible_instance(rng)[0] for _ in range(30)]
+    for n, density in ((40, 0.9), (150, 0.5), (150, 0.05)):
+        for q in (1, 2, 3):
+            upper = np.triu(rng.random((n, n)) < density, 1)
+            upper[0] = False
+            g = Graph.from_edges(n, zip(*(ends.tolist() for ends in np.nonzero(upper))))
+            common = rng.uniform(-1, 1, q)
+            instances.append(GameInstance(g, tuple(rand_set(rng, q, common) for _ in range(n)), q))
+    for inst in instances:
         p = rand_feasible_profile(inst, rng)
-        grad = cost_gradient(inst, p)
-        for n in range(inst.n):
-            block = grad[n * inst.q:(n + 1) * inst.q]
-            assert np.array_equal(block, -utility_gradient(inst, p, n))
+        blocks = [-utility_gradient(inst, p, n) for n in range(inst.n)]
+        assert cost_gradient(inst, p).tobytes() == np.concatenate(blocks).tobytes()
+    assert {type(s) for inst in instances for s in inst.sets} == {Ball, Box, Halfspace}
 
 
 def test_cost_gradient_matches_finite_differences(rng):

@@ -25,19 +25,21 @@ Structural invariants are asserted for every round: updated strategies stay
 in their sets, best-response winners form an independent set, and the
 potential never decreases under best-response rounds.  ``run`` works in
 blocks of K rounds: per round it runs only the round itself and stores the
-new profile (on best-response runs also the largest update metric, which
-the fixed-point stop needs, and the winner mask).  Once per block one rule
-decides the stop: the block is rolled back to the first round whose
+new profile (on best-response runs also the update metrics, whose largest
+value the fixed-point stop needs, and the winner mask).  Once per block one
+rule decides the stop: the block is rolled back to the first round whose
 metric is not above the threshold or, if earlier, to the last round
 before a best-response round that finds a literal fixed point.  The kept
 rounds are checked and recorded; the round that found the fixed point is
 checked but not kept.  Later rounds are never checked, recorded or
 counted, so a run spends at most K - 1 rounds past its stop, and its trace
-is the one a round-by-round loop would give.  K = 2^15 // (E * q) for E
-edges in dimension q, from 1 to 64 (see ``_BLOCK_ELEMENTS``): 15 for N = 100
-with 1078 edges in the plane, 1 for N = 1000.  The block's potentials are
-one ``potential`` call whose edge gathers land in two (K, E, q) buffers
-allocated once per run.  A best-response round's winners are one (N,) mask
+is the one a round-by-round loop would give.  K = 2^14 // (N * q) for N
+nodes in dimension q, from 1 to 64 (see ``_BLOCK_ELEMENTS``): 64 for N = 50
+and N = 100 in the plane, 8 for N = 1000.  The block's potentials are one
+``potential`` call, which gathers the edge ends of at most
+2^15 // (E * q) rounds at a time, for E edges, into two buffers allocated
+once per run: 15 rounds for N = 100 with 1078 edges in the plane, 1 for
+N = 1000.  A best-response round's winners are one (N,) mask
 from the winner rule to the block check, which tests the stacked masks and
 takes the recorded winner ids from them: it packs each node's K winner bits
 into one uint64, ANDs the two ends of every edge once, and reads the first
@@ -72,14 +74,18 @@ from .sets import BallStack, _check_domain, _dot_squares, _row_squares
 from .tolerances import DEFAULT
 
 
-# ``run`` checks K rounds at once, K = _BLOCK_ELEMENTS // (E * q) for E
-# edges in dimension q, at least 1 and at most _MAX_BLOCK.  The budget
-# bounds the block's K * E * q gathered edge differences, which live in two
-# buffers allocated once per run; K is 1 where one round's differences
-# already fill half of it (N = 1000 in the plane: 18500 elements), so there
-# the buffers are the two arrays one round's potential needs anyway.  The
-# cap is the width of the uint64 that packs a node's K winner bits.
-_BLOCK_ELEMENTS = 1 << 15
+# ``run`` checks K rounds at once, K = _BLOCK_ELEMENTS // (N * q) for N
+# nodes in dimension q, at least 1 and at most _MAX_BLOCK.  The budget
+# bounds the block's (K + 1, N, q) profiles and, on best-response runs, its
+# (K, N) update metrics: about 128 KiB each in the plane.  The cap is the
+# width of the uint64 that packs a node's K winner bits.  The block's
+# potentials gather their K * E * q edge differences, for E edges, at most
+# _GATHER_ELEMENTS at a time, into two buffers allocated once per run; one
+# round's differences are gathered at a time where they already fill half
+# of it (N = 1000 in the plane: 18500 elements), so there the buffers are
+# the two arrays one round's potential needs anyway.
+_BLOCK_ELEMENTS = 1 << 14
+_GATHER_ELEMENTS = 1 << 15
 _MAX_BLOCK = 64
 # bit r of a uint64 winner word stands for round r of a block
 _ROUND_BITS = np.arange(_MAX_BLOCK, dtype=np.uint64)
@@ -302,7 +308,7 @@ def _select_winners(inst: GameInstance, metrics: np.ndarray) -> np.ndarray:
 
 def _dgtc_kernel(inst: GameInstance, prof: np.ndarray, t: int):
     """Best-response round ``t``: the new profile, C-ordered, the (N,)
-    winner mask of ``_select_winners`` and the largest update metric.  The
+    winner mask of ``_select_winners`` and the (N,) update metrics.  The
     caller checks the round, on that same mask.
 
     The centroids are projected on their contiguous (q, N) transpose, and
@@ -313,7 +319,7 @@ def _dgtc_kernel(inst: GameInstance, prof: np.ndarray, t: int):
     win = _select_winners(inst, metrics)
     new_prof = prof.copy()
     np.copyto(new_prof, responses, where=win[:, None])
-    return new_prof, win, float(np.maximum.reduce(metrics))
+    return new_prof, win, metrics
 
 
 def _dgpc_kernel(inst: GameInstance, prof: np.ndarray, s: float, t: int) -> np.ndarray:
@@ -380,18 +386,20 @@ def run(state: EngineState, algo: str, max_iters: int | None = None,
     metrics, potentials = array("d", [consensus_metric(prof)]), array("d", [potential(inst, prof)])
     # block[0] is the profile after round t, and rounds t + 1, ..., t + i
     # have their profiles in block[1:i + 1] and, on best-response runs,
-    # their largest update metrics in maxes[:i] and winner masks in wins[:i]
+    # their update metrics in updates[:i] and winner masks in wins[:i]
     length = _block_length(inst)
     block = np.empty((length + 1, inst.n, inst.q))
     block[0] = prof
-    # potential's edge gathers over a block, allocated once: arrays this
-    # large, allocated per block, are mapped and page-faulted anew each time
-    scratch = np.empty((2, length, inst.graph.edge_count, inst.q))
+    # potential's edge gathers, allocated once: arrays this large, allocated
+    # per block, are mapped and page-faulted anew each time
+    edges = inst.graph.edge_count
+    rows = max(1, min(length, _GATHER_ELEMENTS // (edges * inst.q)))
+    scratch = np.empty((2, rows, edges, inst.q))
     if best_response:
         max_metrics, winners, winner_offsets = array("d"), array("q"), array("q", [0])
-        maxes, wins = np.empty(length), np.empty((length, inst.n), dtype=bool)
+        updates, wins = np.empty((length, inst.n)), np.empty((length, inst.n), dtype=bool)
     else:
-        max_metrics = winners = winner_offsets = maxes = wins = None
+        max_metrics = winners = winner_offsets = updates = wins = None
     t = 0
 
     def flush(k: int) -> str | None:
@@ -410,6 +418,7 @@ def run(state: EngineState, algo: str, max_iters: int | None = None,
         if above[kept]:
             kept, stop = k, None
         if best_response:
+            maxes = np.maximum.reduce(updates[:k], axis=1)
             settled = maxes[:kept] <= DEFAULT.fixed_point
             if np.logical_or.reduce(settled):
                 kept, stop = int(settled.argmax()), "fixed_point"
@@ -435,7 +444,7 @@ def run(state: EngineState, algo: str, max_iters: int | None = None,
         try:
             while i < size:
                 if best_response:
-                    block[i + 1], wins[i], maxes[i] = _dgtc_kernel(inst, block[i], t + i + 1)
+                    block[i + 1], wins[i], updates[i] = _dgtc_kernel(inst, block[i], t + i + 1)
                 else:
                     block[i + 1] = _dgpc_kernel(inst, block[i], state.step_size, t + i + 1)
                 i += 1
@@ -485,7 +494,7 @@ def _check_stop(max_iters: int | None, threshold: float) -> int | None:
 
 def _block_length(inst: GameInstance) -> int:
     """K, the rounds ``run`` checks at once (see ``_BLOCK_ELEMENTS``)."""
-    return max(1, min(_MAX_BLOCK, _BLOCK_ELEMENTS // (inst.graph.edge_count * inst.q)))
+    return max(1, min(_MAX_BLOCK, _BLOCK_ELEMENTS // (inst.n * inst.q)))
 
 
 def _check_rounds(inst: GameInstance, profs: np.ndarray, wins: np.ndarray | None, t: int,

@@ -307,18 +307,15 @@ def validation_csv_chunks(result: ValidationResult) -> Iterator[str]:
     yield "algo,trial,seed,t,consensus_metric,potential\n"
     for algo, traces in (("dgtc", result.dgtc), ("dgpc", result.dgpc)):
         for trial, tr in enumerate(traces):
-            head = f"{algo},{trial},{result.seeds[trial]},"
+            # the columns hold Python floats, and %r writes float_text's repr
+            row = f"{algo},{trial},{result.seeds[trial]},%d,%r,%r\n".__mod__
             rows = len(tr.metrics)
             for lo in range(0, rows, _CSV_CHUNK):
                 hi = min(lo + _CSV_CHUNK, rows)
-                yield "".join(
-                    f"{head}{t},{float_text(metric)},{float_text(phi)}\n"
-                    for t, metric, phi in zip(range(lo, hi), tr.metrics[lo:hi],
-                                              tr.potentials[lo:hi]))
+                yield "".join(map(row, zip(range(lo, hi), tr.metrics[lo:hi], tr.potentials[lo:hi])))
     for trial, pr in enumerate(result.pocs):
-        seed = result.seeds[trial]
-        yield "".join(f"pocs,{trial},{seed},{cycle},{float_text(disp)},nan\n"
-                      for cycle, disp in enumerate(pr.displacements, start=1))
+        row = f"pocs,{trial},{result.seeds[trial]},%d,%r,nan\n".__mod__
+        yield "".join(map(row, enumerate(pr.displacements, start=1)))
 
 
 def validation_csv_text(result: ValidationResult) -> str:

@@ -122,10 +122,10 @@ def potential(inst: GameInstance, p, scratch: np.ndarray | None = None):
     a stack (K, N, q) of them, giving the K potentials as an array, each
     with its own profile's bits.
 
-    For a stack, ``scratch`` may be a float array of shape (2, K', E, q)
-    with K' >= K, for E edges: the edge gathers are written into its first
-    K rows instead of into new arrays, which a caller that checks stacks
-    round after round allocates once.  The result is the same.
+    For a stack, ``scratch`` may be a float array of shape (2, R, E, q) for
+    E edges: the stack is walked R profiles at a time, their edge gathers
+    written into ``scratch``, which a caller that checks stacks round after
+    round allocates once.  The result is the same.
     """
     prof = np.asarray(p, dtype=float)
     if prof.ndim not in (2, 3) or prof.shape[-2:] != (inst.n, inst.q):
@@ -134,21 +134,25 @@ def potential(inst: GameInstance, p, scratch: np.ndarray | None = None):
     if not np.logical_and.reduce(np.isfinite(prof), axis=None):
         raise ValueError("profile entries must be finite")
     i, k = inst.edge_pairs
+    stack = prof[None] if prof.ndim == 2 else prof
     if scratch is None:
-        diffs = np.take(prof, i, axis=-2)
-        diffs -= np.take(prof, k, axis=-2)
-    else:
+        scratch = np.empty((2, max(1, len(stack)), i.size, inst.q))
+    rows = len(scratch[0])
+    phis = np.empty(len(stack))
+    for lo in range(0, len(stack), rows):
+        chunk = stack[lo:lo + rows]
         # mode="clip" (the ids are in range) writes straight into out,
         # where the default mode would buffer the result first
-        diffs, other = scratch[0, :len(prof)], scratch[1, :len(prof)]
-        np.take(prof, i, axis=1, out=diffs, mode="clip")
-        np.take(prof, k, axis=1, out=other, mode="clip")
+        diffs, other = scratch[0, :len(chunk)], scratch[1, :len(chunk)]
+        np.take(chunk, i, axis=1, out=diffs, mode="clip")
+        np.take(chunk, k, axis=1, out=other, mode="clip")
         diffs -= other
-    # each profile's differences as one vector, edge by edge; np.vecdot
-    # sums it as diffs @ diffs sums a vector
-    diffs = diffs.reshape(*prof.shape[:-2], i.size * inst.q)
-    phis = -np.vecdot(diffs, diffs)
-    return float(phis) if prof.ndim == 2 else phis
+        # each profile's differences as one vector, edge by edge; np.vecdot
+        # sums it as diffs @ diffs sums a vector
+        diffs = diffs.reshape(len(chunk), i.size * inst.q)
+        np.vecdot(diffs, diffs, out=phis[lo:lo + len(chunk)])
+    np.negative(phis, out=phis)
+    return float(phis[0]) if prof.ndim == 2 else phis
 
 
 def _neighbor_ids(inst: GameInstance, n: int) -> np.ndarray:

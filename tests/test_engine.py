@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 import warnings
 from array import array
@@ -608,7 +609,8 @@ def reference_records(inst, prof, algo, step, max_iters, threshold):
     t = 0
     while records[-1].consensus_metric > threshold and t < max_iters:
         if algo == "dgtc":
-            prof_next, win, max_metric = _dgtc_kernel(inst, prof, t + 1)
+            prof_next, win, updates = _dgtc_kernel(inst, prof, t + 1)
+            max_metric = float(np.maximum.reduce(updates))
             if max_metric <= DEFAULT.fixed_point:
                 break
             updated = tuple(np.flatnonzero(win).tolist())
@@ -648,7 +650,7 @@ def test_trace_records_match_round_by_round_reference(rng):
 
 def set_block_length(monkeypatch, inst, k):
     # run then checks k rounds at once on this instance
-    monkeypatch.setattr(engine, "_BLOCK_ELEMENTS", k * inst.graph.edge_count * inst.q)
+    monkeypatch.setattr(engine, "_BLOCK_ELEMENTS", k * inst.n * inst.q)
     assert engine._block_length(inst) == k
 
 
@@ -662,7 +664,8 @@ def single_round_trace(state, algo, max_iters, threshold):
     fixed_point = False
     while metrics[-1] > threshold and st.t < max_iters:
         if algo == "dgtc":
-            _, win, max_metric = _dgtc_kernel(inst, st.profile, st.t + 1)
+            _, win, updates = _dgtc_kernel(inst, st.profile, st.t + 1)
+            max_metric = float(np.maximum.reduce(updates))
             if max_metric <= DEFAULT.fixed_point:
                 fixed_point = True
                 break
@@ -718,8 +721,11 @@ def test_run_equals_single_rounds_bit_for_bit(monkeypatch):
     complete = Graph.from_edges(200, [(i, k) for i in range(200) for k in range(i + 1, 200)])
     wide = GameInstance(complete, tuple(Ball((0.01 * i,), 1.0) for i in range(200)), 1)
     assert engine._block_length(balls) > 1 and engine._block_length(mixed) > 1
-    # one round's edge differences fill more than half the budget: K = 1
-    assert engine._block_length(wide) == 1
+    # a natural K = 1 needs N * q > 2^14, so the helper sets it; one round
+    # of the complete graph's edge differences fills more than half the
+    # gather budget, so its potentials are gathered one round at a time
+    assert engine._block_length(wide) == 64
+    assert engine._GATHER_ELEMENTS // (wide.graph.edge_count * wide.q) == 1
     starts = (initialize(balls, loc.layout), rand_feasible_profile(mixed, rng),
               np.array([[0.01 * i + 0.9 * math.sin(i)] for i in range(200)]))
     for inst, start in zip((balls, mixed, wide), starts):
@@ -729,6 +735,11 @@ def test_run_equals_single_rounds_bit_for_bit(monkeypatch):
             for cap in (7, 40):
                 assert_same_as_single_rounds(state, algo, cap, 0.0)
             if inst is wide:
+                # and blocks of one
+                set_block_length(monkeypatch, inst, 1)
+                for cap in (7, 40):
+                    assert_same_as_single_rounds(state, algo, cap, 0.0)
+                monkeypatch.undo()
                 continue
             k = 4
             set_block_length(monkeypatch, inst, k)
@@ -777,15 +788,16 @@ def trace_fields(trace):
 
 def test_block_length_moves_no_trace_byte_at_n100(monkeypatch):
     # the benchmark's deep-n100 instance (N = 100, 1078 edges), 300 rounds
-    # checked in blocks of 1, 7, the natural length and 64 rounds
+    # checked in blocks of 1, 7, 15 (one gather chunk) and the natural
+    # length, 64 rounds in chunks of 15
     loc = make_localization_instance(100, 2, 0.3, 0.01, seed=1)
     inst = loc.game_instance
     start = initial_state(inst, loc.layout)
     natural = engine._block_length(inst)
-    assert natural == 15
+    assert natural == 64
     for algo, state in (("dgtc", start), ("dgpc", replace(start, step_size=default_step_size(inst)))):
         fields = []
-        for k in (1, 7, natural, 64):
+        for k in (1, 7, 15, natural):
             set_block_length(monkeypatch, inst, k)
             trace = run(state, algo, 300, 0.0)
             monkeypatch.undo()
@@ -1037,6 +1049,50 @@ def test_potential_decrease_fails_in_its_round(monkeypatch, bad_round):
         run(state, "dgtc", 40, 0.0)
     before, after = clean.potentials[bad_round - 1], potential(state.instance, start)
     assert str(err.value) == f"potential decreased in round {bad_round}: {before!r} -> {after!r}"
+
+
+@pytest.mark.parametrize("algo, fault, bad_round", [
+    ("dgtc", "decrease", 20), ("dgtc", "clash", 64), ("dgtc", "far", 40), ("dgpc", "far", 40)])
+def test_a_64_round_block_reports_faults_as_single_rounds(monkeypatch, algo, fault, bad_round):
+    # the deep-n100 instance checks 64 rounds per block and gathers their
+    # potentials 15 rounds at a time: a potential decrease in the second
+    # gather chunk, a winner clash at bit 63 and an infeasible strategy are
+    # reported with the round and message of a loop of single rounds
+    loc = make_localization_instance(100, 2, 0.3, 0.01, seed=1)
+    inst = loc.game_instance
+    assert engine._block_length(inst) == 64
+    assert engine._GATHER_ELEMENTS // (inst.graph.edge_count * inst.q) == 15
+    state = initial_state(inst, loc.layout, step_size=default_step_size(inst))
+    start, proj = state.profile, inst.projector
+    i, k = inst.edge_pairs
+
+    def clash(win):
+        win = win.copy()
+        win[[i[0], k[0]]] = True
+        return win
+
+    def plant():
+        if fault == "decrease":
+            monkeypatch.setattr(engine, "_dgtc_kernel", on_round(
+                engine._dgtc_kernel, bad_round, lambda out: (start.copy(),) + out[1:]))
+        elif fault == "clash":
+            monkeypatch.setattr(engine, "_select_winners",
+                                on_round(engine._select_winners, bad_round, clash))
+        else:
+            monkeypatch.setattr(proj, "project", on_round(proj.project, bad_round, move_far(3, 10.0)))
+
+    plant()
+    with pytest.raises(InvariantError) as blocked:
+        run(state, algo, 200, 0.0)
+    monkeypatch.undo()
+    plant()
+    single = dgtc_round if algo == "dgtc" else dgpc_round
+    with pytest.raises(InvariantError) as stepped:
+        st = state
+        for _ in range(bad_round):
+            st = single(st)
+    assert str(blocked.value) == str(stepped.value)
+    assert re.search(rf"round {bad_round}\b", str(blocked.value))
 
 
 @pytest.mark.parametrize("clash_round, far_round", [(6, 7), (7, 6), (6, 6)])

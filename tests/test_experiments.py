@@ -1,16 +1,20 @@
 import re
 import tracemalloc
 import warnings
+from array import array
 
 import numpy as np
 import pytest
 
 from constrained_consensus import experiments, graphs
 from constrained_consensus import game
-from constrained_consensus.engine import StepSizeWarning, initial_state, pocs_run, run
+from constrained_consensus.engine import StepSizeWarning, Trace, initial_state, pocs_run, run
 from constrained_consensus.experiments import (
     _CSV_CHUNK,
     GenerationError,
+    PocsResult,
+    ValidationResult,
+    float_text,
     localization_sets,
     make_localization_instance,
     median_split,
@@ -286,6 +290,36 @@ def test_validation_csv_deterministic():
     pocs_lines = [l for l in lines if l.startswith("pocs")]
     assert len(pocs_lines) == 2 * 40
     assert all(l.endswith(",nan") for l in pocs_lines)
+
+
+def test_validation_csv_rows_are_float_text_bytes():
+    # hand-built traces of 1023, 1024 and 1025 rows, one chunk boundary
+    # short, at and past, whose columns hold signed zeros, subnormals, large
+    # values and a sum with a long repr: every row is the float_text
+    # rendering, byte for byte
+    values = [-0.0, 5e-324, 1e-310, 1e300, 0.1 + 0.2, 0.0, -5e-324, -1e300]
+
+    def column(rows, shift):
+        return array("d", (values[(t + shift) % len(values)] for t in range(rows)))
+    traces = [Trace("dgtc", column(rows, 0), column(rows, 3), np.zeros((1, 1)), False, rows - 1)
+              for rows in (1023, 1024, 1025)]
+    pocs = [PocsResult([values[(c + trial) % len(values)] for c in range(5)], 0.0)
+            for trial in range(3)]
+    result = ValidationResult(7, [7, 70, 700], traces, traces[::-1], pocs)
+    expected = ["algo,trial,seed,t,consensus_metric,potential\n"]
+    for algo, group in (("dgtc", result.dgtc), ("dgpc", result.dgpc)):
+        for trial, tr in enumerate(group):
+            expected += [f"{algo},{trial},{result.seeds[trial]},{t},{float_text(m)},{float_text(p)}\n"
+                         for t, (m, p) in enumerate(zip(tr.metrics, tr.potentials))]
+    for trial, pr in enumerate(result.pocs):
+        expected += [f"pocs,{trial},{result.seeds[trial]},{cycle},{float_text(d)},nan\n"
+                     for cycle, d in enumerate(pr.displacements, 1)]
+    chunks = list(validation_csv_chunks(result))
+    assert "".join(chunks).encode("ascii") == "".join(expected).encode("ascii")
+    # the header, 1 + 1 + 2 chunks per algorithm, one per baseline trial
+    assert len(chunks) == 1 + 2 * 4 + 3
+    assert {"-0.0", "5e-324", "1e-310", "1e+300", "0.30000000000000004"} <= set(
+        "".join(chunks).replace("\n", ",").split(","))
 
 
 def test_rate_sweep_records():

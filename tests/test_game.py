@@ -62,6 +62,26 @@ def test_potential_is_nonpositive(rng):
         assert potential(inst, rng.uniform(-5, 5, (inst.n, inst.q))) <= 0.0
 
 
+def test_potential_of_a_stack_in_scratch_chunks_matches_each_profile(rng):
+    # stacks of 1, 7, 15 and 64 profiles walked 1, 3 or 15 at a time
+    # through a scratch buffer, the last chunk partial where the rows do not
+    # divide the stack: each potential has its own profile's bits, and no
+    # stale scratch entry leaks in
+    for _ in range(4):
+        inst, _ = rand_feasible_instance(rng, n_max=40)
+        edges = inst.graph.edge_count
+        for k in (1, 7, 15, 64):
+            stack = rng.normal(size=(k, inst.n, inst.q)) * 10.0 ** rng.uniform(-6, 3, (k, 1, 1))
+            own = np.array([potential(inst, p) for p in stack])
+            assert potential(inst, stack).tobytes() == own.tobytes()
+            for rows in (1, 3, 15):
+                scratch = np.full((2, rows, edges, inst.q), np.nan)
+                phis = potential(inst, stack, scratch)
+                assert phis.shape == (k,)
+                assert phis.tobytes() == own.tobytes(), (k, rows)
+            assert potential(inst, stack[:0], scratch).shape == (0,)
+
+
 def test_utility_gradient_examples():
     inst = pair_instance()
     assert utility_gradient(inst, [[0.0], [1.0]], 0) == pytest.approx([2.0], abs=0)

@@ -212,7 +212,7 @@ def cmd_sweep(cfg: dict) -> int:
 
 def _default_cut(q: int) -> float:
     # the sparse/dense crossover sits near 3 in 2-d and near 7 in 4-d
-    return {2: 3.0, 4: 7.0}.get(q, 3.0 + 2.0 * max(0, q - 2))
+    return 3.0 + 2.0 * max(0, q - 2)
 
 
 def cmd_pocs(cfg: dict) -> int:

@@ -563,11 +563,12 @@ def pocs_run(inst: GameInstance | BallStack, x0, cycles: int) -> tuple[np.ndarra
     """Cyclic projections onto every node's set, in ascending node order.
 
     ``inst`` is one instance with a start point of shape (q,), or a
-    ``BallStack`` of B members with starts of shape (B, q) that run in
-    lockstep.  Returns the final point(s) and the displacement of each full
-    cycle as Python floats, member-major: member b's cycle k (from 0) is
-    entry ``b * cycles + k``.  The per-cycle displacement is nonincreasing
-    (the cycle map is nonexpansive) and goes to zero on feasible instances.
+    ``BallStack`` of B members that run in lockstep from starts of shape
+    (B, q), checked as ``BallStack.max_distances`` checks its points.
+    Returns the final point(s) and the displacement of each full cycle as
+    Python floats, member-major: member b's cycle k (from 0) is entry
+    ``b * cycles + k``.  The per-cycle displacement is nonincreasing (the
+    cycle map is nonexpansive) and goes to zero on feasible instances.
 
     A ``BallStack`` projects a node's balls for all members at once;
     otherwise each set projects with its own formula.  Both give
@@ -576,24 +577,22 @@ def pocs_run(inst: GameInstance | BallStack, x0, cycles: int) -> tuple[np.ndarra
     domain of ``sets``.
     """
     cycles = _count(cycles, "cycles")
-    x = np.array(x0, dtype=float)
+    # x is checked once here, so the cycles (BallStack._cycle or the sets'
+    # _project) skip the per-call checks of ConvexSet.project
     if isinstance(inst, BallStack):
-        if x.shape != (inst.size, inst.q):
-            raise ValueError(f"expected {inst.size} starting points of dimension {inst.q}, "
-                             f"got shape {x.shape}")
+        x = inst._points(x0)
         cycle = inst._cycle
-    elif x.shape != (inst.q,):
-        raise ValueError(f"expected a starting point of dimension {inst.q}, got shape {x.shape}")
     else:
+        x = np.array(x0, dtype=float)
+        if x.shape != (inst.q,):
+            raise ValueError(f"expected a starting point of dimension {inst.q}, got shape {x.shape}")
+        _check_domain(x, "starting point coordinates")
         projections = [s._project for s in inst.sets]
 
         def cycle(x):
             for project in projections:
                 x = project(x)
             return x
-    # x is checked once here, so the cycles (BallStack._cycle or the sets'
-    # _project) skip the per-call checks of ConvexSet.project
-    _check_domain(x, "starting point coordinates")
     # (cycles,) or (cycles, B) displacements, returned member-major
     displacements = np.empty((cycles,) + x.shape[:-1])
     for k in range(cycles):

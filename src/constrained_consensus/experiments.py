@@ -74,12 +74,6 @@ def localization_radii(positions: np.ndarray, source: np.ndarray, epsilon: float
     return radii
 
 
-def localization_sets(positions: np.ndarray, source: np.ndarray, epsilon: float) -> tuple[Ball, ...]:
-    """One ball per node: center at the node, radius = source distance + epsilon."""
-    return tuple(Ball(c, r) for c, r in
-                 zip(positions, localization_radii(positions, source, epsilon).tolist()))
-
-
 def make_localization_instance(n: int, q: int, rho: float, epsilon: float, seed: int,
                                max_attempts: int = 100) -> LocalizationInstance:
     """Generate a connected scenario, rejection-sampling the layout.
@@ -178,7 +172,7 @@ def validation_study(n: int, q: int, rho: float, epsilon: float, trials: int,
         dgpc_traces.append(tr_dgpc)
         member_balls.append((loc.centers, loc.radii))
     # the baseline of every trial in one lockstep pass
-    stack = BallStack.from_arrays(member_balls)
+    stack = BallStack(member_balls)
     x, disp = pocs_run(stack, np.zeros((trials, q)), pocs_cycles)
     pocs_results = [PocsResult(disp[b * pocs_cycles:(b + 1) * pocs_cycles], dmax)
                     for b, dmax in enumerate(stack.max_distances(x).tolist())]
@@ -208,7 +202,7 @@ def pocs_study(n: int, q: int, rho: float, epsilon: float, trials: int, cycles: 
     # each instance is dropped once its center and radius arrays are stacked
     instances = (make_localization_instance(n, q, rho, epsilon, base_seed + trial, max_attempts)
                  for trial in range(trials))
-    stack = BallStack.from_arrays((loc.centers, loc.radii) for loc in instances)
+    stack = BallStack((loc.centers, loc.radii) for loc in instances)
     x = np.zeros((trials, q))
     # one pocs_run call per cycle, because the distance needs every cycle's point
     disp, dist = np.empty((trials, cycles)), np.empty((trials, cycles))
@@ -234,27 +228,26 @@ class SweepRecord:
 
 def rate_sweep(n: int, q: int, rho_min: float, rho_max: float, realizations: int,
                threshold: float = DEFAULT.convergence_threshold, base_seed: int = 0,
-               epsilon: float = 0.01, max_iters: int | None = None,
-               max_attempts: int | None = None) -> list[SweepRecord]:
+               epsilon: float = 0.01, max_iters: int | None = None) -> list[SweepRecord]:
     """Iterations-to-threshold across network densities.
 
     Every attempt draws a fresh communication range uniform in
     [rho_min, rho_max] and a fresh layout; disconnected layouts are skipped
     (the kept density distribution is therefore conditioned on connectivity)
-    until `realizations` connected records exist.  Deterministic per
-    base_seed.  The kept graphs' Fiedler values come from one
-    ``fiedler_values`` call after the runs.
+    until `realizations` connected records exist, or ``GenerationError``
+    after 200 * realizations + 100 attempts.  Deterministic per base_seed.
+    The kept graphs' Fiedler values come from one ``fiedler_values`` call
+    after the runs.
     """
     if not rho_min < rho_max:
         raise ValueError(f"need rho_min < rho_max, got [{rho_min}, {rho_max}]")
     realizations = _count(realizations, "realizations")
     n, q = _check_scenario(n, q, rho_min, epsilon, "rho_min")
     _check_stop(max_iters, threshold)
-    cap = 200 * realizations + 100 if max_attempts is None else _count(max_attempts, "max_attempts")
     kept: list[tuple] = []  # (graph, seed, rho, iters_dgtc, conv_dgtc, iters_dgpc, conv_dgpc)
     attempt = 0
     while len(kept) < realizations:
-        if attempt >= cap:
+        if attempt >= 200 * realizations + 100:
             raise GenerationError(
                 f"only {len(kept)}/{realizations} connected realizations "
                 f"after {attempt} attempts")

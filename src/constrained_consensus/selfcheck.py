@@ -433,17 +433,27 @@ def check_near_consensus_feasibility(rng):
 
 
 def check_pocs_displacement(rng):
-    """Cycle displacements never increase and vanish on feasible instances."""
+    """Cycle displacements never increase and vanish on feasible instances.
+
+    Cyclic projections promise convergence but no rate: some instances
+    here need over 70 cycles to reach 1e-6.  So each run cycles until its
+    displacement is at most 1e-6, and the cap only bounds the check's time:
+    a run still above 1e-6 after 1000 cycles fails."""
+    most = 0
     for _ in range(50):
         inst, common = random_feasible_instance(rng)
-        x0 = common + rng.normal(scale=2.0, size=inst.q)
-        _, disp = engine.pocs_run(inst, x0, cycles=60)
+        x = common + rng.normal(scale=2.0, size=inst.q)
+        disp = []
+        while len(disp) < 1000 and (not disp or disp[-1] > 1e-6):
+            x, step = engine.pocs_run(inst, x, cycles=1)
+            disp += step
         for a, b in zip(disp, disp[1:]):
             if b > a + 1e-12:
                 return False, f"displacement rose {a!r} -> {b!r}"
         if disp[-1] > 1e-6:
-            return False, f"final displacement {disp[-1]:.2e}"
-    return True, "50 random feasible instances"
+            return False, f"final displacement {disp[-1]:.2e} after {len(disp)} cycles"
+        most = max(most, len(disp))
+    return True, f"50 random feasible instances, each at most 1e-6 within {most} cycles"
 
 
 # ---------------------------------------------------------------------------

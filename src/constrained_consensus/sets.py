@@ -309,39 +309,26 @@ class RowProjector:
 class BallStack:
     """The ball sets of B members with equal (n, q), stacked node-major.
 
-    ``centers`` is (n, B, q) and ``radii`` (n, B), so node j's balls across
-    all members are one contiguous (B, q) slab.  Built from the members'
-    ball sequences, or by ``from_arrays`` from their center and radius
-    arrays, one member at a time; only the two stacked arrays are kept.
+    Each member is a pair of (n, q) centers and (n,) radii, checked as
+    ``Ball`` checks its fields.  ``centers`` is (n, B, q) and ``radii``
+    (n, B), so node j's balls across all members are one contiguous (B, q)
+    slab.  Its methods take one point per member, a (B, q) array in the
+    magnitude domain (``_points``).
     """
 
     def __init__(self, members):
-        def arrays(sets):
-            sets = tuple(sets)
-            if not all(isinstance(s, Ball) for s in sets):
-                raise ValueError("a BallStack holds balls only")
-            return [s.center for s in sets], [s.radius for s in sets]
-
-        self._stack(map(arrays, members))
-
-    @classmethod
-    def from_arrays(cls, members) -> "BallStack":
-        """The stack of ``members``, each a pair of (n, q) centers and (n,)
-        radii, checked as ``Ball`` checks its fields."""
-        stack = cls.__new__(cls)
-        stack._stack(members)
-        return stack
-
-    def _stack(self, members) -> None:
         centers, radii = [], []
-        for c, r in members:
-            c, r = np.asarray(c, dtype=float), np.asarray(r, dtype=float)
+        for i, member in enumerate(members):
+            try:
+                c, r = (np.asarray(a, dtype=float) for a in member)
+            except (TypeError, ValueError):
+                raise ValueError(f"member {i} must be a pair of numeric arrays, (n, q) centers "
+                                 f"and (n,) radii") from None
             if c.ndim != 2 or not c.size or r.shape != c.shape[:1]:
-                raise ValueError(f"member {len(centers)} needs (n, q) centers and (n,) radii with "
+                raise ValueError(f"member {i} needs (n, q) centers and (n,) radii with "
                                  f"n, q >= 1, got shapes {c.shape} and {r.shape}")
             if centers and c.shape != centers[0].shape:
-                raise ValueError(f"member {len(centers)} has (n, q) = {c.shape}, "
-                                 f"expected {centers[0].shape}")
+                raise ValueError(f"member {i} has (n, q) = {c.shape}, expected {centers[0].shape}")
             centers.append(c)
             radii.append(r)
         if not centers:
@@ -372,13 +359,21 @@ class BallStack:
             xt = _project_rows(xt, c, r, _dot_squares)
         return xt.T
 
-    def max_distances(self, x: np.ndarray) -> np.ndarray:
+    def _points(self, x) -> np.ndarray:
+        """x as a new (B, q) float array, one point per member, or
+        ``ValueError`` if its shape differs or it leaves the magnitude domain."""
+        x = np.array(x, dtype=float)
+        if x.shape != (self.size, self.q):
+            raise ValueError(f"expected {self.size} points of dimension {self.q}, one per member, "
+                             f"got shape {x.shape}")
+        _check_domain(x, "point coordinates")
+        return x
+
+    def max_distances(self, x) -> np.ndarray:
         """``max(s.distance_to(x[b]) for s in member b's balls)`` per member,
         bit for bit, computed one node at a time over (B, q) slabs."""
         best = np.zeros(self.size)
-        x = np.asarray(x, dtype=float)
-        _check_domain(x, "point coordinates")
-        xt = x.T
+        xt = self._points(x).T
         for c, r in self._slabs:
             p = _project_rows(xt, c, r, _dot_squares)
             if p is not xt:  # a slab with every row inside adds only zero distances

@@ -28,6 +28,12 @@ def rand_connected_graph(rng: np.random.Generator, n: int) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+def ball_arrays(balls) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, q) centers and (n,) radii of a ball sequence: one
+    ``BallStack`` member."""
+    return np.array([b.center for b in balls]), np.array([b.radius for b in balls])
+
+
 def rand_set(rng: np.random.Generator, q: int, around: np.ndarray):
     """Random ball/half-space/box guaranteed to contain ``around``."""
     kind = rng.integers(3)

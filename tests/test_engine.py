@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import rand_connected_graph, rand_feasible_instance, rand_feasible_profile
+from conftest import ball_arrays, rand_connected_graph, rand_feasible_instance, rand_feasible_profile
 from constrained_consensus import engine, game, sets
 from constrained_consensus.engine import (
     EngineState,
@@ -505,7 +505,7 @@ def test_pocs_ball_stack_matches_reference_bit_for_bit(rng):
                 x0[1] = rng.choice([-1.0, 1.0], q) * rng.uniform(0.5, 1.0, q) * 1e140
                 if B > 2:
                     x0[2] = rng.choice([-1.0, 1.0], q) * rng.uniform(2.5, 4.0, q)
-                stack = BallStack(m.sets for m in members)
+                stack = BallStack(ball_arrays(m.sets) for m in members)
                 with warnings.catch_warnings():
                     # d = 0 rows must not divide
                     warnings.simplefilter("error")
@@ -523,11 +523,11 @@ def test_pocs_ball_stack_matches_reference_bit_for_bit(rng):
 
 
 def test_pocs_ball_stack_validation():
-    stack = BallStack([(Ball((0.0,), 1.0), Ball((1.0,), 1.0))] * 3)
+    stack = BallStack([([[0.0], [1.0]], [1.0, 1.0])] * 3)
     with pytest.raises(ValueError, match="cycles must be positive"):
         pocs_run(stack, np.zeros((3, 1)), cycles=0)
     for bad in (np.zeros(1), np.zeros((2, 1)), np.zeros((3, 2))):
-        with pytest.raises(ValueError, match="3 starting points of dimension 1"):
+        with pytest.raises(ValueError, match="expected 3 points of dimension 1"):
             pocs_run(stack, bad, cycles=1)
     with pytest.raises(ValueError, match="finite"):
         pocs_run(stack, np.array([[0.0], [math.inf], [0.0]]), cycles=1)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import ball_arrays
 from constrained_consensus.engine import (
     EngineState,
     InvariantError,
@@ -231,8 +232,8 @@ def test_ball_projection_of_a_point_whose_square_overflows():
     for entry in (lambda: balls[0].project([1e200, 0.0]),
                   lambda: Ball((0.0, 0.0), 2.0).project([-3e300, 4e300]),
                   lambda: balls[0].distance_to([1e200, 0.0]),
-                  lambda: BallStack([balls]).max_distances([[1e200, 0.0]]),
-                  lambda: pocs_run(BallStack([balls]), [[1e200, 0.0]], 2),
+                  lambda: BallStack([ball_arrays(balls)]).max_distances([[1e200, 0.0]]),
+                  lambda: pocs_run(BallStack([ball_arrays(balls)]), [[1e200, 0.0]], 2),
                   lambda: pocs_run(mixed, [1e200, 0.0], 2)):
         with pytest.raises(ValueError, match=OUT_OF_DOMAIN):
             entry()
@@ -242,7 +243,7 @@ def test_ball_projection_of_a_point_whose_difference_from_the_center_overflows()
     # no ball holds a center, radius or point whose difference can overflow
     for entry in (lambda: Ball((1e308, 0.0), 1.0), lambda: Ball((0.0, 0.0), 1.5e308),
                   lambda: Ball((0.0, 0.0), 1.0).project([-1e308, 0.0]),
-                  lambda: pocs_run(BallStack([[Ball((0.0, 0.0), 1.0)]]), np.array([[-1e308, 0.0]]), 1)):
+                  lambda: pocs_run(BallStack([([[0.0, 0.0]], [1.0])]), np.array([[-1e308, 0.0]]), 1)):
         with pytest.raises(ValueError, match=OUT_OF_DOMAIN):
             entry()
 
@@ -277,7 +278,7 @@ def _domain_entries():
     # each entry takes one bad value v into the place it names
     inst = _two_balls()
     good = np.array([[0.0, 0.0], [0.5, 0.0]])
-    stack = BallStack([inst.sets, inst.sets])
+    stack = BallStack([ball_arrays(inst.sets)] * 2)
 
     def profile(v):
         prof = good.copy()
@@ -337,7 +338,7 @@ def test_values_at_the_domain_edge_stay_finite_and_exact():
         rows = RowProjector([ball, ball])
         assert rows.project(np.array([x, -x])).tolist() == [ball.project(x).tolist(), (-x).tolist()]
         assert rows.distances(np.array([x, -x])) == pytest.approx([hypot - L, 0.0], rel=1e-15)
-        stack = BallStack([[ball, Ball((-L, L), L)]])
+        stack = BallStack([ball_arrays([ball, Ball((-L, L), L)])])
         assert stack.max_distances(x[None]) == pytest.approx([hypot - L], rel=1e-15)
         end, disp = pocs_run(stack, x[None], 3)
         assert np.isfinite(end).all() and disp[0] == pytest.approx(math.hypot(*(end[0] - x)), rel=1e-15)
@@ -397,7 +398,7 @@ def test_ball_stack_max_distances_match_distance_to_bit_for_bit(rng):
                 x = rng.uniform(-3, 3, q)
                 balls = _balls_around(rng, x, 8)
                 # one ball per member: every case shows on its own
-                single = BallStack([b] for b in balls)
+                single = BallStack(ball_arrays([b]) for b in balls)
                 got = single.max_distances(np.tile(x, (len(balls), 1)))
                 assert got.tolist() == [b.distance_to(x) for b in balls]
                 assert got.tolist() == [reference_distance(b, x) for b in balls]
@@ -406,7 +407,7 @@ def test_ball_stack_max_distances_match_distance_to_bit_for_bit(rng):
                 # members of many balls: the largest distance, node by node
                 members = [balls, balls[::-1], balls[5:] + balls[:5]]
                 points = np.array([x, x + 0.5, x - 0.25])
-                got = BallStack(members).max_distances(points)
+                got = BallStack(map(ball_arrays, members)).max_distances(points)
                 assert got.tolist() == [max(b.distance_to(p) for b in m)
                                         for m, p in zip(members, points)]
 
@@ -415,62 +416,54 @@ def test_ball_stack_layout_and_rejections():
     members = [(Ball((0.0, 1.0), 0.5), Ball((2.0, 3.0), 1.5)),
                (Ball((4.0, 5.0), 2.5), Ball((6.0, 7.0), 3.5)),
                (Ball((8.0, 9.0), 4.5), Ball((1.0, 1.0), 5.5))]
-    stack = BallStack(iter(members))
+    stack = BallStack(map(ball_arrays, members))
     assert (stack.size, stack.q) == (3, 2)
     # node-major: node j's balls across all members are one contiguous slab
     assert stack.centers.shape == (2, 3, 2) and stack.radii.shape == (2, 3)
     assert stack.centers[1].flags.c_contiguous and stack.radii[1].flags.c_contiguous
     assert stack.centers[1].tolist() == [[2.0, 3.0], [6.0, 7.0], [1.0, 1.0]]
     assert stack.radii[0].tolist() == [0.5, 2.5, 4.5]
-    with pytest.raises(ValueError, match="balls only"):
-        BallStack([members[0], (Ball((0.0, 0.0), 1.0), Box((0.0, 0.0), (1.0, 1.0)))])
-    with pytest.raises(ValueError, match=r"member 1 has \(n, q\) = \(1, 2\)"):
-        BallStack([members[0], members[1][:1]])
-    with pytest.raises(ValueError, match=r"member 1 has \(n, q\) = \(2, 3\)"):
-        BallStack([members[0], (Ball((0.0, 0.0, 0.0), 1.0), Ball((1.0, 0.0, 0.0), 1.0))])
-    with pytest.raises(ValueError, match="at least one"):
-        BallStack([])
-
-
-def test_ball_stack_from_arrays_matches_the_ball_built_stack(rng):
-    # compared with ==: the array entry stores the same stack, so cycles and
-    # distances keep their bits
-    for q in (1, 2, 3):
-        x = rng.uniform(-3, 3, q)
-        balls = _balls_around(rng, x, 6)
-        members = [balls, balls[::-1], balls[3:] + balls[:3]]
-        arrays = [(np.array([b.center for b in m]), [b.radius for b in m]) for m in members]
-        stacks = BallStack(members), BallStack.from_arrays(iter(arrays))
-        points = rng.uniform(-3, 3, (3, q))
-        for got, want in zip(*((s.centers, s.radii, s._cycle(points), s.max_distances(points))
-                               for s in stacks)):
-            assert got.tolist() == want.tolist()
-        assert pocs_run(stacks[0], points, 3)[1] == pocs_run(stacks[1], points, 3)[1]
-
-
-def test_ball_stack_from_arrays_rejections():
+    # -0.0 is a radius, kept as given
+    assert BallStack([(np.zeros((2, 2)), [0.0, -0.0])]).radii.tolist() == [[0.0], [-0.0]]
     centers, radii = np.zeros((2, 2)), np.ones(2)
     with pytest.raises(ValueError, match=r"member 1 has \(n, q\) = \(1, 2\), expected \(2, 2\)"):
-        BallStack.from_arrays([(centers, radii), (centers[:1], radii[:1])])
+        BallStack([(centers, radii), (centers[:1], radii[:1])])
     with pytest.raises(ValueError, match=r"member 1 has \(n, q\) = \(2, 3\)"):
-        BallStack.from_arrays([(centers, radii), (np.zeros((2, 3)), radii)])
+        BallStack([(centers, radii), (np.zeros((2, 3)), radii)])
     with pytest.raises(ValueError, match="at least one member"):
-        BallStack.from_arrays([])
+        BallStack([])
     for c, r in ((np.zeros((0, 2)), np.ones(0)), (np.zeros((2, 0)), radii), (np.zeros(2), radii),
                  (centers, np.ones(3)), (centers, 1.0)):
         with pytest.raises(ValueError, match=r"member 0 needs \(n, q\) centers and \(n,\) radii"):
-            BallStack.from_arrays([(c, r)])
+            BallStack([(c, r)])
+    # a member that is not a pair of numeric arrays: the balls themselves,
+    # a ball, a triple, or a pair holding balls or text
+    balls = (Ball((0.0, 0.0), 1.0), Ball((1.0, 0.0), 1.0))
+    for bad in (balls, balls[:1], balls[0], (centers, radii, radii), (), (centers, ["a", "b"])):
+        with pytest.raises(ValueError, match="^member 1 must be a pair of numeric arrays"):
+            BallStack([(centers, radii), bad])
     for c, r, fault in ((centers + [[0.0, 1e200]], radii, "point coordinates must be finite"),
                         (centers + [[0.0, np.nan]], radii, "point coordinates must be finite"),
                         (centers, [1.0, np.inf], "radius must be finite"),
                         (centers, [1.0, 1e200], "radius must be finite"),
                         (centers, [1.0, -0.5], "radius must be nonnegative, got -0.5")):
         with pytest.raises(ValueError, match=fault):
-            BallStack.from_arrays([(centers, radii), (c, r)])
-    # the ball-sequence constructor has the same rules, and -0.0 is a radius
-    with pytest.raises(ValueError, match=r"member 0 needs \(n, q\) centers"):
-        BallStack([()])
-    assert BallStack.from_arrays([(centers, [0.0, -0.0])]).radii.tolist() == [[0.0], [-0.0]]
+            BallStack([(centers, radii), (c, r)])
+
+
+def test_ball_stack_point_rule_is_shared_by_pocs_run_and_max_distances():
+    # one point per member: a (1, q) point on a 3-member stack is rejected,
+    # not broadcast, and both entries give the same message
+    stack = BallStack([(np.zeros((2, 2)), np.ones(2))] * 3)
+    for bad in ([[0.0, 3.0]], [0.0, 3.0], np.zeros((3, 1)), np.zeros((3, 3)), np.zeros((2, 3, 2))):
+        messages = []
+        for entry in (stack.max_distances, lambda x: pocs_run(stack, x, 1)):
+            with pytest.raises(ValueError, match=r"^expected 3 points of dimension 2, one per member, "
+                                                 r"got shape \(") as err:
+                entry(bad)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+    assert stack.max_distances([[0.0, 3.0]] * 3).tolist() == [2.0] * 3
 
 
 coords = st.floats(min_value=-50, max_value=50, allow_nan=False)

@@ -19,7 +19,8 @@ transpose of the profile, whose columns are whole coordinates, and returns
 a C-ordered (N, q) profile: a profile's consensus metric is summed in
 memory order, so only C order gives the recorded bits.  The winner rule
 runs edge by edge.  Every result has the bits of the plain row-by-row
-formulas.
+formulas.  The start (``initialize``) is projected by the rounds' own
+projector, ``GameInstance.projector``, so it has the rounds' bits too.
 
 Structural invariants are asserted for every round: updated strategies stay
 in their sets, best-response winners form an independent set, and the
@@ -47,7 +48,10 @@ clashing round from the lowest set bit.  A violation raises
 ``InvariantError`` naming the first failing round, found once per block,
 at most K - 1 rounds after it happened and before any later error leaves
 the run; an error raised in a round past the stop is dropped with that
-round.  Violations indicate a bug, not a user error.
+round.  Violations indicate a bug, not a user error.  ``consensus_metric``
+and ``potential`` reject profiles outside the magnitude domain of ``sets``
+with ``ValueError``; a block ends before such a round, which, unless the run
+stops first, is checked and fails.
 """
 
 from __future__ import annotations
@@ -70,7 +74,7 @@ from .game import (
     potential,
 )
 from .graphs import GeometricLayout
-from .sets import BallStack, _check_domain, _dot_squares, _row_squares
+from .sets import _LIMIT, BallStack, _check_domain, _dot_squares, _row_squares
 from .tolerances import DEFAULT
 
 
@@ -204,6 +208,7 @@ def consensus_metric(p):
     same bits either way.
     """
     prof = np.asarray(p, dtype=float)
+    _check_domain(prof, "profile entries")
     if prof.ndim == 3:
         if prof.shape[2] > 1:
             # node by node in order, as the 2-D call adds rows; the (N, K, q)
@@ -223,7 +228,8 @@ def consensus_metric(p):
 
 
 def initialize(inst: GameInstance, layout: GeometricLayout | None = None) -> np.ndarray:
-    """Deterministic feasible start: project each node's anchor onto its set.
+    """Deterministic feasible start: each node's anchor projected onto its
+    set by the rounds' own projector, as a new C-ordered profile.
 
     The anchor is the node's own position when a geometric layout is given,
     the origin otherwise.
@@ -232,9 +238,10 @@ def initialize(inst: GameInstance, layout: GeometricLayout | None = None) -> np.
         anchors = np.asarray(layout.positions, dtype=float)
         if anchors.shape != (inst.n, inst.q):
             raise ValueError(f"layout shape {anchors.shape} does not match instance {(inst.n, inst.q)}")
+        _check_domain(anchors, "layout positions")
     else:
         anchors = np.zeros((inst.n, inst.q))
-    return np.array([s.project(a) for s, a in zip(inst.sets, anchors)])
+    return np.array(inst.projector.project(anchors), order="C")
 
 
 def initial_state(inst: GameInstance, layout: GeometricLayout | None = None,
@@ -410,19 +417,21 @@ def run(state: EngineState, algo: str, max_iters: int | None = None,
         update metrics are all at most ``DEFAULT.fixed_point``, which is
         checked but not kept; None if the run goes on."""
         nonlocal t
-        ms = consensus_metric(block[1:k + 1])
+        # a profile outside the domain has no metric: the block ends before it
+        inside = _inside_rounds(block[1:k + 1])
+        ms = consensus_metric(block[1:inside + 1])
         # round t's metric is the last one recorded: above the threshold,
         # except maybe at the start
         above = np.concatenate(([metrics[-1]], ms)) > threshold
         kept, stop = int(above.argmin()), "threshold"
         if above[kept]:
-            kept, stop = k, None
+            kept, stop = inside, None
         if best_response:
             maxes = np.maximum.reduce(updates[:k], axis=1)
             settled = maxes[:kept] <= DEFAULT.fixed_point
             if np.logical_or.reduce(settled):
                 kept, stop = int(settled.argmax()), "fixed_point"
-        checked = kept + (stop == "fixed_point")
+        checked = kept + (stop == "fixed_point" or stop is None and inside < k)
         phis = _check_rounds(inst, block[1:checked + 1], None if wins is None else wins[:checked], t,
                              potentials[-1] if best_response else None, scratch)
         metrics.frombytes(ms[:kept].tobytes())
@@ -495,6 +504,14 @@ def _check_stop(max_iters: int | None, threshold: float) -> int | None:
 def _block_length(inst: GameInstance) -> int:
     """K, the rounds ``run`` checks at once (see ``_BLOCK_ELEMENTS``)."""
     return max(1, min(_MAX_BLOCK, _BLOCK_ELEMENTS // (inst.n * inst.q)))
+
+
+def _inside_rounds(profs: np.ndarray) -> int:
+    """How many leading profiles of the stack ``profs`` lie in the magnitude
+    domain; one dot settles most calls, as in ``_check_domain``."""
+    if np.vdot(profs, profs) <= _LIMIT * _LIMIT:
+        return len(profs)
+    return int(np.append(np.maximum.reduce(np.abs(profs), axis=(1, 2)) <= _LIMIT, False).argmin())
 
 
 def _check_rounds(inst: GameInstance, profs: np.ndarray, wins: np.ndarray | None, t: int,

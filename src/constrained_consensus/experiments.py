@@ -32,7 +32,7 @@ from .game import GameInstance, default_step_size
 from .graphs import GeometricLayout, Graph, fiedler_values, graph_from_positions, is_connected
 from .graphs import fiedler_value  # noqa: F401  (perfbench/harness.py wraps experiments.fiedler_value)
 from .seeding import rng_for
-from .sets import Ball, BallStack, _check_domain, _check_radii
+from .sets import BallStack, _check_domain, _check_radii
 from .tolerances import DEFAULT
 
 
@@ -44,7 +44,7 @@ class GenerationError(RuntimeError):
 class LocalizationInstance:
     """A connected localization scenario.  Node i's constraint ball has
     center ``centers[i]``, the node's position, and radius ``radii[i]``;
-    the ``Ball`` objects are built only when ``sets`` is first read."""
+    ``game_instance`` takes them as one ball table (``GameInstance.from_balls``)."""
 
     layout: GeometricLayout
     graph: Graph
@@ -57,12 +57,8 @@ class LocalizationInstance:
         return self.layout.positions
 
     @cached_property
-    def sets(self) -> tuple[Ball, ...]:
-        return tuple(Ball(c, r) for c, r in zip(self.centers, self.radii.tolist()))
-
-    @cached_property
     def game_instance(self) -> GameInstance:
-        return GameInstance(self.graph, self.sets, self.layout.positions.shape[1])
+        return GameInstance.from_balls(self.graph, self.centers, self.radii)
 
 
 def localization_radii(positions: np.ndarray, source: np.ndarray, epsilon: float) -> np.ndarray:

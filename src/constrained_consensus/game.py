@@ -16,7 +16,10 @@ gradient-projection algorithm.  This module provides those functions, their
 gradients, the closed-form best response (projected neighborhood centroid)
 and the Lipschitz/step-size bounds for J.
 
-Strategy profiles are (N, q) float arrays, one row per node.
+Strategy profiles are (N, q) float arrays, one row per node.  An instance
+of all balls, as in the localization scenario, is built from its ball table
+(``GameInstance.from_balls``), which its ``projector`` keeps for the rounds;
+its ``Ball`` objects are built only when ``sets`` is read.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from .graphs import Graph, _node_id
-from .sets import ConvexSet, RowProjector, _check_domain
+from .sets import Ball, ConvexSet, RowProjector, _ball_table, _check_domain, _SetRows
 
 
 class DegenerateNodeError(ValueError):
@@ -39,21 +42,35 @@ class DegenerateInstanceError(ValueError):
     """The operation needs the graph to have at least one edge."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class GameInstance:
-    """A consensus game: communication graph plus one convex set per node."""
+    """A consensus game: communication graph plus one convex set per node,
+    given as the sets themselves or, by ``from_balls``, as a ball table."""
 
     graph: Graph
-    sets: tuple[ConvexSet, ...]
     q: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "sets", tuple(self.sets))
-        if len(self.sets) != self.graph.n:
-            raise ValueError(f"need one set per node: {len(self.sets)} sets for {self.graph.n} nodes")
-        for i, s in enumerate(self.sets):
-            if s.dim != self.q:
-                raise ValueError(f"set of node {i} has dimension {s.dim}, expected {self.q}")
+    def __init__(self, graph: Graph, sets, q: int):
+        sets = tuple(sets)
+        _store(self, graph, len(sets), q=q, sets=sets)
+        for i, s in enumerate(sets):
+            if s.dim != q:
+                raise ValueError(f"set of node {i} has dimension {s.dim}, expected {q}")
+
+    @classmethod
+    def from_balls(cls, graph: Graph, centers, radii) -> "GameInstance":
+        """Node i's set is the ball (centers[i], radii[i]), for (N, q)
+        centers and (N,) radii checked as ``Ball`` checks its fields.  The
+        rounds project onto a copy of this table; ``sets`` is built when read."""
+        c, r = _ball_table((centers, radii), "ball table")
+        inst = cls.__new__(cls)
+        _store(inst, graph, len(c), q=c.shape[1], projector=RowProjector(c, r))
+        return inst
+
+    @cached_property
+    def sets(self) -> tuple[ConvexSet, ...]:
+        table = self.projector  # only a from_balls instance gets here
+        return tuple(Ball(c, r) for c, r in zip(table._centers.T, table._radii.tolist()))
 
     @property
     def n(self) -> int:
@@ -93,8 +110,19 @@ class GameInstance:
         return rows[upper], indices[upper]
 
     @cached_property
-    def projector(self) -> RowProjector:
-        return RowProjector(self.sets)
+    def projector(self) -> RowProjector | _SetRows:
+        """Projects row n onto set n: all-ball sets as one ball table."""
+        if all(isinstance(s, Ball) for s in self.sets):
+            return RowProjector(np.array([s.center for s in self.sets]),
+                                np.array([s.radius for s in self.sets]))
+        return _SetRows(self.sets)
+
+
+def _store(inst: GameInstance, graph: Graph, count: int, **fields) -> None:
+    """Set a new instance's fields once its ``count`` sets are one per node."""
+    if count != graph.n:
+        raise ValueError(f"need one set per node: {count} sets for {graph.n} nodes")
+    vars(inst).update(graph=graph, **fields)
 
 
 def as_profile(inst: GameInstance, p) -> np.ndarray:
@@ -131,8 +159,7 @@ def potential(inst: GameInstance, p, scratch: np.ndarray | None = None):
     if prof.ndim not in (2, 3) or prof.shape[-2:] != (inst.n, inst.q):
         raise ValueError(f"expected a profile of shape {(inst.n, inst.q)} or a stack of them, "
                          f"got {prof.shape}")
-    if not np.logical_and.reduce(np.isfinite(prof), axis=None):
-        raise ValueError("profile entries must be finite")
+    _check_domain(prof, "profile entries")
     i, k = inst.edge_pairs
     stack = prof[None] if prof.ndim == 2 else prof
     if scratch is None:

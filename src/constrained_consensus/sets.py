@@ -10,6 +10,11 @@ Projection returns its argument *unchanged* (bitwise) whenever the point is
 already inside the set; iterative algorithms rely on this to reach literal
 fixed points.
 
+A family of balls is also kept as one table, (n, q) centers and (n,)
+radii, checked once by ``_ball_table``: ``RowProjector``, the engine's
+projector, takes nothing else (other families are projected row by row by
+``_SetRows``), and ``BallStack`` stacks one table per member.
+
 Every ball projection (``Ball.project``, ``RowProjector`` and the lockstep
 ``BallStack``) runs through one kernel, ``_project_rows``.  It works on
 coordinate-first arrays, (q, B) for B points: callers pass ``.T`` views of
@@ -19,8 +24,8 @@ last bits: ``RowProjector`` sums them as ``np.linalg.norm`` does
 (``_row_squares``), every other caller as ``ndarray.dot`` does
 (``_dot_squares``).
 
-Every value that enters a set's parameters, ``as_point``, ``project``,
-``distance_to`` or a ``BallStack`` method is finite and at most ``_LIMIT``
+Every value that enters a set's parameters, a ball table, ``as_point``,
+``project``, ``distance_to`` or a ``BallStack`` method is finite and at most ``_LIMIT``
 = 2^480 (about 3.1e144) in magnitude, or ``_check_domain`` raises
 ``ValueError``.  Projections of such values stay
 within a few ``_LIMIT``, so the differences the kernels meet stay below
@@ -33,7 +38,6 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -171,14 +175,8 @@ class Ball(ConvexSet):
     def dim(self) -> int:
         return self.center.size
 
-    @cached_property
-    def _kernel_args(self):
-        """The kernel's (q, 1) center and (1,) radius, built at the first
-        projection."""
-        return self.center[:, None], np.array([self.radius])
-
     def _project(self, x):
-        return _project_rows(x[:, None], *self._kernel_args, _dot_squares)[:, 0]
+        return _project_rows(x[:, None], self.center[:, None], self.radius, _dot_squares)[:, 0]
 
     def bounding_box(self):
         return self.center - self.radius, self.center + self.radius
@@ -265,42 +263,63 @@ def interval(lo: float, hi: float) -> Box:
     return Box(np.array([lo]), np.array([hi]))
 
 
+def _ball_table(pair, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """``pair``, (n, q) centers and (n,) radii, as float arrays, checked as
+    ``Ball`` checks its fields; ``ValueError`` messages name ``what``."""
+    try:
+        c, r = (np.asarray(a, dtype=float) for a in pair)
+    except (TypeError, ValueError):
+        raise ValueError(f"{what} must be a pair of numeric arrays, (n, q) centers "
+                         f"and (n,) radii") from None
+    if c.ndim != 2 or not c.size or r.shape != c.shape[:1]:
+        raise ValueError(f"{what} needs (n, q) centers and (n,) radii with "
+                         f"n, q >= 1, got shapes {c.shape} and {r.shape}")
+    _check_domain(c, "point coordinates")
+    _check_radii(r)
+    return c, r
+
+
 class RowProjector:
-    """Projects row n of an (N, q) array onto sets[n], and measures each
-    row's distance to its set.
+    """Projects row n of an (N, q) array onto the ball (centers[n],
+    radii[n]), and measures each row's distance to its ball.
 
-    All-ball collections (the localization scenario) get a vectorized path:
-    it keeps the centers coordinate-first, (q, N), projects the ``.T``
-    view of x and returns the ``.T`` view of a (q, N) array, so an x that
-    is such a view is read and written in contiguous columns.  Anything
-    else falls back to a per-row loop.
+    It keeps a copy of the centers coordinate-first, (q, N), projects the
+    ``.T`` view of x and returns the ``.T`` view of a (q, N) array, so an x
+    that is such a view is read and written in contiguous columns.
 
-    Internal: x must lie within a few ``_LIMIT`` of the origin, as the
-    engine's profiles, centroids and checked steps do, and is not checked.
+    Internal: its callers check the table (``_ball_table``), and x must lie
+    within a few ``_LIMIT`` of the origin, as the engine's profiles,
+    centroids and checked steps do, and is not checked.
     """
 
-    def __init__(self, sets):
-        self.sets = tuple(sets)
-        self._centers = self._radii = None
-        if self.sets and all(isinstance(s, Ball) for s in self.sets):
-            self._centers = np.array([s.center for s in self.sets]).T.copy()
-            self._radii = np.array([s.radius for s in self.sets])
+    def __init__(self, centers: np.ndarray, radii: np.ndarray):
+        self._centers = np.array(np.asarray(centers, dtype=float).T, order="C")
+        self._radii = np.array(radii, dtype=float)
 
     def project(self, x: np.ndarray) -> np.ndarray:
-        """Row n of x projected onto sets[n]."""
-        if self._centers is not None:
-            return _project_rows(np.asarray(x).T, self._centers, self._radii, _row_squares).T
+        """Row n of x projected onto ball n."""
+        return _project_rows(np.asarray(x).T, self._centers, self._radii, _row_squares).T
+
+    def distances(self, x: np.ndarray) -> np.ndarray:
+        """Distance of each row to its ball: x is one (N, q) array, giving N
+        distances, or a stack (K, N, q) of them, giving (K, N); a row's
+        distance has the same bits either way."""
+        # (q, N) or (q, K, N), C-contiguous for _row_squares
+        xt = np.ascontiguousarray(x.T if x.ndim == 2 else x.transpose(2, 0, 1))
+        c = self._centers if x.ndim == 2 else self._centers[:, None]
+        return np.maximum(np.sqrt(_row_squares(xt - c)) - self._radii, 0.0)
+
+
+class _SetRows:
+    """``RowProjector``'s methods for any sets, row n by sets[n]'s formula."""
+
+    def __init__(self, sets):
+        self.sets = sets
+
+    def project(self, x: np.ndarray) -> np.ndarray:
         return np.array([s._project(row) for s, row in zip(self.sets, x)])
 
     def distances(self, x: np.ndarray) -> np.ndarray:
-        """Distance of each row to its set: x is one (N, q) array, giving N
-        distances, or a stack (K, N, q) of them, giving (K, N); a row's
-        distance has the same bits either way."""
-        if self._centers is not None:
-            # (q, N) or (q, K, N), C-contiguous for _row_squares
-            xt = np.ascontiguousarray(x.T if x.ndim == 2 else x.transpose(2, 0, 1))
-            c = self._centers if x.ndim == 2 else self._centers[:, None]
-            return np.maximum(np.sqrt(_row_squares(xt - c)) - self._radii, 0.0)
         if x.ndim == 3:
             return np.array([self.distances(member) for member in x]).reshape(x.shape[:2])
         return np.array([s._distance(row) for s, row in zip(self.sets, x)])
@@ -319,14 +338,7 @@ class BallStack:
     def __init__(self, members):
         centers, radii = [], []
         for i, member in enumerate(members):
-            try:
-                c, r = (np.asarray(a, dtype=float) for a in member)
-            except (TypeError, ValueError):
-                raise ValueError(f"member {i} must be a pair of numeric arrays, (n, q) centers "
-                                 f"and (n,) radii") from None
-            if c.ndim != 2 or not c.size or r.shape != c.shape[:1]:
-                raise ValueError(f"member {i} needs (n, q) centers and (n,) radii with "
-                                 f"n, q >= 1, got shapes {c.shape} and {r.shape}")
+            c, r = _ball_table(member, f"member {i}")
             if centers and c.shape != centers[0].shape:
                 raise ValueError(f"member {i} has (n, q) = {c.shape}, expected {centers[0].shape}")
             centers.append(c)
@@ -335,8 +347,6 @@ class BallStack:
             raise ValueError("a BallStack needs at least one member")
         self.centers = np.stack(centers, axis=1)
         self.radii = np.stack(radii, axis=1)
-        _check_domain(self.centers, "point coordinates")
-        _check_radii(self.radii)
         # node j's slab as the kernels take it: its (q, B) centers and (B,) radii
         self._slabs = [(c.T, r) for c, r in zip(self.centers, self.radii)]
 

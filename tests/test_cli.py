@@ -159,7 +159,8 @@ def test_pocs_builds_no_ball(tmp_path, monkeypatch):
                  "--out", str(tmp_path / "pocs.csv")]) == EXIT_OK
     assert built == []
     # the counter counts: an instance's sets are balls
-    assert len(experiments.make_localization_instance(20, 2, 0.5, 0.01, 0).sets) == len(built) == 20
+    loc = experiments.make_localization_instance(20, 2, 0.5, 0.01, 0)
+    assert len(loc.game_instance.sets) == len(built) == 20
 
 
 def test_generation_failure_exit_code(tmp_path, capsys):

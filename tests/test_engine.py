@@ -75,6 +75,39 @@ def test_initialize_is_deterministic():
     assert np.array_equal(initialize(inst), initialize(inst))
 
 
+def test_initialize_is_the_rounds_projection_bit_for_bit(rng):
+    # anchors outside their balls are projected as the rounds project, with
+    # np.linalg.norm's sums, into a new C-ordered profile, whichever way
+    # the instance was built; q = 7 and 8 straddle numpy's pairwise sums
+    for q in (1, 2, 3, 7, 8):
+        n = int(rng.integers(5, 30))
+        centers, radii = rng.uniform(0.3, 0.7, (n, q)), rng.uniform(0.0, 0.25, n)
+        graph = rand_connected_graph(rng, n)
+        layout = GeometricLayout(rng.random((n, q)), 1.0)
+        assert np.count_nonzero(np.linalg.norm(layout.positions - centers, axis=1) > radii) >= 2
+        for inst in (GameInstance.from_balls(graph, centers, radii),
+                     GameInstance(graph, tuple(map(Ball, centers, radii)), q)):
+            for anchor, given in ((np.zeros((n, q)), None), (layout.positions, layout)):
+                prof = initialize(inst, given)
+                assert prof.flags.c_contiguous and prof.flags.writeable
+                assert prof.tobytes() == reference_project(centers, radii, anchor).tobytes()
+
+
+def test_an_infeasible_start_is_rejected():
+    # run and both single rounds check the start before any arithmetic, on
+    # a ball table and on row-by-row intervals
+    g = Graph.from_edges(2, [(0, 1)])
+    balls = GameInstance.from_balls(g, np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([1.0, 1.0]))
+    for inst, prof in ((balls, [[0.0, 0.0], [1.0, 1.5]]), (two_node_instance(), [[-2.0], [3.5]])):
+        state = EngineState(inst, np.array(prof), step_size=0.1)
+        for start in (lambda: run(state, "dgtc", 5), lambda: run(state, "dgpc", 5),
+                      lambda: dgtc_round(state), lambda: dgpc_round(state)):
+            with pytest.raises(InvariantError,
+                               match=r"^strategy of node 1 left its set in the starting profile: "
+                                     r"distance 5\.000e-01$"):
+                start()
+
+
 def test_consensus_metric_examples():
     assert consensus_metric([[1.5, 2.5], [1.5, 2.5], [1.5, 2.5]]) == 0.0
     assert consensus_metric([[0.0], [2.0]]) == pytest.approx(math.sqrt(2), rel=1e-15)
@@ -365,9 +398,10 @@ def test_dgpc_matches_centralized_update(rng):
 
 
 def test_dgpc_round_checks_its_step_once(monkeypatch):
-    # per round the magnitude domain is checked on the (N, q) start profile
-    # and once on the kernel's (q, N) step; the projection and the round's
-    # feasibility check, in RowProjector, check nothing
+    # per round the magnitude domain is checked on the (N, q) start profile,
+    # once on the kernel's (q, N) step and once, in potential, on the round's
+    # (1, N, q) block; the projection and the round's feasibility check, in
+    # RowProjector, check nothing
     loc = make_localization_instance(30, 2, 0.4, 0.01, seed=5)
     inst = loc.game_instance
     state = initial_state(inst, loc.layout, step_size=default_step_size(inst))
@@ -382,7 +416,8 @@ def test_dgpc_round_checks_its_step_once(monkeypatch):
     for _ in range(5):
         shapes.clear()
         state = dgpc_round(state)
-        assert shapes == [((30, 2), "profile entries"), ((2, 30), "gradient step")]
+        assert shapes == [((30, 2), "profile entries"), ((2, 30), "gradient step"),
+                          ((1, 30, 2), "profile entries")]
 
 
 def test_dgpc_step_size_validation():
@@ -1147,6 +1182,29 @@ def test_pending_failure_is_reported_before_a_later_error(monkeypatch):
     with pytest.raises(InvariantError, match=f"left its set after round {bad_round}") as err:
         run(state, "dgpc", 40, 0.0)
     assert str(err.value.__context__) == "metric failed"
+
+
+@pytest.mark.parametrize("algo", ["dgtc", "dgpc"])
+def test_a_round_outside_the_magnitude_domain_ends_its_block(monkeypatch, algo):
+    # round 3 sends its movers past 2**480, still inside their half-spaces:
+    # that profile has no metric, so run raises potential's domain error
+    # for it, unless the run stops by round 2, before it
+    def state(far):
+        g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+        inst = GameInstance(g, tuple(Halfspace((1.0,), 0.0) for _ in range(5)), 1)
+        set_block_length(monkeypatch, inst, 4)
+        if far:
+            proj = inst.projector
+            monkeypatch.setattr(proj, "project", on_round(proj.project, 3, lambda p: p - 2.0 ** 481))
+        return EngineState(inst, np.array([[-1.0], [-3.0], [-8.0], [0.0], [-2.0]]), step_size=0.1)
+    clean = run(state(False), algo, 10, 0.0)
+    assert clean.iterations_used == 10
+    with pytest.raises(ValueError, match=r"^profile entries must be finite and at most 2\*\*480"):
+        run(state(True), algo, 10, 0.0)
+    threshold = min(clean.metrics[1:3])
+    stopped, want = (run(state(far), algo, 10, threshold) for far in (True, False))
+    assert stopped.iterations_used == want.iterations_used <= 2 and stopped.converged
+    assert stopped.metrics.tobytes() == want.metrics.tobytes()
 
 
 def test_trace_records_view_indexing(rng):

@@ -49,18 +49,19 @@ def test_instance_sets_are_the_localization_balls_of_its_arrays():
         assert not loc.centers.flags.writeable and not loc.radii.flags.writeable
         want = [Ball(c, r) for c, r in
                 zip(loc.layout.positions, localization_radii(loc.layout.positions, loc.source, 0.01))]
-        assert loc.sets is loc.sets and len(loc.sets) == len(want) == 25
-        for got, ball in zip(loc.sets, want):
+        sets = loc.game_instance.sets
+        assert sets is loc.game_instance.sets and len(sets) == len(want) == 25
+        for got, ball in zip(sets, want):
             assert got.center.tolist() == ball.center.tolist()
             assert got.radius == ball.radius
-        assert [b.radius for b in loc.sets] == loc.radii.tolist()
+        assert [b.radius for b in sets] == loc.radii.tolist()
     with pytest.raises(ValueError, match="radius must be nonnegative, got -1.0"):
         localization_radii(np.zeros((2, 2)), np.zeros(2), -1.0)
 
 
 def test_instance_source_contained_exactly():
     loc = make_localization_instance(30, 2, 0.35, 0.01, seed=3)
-    for ball in loc.sets:
+    for ball in loc.game_instance.sets:
         assert ball.contains(loc.source, tol=0.0)
     assert np.all(loc.source >= 0.25) and np.all(loc.source <= 0.75)
     assert is_connected(loc.graph)
@@ -183,6 +184,19 @@ def test_one_graph_build_and_connectivity_test_per_attempt(monkeypatch):
     assert calls == {"graph_from_positions": attempts, "is_connected": attempts}
 
 
+def test_studies_build_no_ball(monkeypatch):
+    # each instance's ball table goes from the draw to the projector as
+    # arrays; reading an instance's sets is what builds its Balls
+    built = []
+    init = Ball.__post_init__
+    monkeypatch.setattr(Ball, "__post_init__", lambda ball: built.append(ball) or init(ball))
+    validation_study(n=12, q=2, rho=0.45, epsilon=0.01, trials=3, threshold=1e-6, base_seed=5)
+    rate_sweep(n=12, q=2, rho_min=0.3, rho_max=0.6, realizations=3, threshold=1e-6)
+    pocs_study(n=12, q=2, rho=0.45, epsilon=0.01, trials=3, cycles=4)
+    assert built == []
+    assert len(make_localization_instance(12, 2, 0.45, 0.01, 5).game_instance.sets) == len(built) == 12
+
+
 def test_validation_study_small():
     result = validation_study(n=12, q=2, rho=0.45, epsilon=0.01, trials=3,
                               threshold=1e-6, max_iters=20000, base_seed=5)
@@ -220,7 +234,7 @@ def test_pocs_study_matches_the_scalar_path():
         for cycle in range(5):
             x, (d,) = pocs_run(loc.game_instance, x, 1)
             assert disp[trial, cycle] == d
-            assert dist[trial, cycle] == max(s.distance_to(x) for s in loc.sets)
+            assert dist[trial, cycle] == max(s.distance_to(x) for s in loc.game_instance.sets)
     # no trial is feasible after its first cycle, so the distances are tested
     assert dist[:, 0].min() > 0.0
 

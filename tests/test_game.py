@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import rand_feasible_instance, rand_feasible_profile, rand_set, sample_point
+from conftest import rand_connected_graph, rand_feasible_instance, rand_feasible_profile, rand_set, sample_point
 from constrained_consensus.game import (
     DegenerateInstanceError,
     DegenerateNodeError,
@@ -276,6 +276,57 @@ def test_error_paths():
     with pytest.raises(ValueError):
         GameInstance(Graph.from_edges(2, [(0, 1)]),
                      (Ball([0.0], 1.0), Ball([0.0, 0.0], 1.0)), 1)
+
+
+def test_from_balls_builds_its_sets_once_on_first_read(rng, monkeypatch):
+    # the table is the rounds' projector; the Balls, equal to the table's
+    # to the bit, are built at the first read of sets and kept
+    built = []
+    init = Ball.__post_init__
+    monkeypatch.setattr(Ball, "__post_init__", lambda ball: built.append(ball) or init(ball))
+    for q in (1, 2, 3):
+        n = int(rng.integers(2, 20))
+        centers, radii = rng.uniform(-1, 1, (n, q)), rng.uniform(0.0, 0.8, n)
+        inst = GameInstance.from_balls(rand_connected_graph(rng, n), centers, radii)
+        assert (inst.n, inst.q) == (n, q) and "sets" not in vars(inst)
+        prof = rng.uniform(-2, 2, (n, q))
+        explicit = GameInstance(inst.graph, tuple(Ball(c, r) for c, r in zip(centers, radii)), q)
+        built.clear()
+        assert inst.projector.project(prof).tobytes() == explicit.projector.project(prof).tobytes()
+        assert built == [] and "sets" not in vars(inst)
+        sets = inst.sets
+        assert len(built) == n
+        assert inst.sets is sets and len(built) == n
+        assert all(type(s) is Ball for s in sets)
+        assert np.stack([s.center for s in sets]).tobytes() == centers.tobytes()
+        assert np.array([s.radius for s in sets]).tobytes() == radii.tobytes()
+        # the table is a copy: the caller's arrays may change afterwards
+        centers[0] += 5.0
+        assert inst.projector.project(prof).tobytes() == explicit.projector.project(prof).tobytes()
+
+
+def test_from_balls_rejects_a_bad_table():
+    g = Graph.from_edges(2, [(0, 1)])
+    centers, radii = np.zeros((2, 2)), np.ones(2)
+    with pytest.raises(ValueError, match=r"^need one set per node: 3 sets for 2 nodes$"):
+        GameInstance.from_balls(g, np.zeros((3, 2)), np.ones(3))
+    for c, r in ((centers, np.ones(3)), (np.zeros(2), radii), (np.zeros((2, 0)), radii)):
+        with pytest.raises(ValueError, match=r"^ball table needs \(n, q\) centers and \(n,\) radii"):
+            GameInstance.from_balls(g, c, r)
+    for c, r in ((centers, ["a", "b"]), ((Ball((0.0,), 1.0),) * 2, radii)):
+        with pytest.raises(ValueError, match="^ball table must be a pair of numeric arrays"):
+            GameInstance.from_balls(g, c, r)
+    for c, r, fault in ((centers + [[0.0, 1e200]], radii, "^point coordinates must be finite"),
+                        (centers + [[0.0, np.nan]], radii, "^point coordinates must be finite"),
+                        (centers, [1.0, np.inf], "^radius must be finite"),
+                        (centers, [1.0, -0.5], "^radius must be nonnegative, got -0.5")):
+        with pytest.raises(ValueError, match=fault):
+            GameInstance.from_balls(g, c, r)
+    # the explicit constructor keeps its messages
+    with pytest.raises(ValueError, match=r"^need one set per node: 1 sets for 2 nodes$"):
+        GameInstance(g, (Ball([0.0], 1.0),), 1)
+    with pytest.raises(ValueError, match=r"^set of node 1 has dimension 2, expected 1$"):
+        GameInstance(g, (Ball([0.0], 1.0), Ball([0.0, 0.0], 1.0)), 1)
 
 
 def test_max_set_distance():

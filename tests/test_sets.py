@@ -30,6 +30,7 @@ from constrained_consensus.sets import (
     Halfspace,
     RowProjector,
     _LIMIT,
+    _SetRows,
     as_point,
 )
 
@@ -162,7 +163,7 @@ def test_constructor_validation():
 
 def test_row_projector_matches_scalar(rng):
     cs = [Ball(rng.uniform(-1, 1, 3), rng.uniform(0.1, 1.0)) for _ in range(6)]
-    proj = RowProjector(cs)
+    proj = RowProjector(*ball_arrays(cs))
     x = rng.uniform(-3, 3, (6, 3))
     batch = proj.project(x)
     for i, s in enumerate(cs):
@@ -172,7 +173,7 @@ def test_row_projector_matches_scalar(rng):
 
 def test_row_projector_mixed_sets_fallback(rng):
     cs = [Ball((0.0, 0.0), 1.0), Box((0.0, 0.0), (1.0, 1.0)), Halfspace((1.0, 0.0), 0.0)]
-    proj = RowProjector(cs)
+    proj = _SetRows(cs)
     x = rng.uniform(-2, 2, (3, 2))
     batch = proj.project(x)
     for i, s in enumerate(cs):
@@ -182,7 +183,7 @@ def test_row_projector_mixed_sets_fallback(rng):
 def test_row_projector_row_at_a_large_ball_center_is_quiet():
     # a row exactly at the center of a ball whose radius / tiny overflows is
     # kept as is, with no divide by zero and no 0 * inf
-    proj = RowProjector([Ball((0.0, 0.0), 5.0), Ball((1.0, 1.0), 0.5)])
+    proj = RowProjector(*ball_arrays([Ball((0.0, 0.0), 5.0), Ball((1.0, 1.0), 0.5)]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         out = proj.project([[0.0, 0.0], [3.0, 3.0]])
@@ -270,8 +271,8 @@ def test_ball_keeps_a_point_inside_whose_squared_distance_overflows():
         warnings.simplefilter("error")
         assert b.project(x).tobytes() == x.tobytes()
         assert b.distance_to(x) == 0.0
-        assert RowProjector([b, b]).project(np.array([x, x])).tolist() == [x.tolist()] * 2
-        assert RowProjector([b]).distances(x[None]).tolist() == [0.0]
+        assert RowProjector(*ball_arrays([b, b])).project(np.array([x, x])).tolist() == [x.tolist()] * 2
+        assert RowProjector(*ball_arrays([b])).distances(x[None]).tolist() == [0.0]
 
 
 def _domain_entries():
@@ -303,6 +304,13 @@ def _domain_entries():
         "dgtc_round": lambda v: dgtc_round(EngineState(inst, profile(v))),
         "dgpc_round": lambda v: dgpc_round(EngineState(inst, profile(v), step_size=0.1)),
         "max_set_distance": lambda v: max_set_distance(inst, profile(v)),
+        "potential": lambda v: potential(inst, profile(v)),
+        "potential.stack": lambda v: potential(inst, np.array([good, profile(v)])),
+        "consensus_metric": lambda v: consensus_metric(profile(v)),
+        "consensus_metric.stack": lambda v: consensus_metric(np.array([good, profile(v)])),
+        "GameInstance.from_balls.centers": lambda v: GameInstance.from_balls(inst.graph, profile(v),
+                                                                             [1.0, 1.0]),
+        "GameInstance.from_balls.radii": lambda v: GameInstance.from_balls(inst.graph, good, [1.0, v]),
         "pocs_run.instance": lambda v: pocs_run(inst, (v, 0.0), 1),
         "pocs_run.BallStack": lambda v: pocs_run(stack, points(v), 1),
         "BallStack.max_distances": lambda v: stack.max_distances(points(v)),
@@ -335,7 +343,7 @@ def test_values_at_the_domain_edge_stay_finite_and_exact():
         assert box.distance_to((L, L)) == 1.5 * L
         assert half.distance_to(-x) == pytest.approx(excess / math.hypot(L, L), rel=1e-15)
         assert half.contains(half.project(-x)) and half.project(x).tobytes() == x.tobytes()
-        rows = RowProjector([ball, ball])
+        rows = RowProjector(*ball_arrays([ball, ball]))
         assert rows.project(np.array([x, -x])).tolist() == [ball.project(x).tolist(), (-x).tolist()]
         assert rows.distances(np.array([x, -x])) == pytest.approx([hypot - L, 0.0], rel=1e-15)
         stack = BallStack([ball_arrays([ball, Ball((-L, L), L)])])

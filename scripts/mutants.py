@@ -11,11 +11,9 @@ It exits 1 if any mutant survives, if a mutant's line is no longer in the
 source (a guard that moved must be updated here), or if the unmutated copy
 fails.  Usage:
 
-    python scripts/mutants.py                  # every mutant
-    python scripts/mutants.py start-check      # the named ones
+    python scripts/mutants.py
 """
 
-import argparse
 import os
 import pathlib
 import shutil
@@ -47,7 +45,7 @@ MUTANTS = [
      'checked = kept + (stop == "fixed_point" or stop is None and inside < k)',
      "checked = kept + (stop is None and inside < k)"),
     ("domain-cut-off", "a round outside the magnitude domain ends its block", ENGINE,
-     "inside = _inside_rounds(block[1:k + 1])",
+     "inside = _inside(block[1:k + 1])",
      "inside = k"),
     ("dgpc-domain-off", "the gradient step stays in the magnitude domain", ENGINE,
      '_check_domain(stepped, "gradient step")',
@@ -78,15 +76,6 @@ def imported_from(tree: pathlib.Path) -> str:
 
 
 def main() -> int:
-    names = [m[0] for m in MUTANTS]
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("only", nargs="*", metavar="MUTANT",
-                    help=f"mutants to run (default: all): {', '.join(names)}")
-    args = ap.parse_args()
-    if set(args.only) - set(names):
-        ap.error(f"unknown mutants: {', '.join(sorted(set(args.only) - set(names)))}")
-    chosen = [m for m in MUTANTS if not args.only or m[0] in args.only]
-
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         tree = pathlib.Path(tmp)
         shutil.copytree(ROOT / "src", tree / "src")
@@ -99,7 +88,7 @@ def main() -> int:
             print("the unmutated copy fails the test subset; nothing was checked")
             return 1
         survivors, stale = [], []
-        for name, guard, path, old, new in chosen:
+        for name, guard, path, old, new in MUTANTS:
             source = (ROOT / path).read_text()
             if source.count(old) != 1:
                 stale.append(name)
@@ -115,7 +104,7 @@ def main() -> int:
                 survivors.append(name)
             verdict = "killed" if killed else "SURVIVED"
             print(f"{name:24} {verdict:8} {time.perf_counter() - t0:5.1f} s  {guard}")
-    print(f"{len(chosen) - len(survivors) - len(stale)} of {len(chosen)} mutants killed")
+    print(f"{len(MUTANTS) - len(survivors) - len(stale)} of {len(MUTANTS)} mutants killed")
     return 1 if survivors or stale else 0
 
 

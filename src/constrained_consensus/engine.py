@@ -19,8 +19,7 @@ transpose of the profile, whose columns are whole coordinates, and returns
 a C-ordered (N, q) profile: a profile's consensus metric is summed in
 memory order, so only C order gives the recorded bits.  The winner rule
 runs edge by edge.  Every result has the bits of the plain row-by-row
-formulas.  The start (``initialize``) is projected by the rounds' own
-projector, ``GameInstance.projector``, so it has the rounds' bits too.
+formulas, as does the start: ``initialize`` uses the rounds' projector.
 
 Structural invariants are asserted for every round: updated strategies stay
 in their sets, best-response winners form an independent set, and the
@@ -48,10 +47,8 @@ clashing round from the lowest set bit.  A violation raises
 ``InvariantError`` naming the first failing round, found once per block,
 at most K - 1 rounds after it happened and before any later error leaves
 the run; an error raised in a round past the stop is dropped with that
-round.  Violations indicate a bug, not a user error.  ``consensus_metric``
-and ``potential`` reject profiles outside the magnitude domain of ``sets``
-with ``ValueError``; a block ends before such a round, which, unless the run
-stops first, is checked and fails.
+round.  Violations indicate a bug, not a user error.  A round outside the
+magnitude domain ends its block and, unless the run stops first, raises.
 """
 
 from __future__ import annotations
@@ -74,7 +71,7 @@ from .game import (
     potential,
 )
 from .graphs import GeometricLayout
-from .sets import _LIMIT, BallStack, _check_domain, _dot_squares, _row_squares
+from .sets import BallStack, _check_domain, _dot_squares, _inside, _row_squares
 from .tolerances import DEFAULT
 
 
@@ -228,8 +225,7 @@ def consensus_metric(p):
 
 
 def initialize(inst: GameInstance, layout: GeometricLayout | None = None) -> np.ndarray:
-    """Deterministic feasible start: each node's anchor projected onto its
-    set by the rounds' own projector, as a new C-ordered profile.
+    """Deterministic feasible start: the rounds' projection of each node's anchor.
 
     The anchor is the node's own position when a geometric layout is given,
     the origin otherwise.
@@ -417,8 +413,7 @@ def run(state: EngineState, algo: str, max_iters: int | None = None,
         update metrics are all at most ``DEFAULT.fixed_point``, which is
         checked but not kept; None if the run goes on."""
         nonlocal t
-        # a profile outside the domain has no metric: the block ends before it
-        inside = _inside_rounds(block[1:k + 1])
+        inside = _inside(block[1:k + 1])  # the rounds with a metric
         ms = consensus_metric(block[1:inside + 1])
         # round t's metric is the last one recorded: above the threshold,
         # except maybe at the start
@@ -504,14 +499,6 @@ def _check_stop(max_iters: int | None, threshold: float) -> int | None:
 def _block_length(inst: GameInstance) -> int:
     """K, the rounds ``run`` checks at once (see ``_BLOCK_ELEMENTS``)."""
     return max(1, min(_MAX_BLOCK, _BLOCK_ELEMENTS // (inst.n * inst.q)))
-
-
-def _inside_rounds(profs: np.ndarray) -> int:
-    """How many leading profiles of the stack ``profs`` lie in the magnitude
-    domain; one dot settles most calls, as in ``_check_domain``."""
-    if np.vdot(profs, profs) <= _LIMIT * _LIMIT:
-        return len(profs)
-    return int(np.append(np.maximum.reduce(np.abs(profs), axis=(1, 2)) <= _LIMIT, False).argmin())
 
 
 def _check_rounds(inst: GameInstance, profs: np.ndarray, wins: np.ndarray | None, t: int,

@@ -16,10 +16,8 @@ gradient-projection algorithm.  This module provides those functions, their
 gradients, the closed-form best response (projected neighborhood centroid)
 and the Lipschitz/step-size bounds for J.
 
-Strategy profiles are (N, q) float arrays, one row per node.  An instance
-of all balls, as in the localization scenario, is built from its ball table
-(``GameInstance.from_balls``), which its ``projector`` keeps for the rounds;
-its ``Ball`` objects are built only when ``sets`` is read.
+Strategy profiles are (N, q) float arrays, one row per node.  An all-ball
+instance may be built from its ball table (``GameInstance.from_balls``).
 """
 
 from __future__ import annotations
@@ -44,33 +42,32 @@ class DegenerateInstanceError(ValueError):
 
 @dataclass(frozen=True, eq=False, init=False)
 class GameInstance:
-    """A consensus game: communication graph plus one convex set per node,
-    given as the sets themselves or, by ``from_balls``, as a ball table."""
+    """A consensus game: communication graph plus one convex set per node."""
 
     graph: Graph
     q: int
 
     def __init__(self, graph: Graph, sets, q: int):
-        sets = tuple(sets)
-        _store(self, graph, len(sets), q=q, sets=sets)
-        for i, s in enumerate(sets):
+        vars(self).update(graph=graph, sets=tuple(sets), q=q)
+        if len(self.sets) != graph.n:
+            raise ValueError(f"need one set per node: {len(self.sets)} sets for {graph.n} nodes")
+        for i, s in enumerate(self.sets):
             if s.dim != q:
                 raise ValueError(f"set of node {i} has dimension {s.dim}, expected {q}")
 
     @classmethod
     def from_balls(cls, graph: Graph, centers, radii) -> "GameInstance":
-        """Node i's set is the ball (centers[i], radii[i]), for (N, q)
-        centers and (N,) radii checked as ``Ball`` checks its fields.  The
-        rounds project onto a copy of this table; ``sets`` is built when read."""
+        """Node i's set is the ball (centers[i], radii[i]); ``sets`` is built when read."""
         c, r = _ball_table((centers, radii), "ball table")
+        if len(c) != graph.n:
+            raise ValueError(f"need one set per node: {len(c)} sets for {graph.n} nodes")
         inst = cls.__new__(cls)
-        _store(inst, graph, len(c), q=c.shape[1], projector=RowProjector(c, r))
+        vars(inst).update(graph=graph, q=c.shape[1], projector=RowProjector(c, r))
         return inst
 
     @cached_property
-    def sets(self) -> tuple[ConvexSet, ...]:
-        table = self.projector  # only a from_balls instance gets here
-        return tuple(Ball(c, r) for c, r in zip(table._centers.T, table._radii.tolist()))
+    def sets(self) -> tuple[ConvexSet, ...]:  # from_balls instances only
+        return tuple(map(Ball, self.projector._centers.T, self.projector._radii.tolist()))
 
     @property
     def n(self) -> int:
@@ -111,18 +108,9 @@ class GameInstance:
 
     @cached_property
     def projector(self) -> RowProjector | _SetRows:
-        """Projects row n onto set n: all-ball sets as one ball table."""
         if all(isinstance(s, Ball) for s in self.sets):
-            return RowProjector(np.array([s.center for s in self.sets]),
-                                np.array([s.radius for s in self.sets]))
+            return RowProjector([s.center for s in self.sets], [s.radius for s in self.sets])
         return _SetRows(self.sets)
-
-
-def _store(inst: GameInstance, graph: Graph, count: int, **fields) -> None:
-    """Set a new instance's fields once its ``count`` sets are one per node."""
-    if count != graph.n:
-        raise ValueError(f"need one set per node: {count} sets for {graph.n} nodes")
-    vars(inst).update(graph=graph, **fields)
 
 
 def as_profile(inst: GameInstance, p) -> np.ndarray:

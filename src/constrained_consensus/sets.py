@@ -10,28 +10,24 @@ Projection returns its argument *unchanged* (bitwise) whenever the point is
 already inside the set; iterative algorithms rely on this to reach literal
 fixed points.
 
-A family of balls is also kept as one table, (n, q) centers and (n,)
-radii, checked once by ``_ball_table``: ``RowProjector``, the engine's
-projector, takes nothing else (other families are projected row by row by
-``_SetRows``), and ``BallStack`` stacks one table per member.
-
-Every ball projection (``Ball.project``, ``RowProjector`` and the lockstep
-``BallStack``) runs through one kernel, ``_project_rows``.  It works on
-coordinate-first arrays, (q, B) for B points: callers pass ``.T`` views of
-their (B, q) rows, and a result's bits do not depend on the memory layout.
-Callers differ only in how a point's squares are summed, which decides the
-last bits: ``RowProjector`` sums them as ``np.linalg.norm`` does
-(``_row_squares``), every other caller as ``ndarray.dot`` does
-(``_dot_squares``).
+Every ball projection (``Ball.project`` and the ball tables of
+``RowProjector`` and the lockstep ``BallStack``: (n, q) centers and (n,)
+radii, checked by ``_ball_table``) runs through one kernel,
+``_project_rows``.  It works on coordinate-first arrays, (q, B) for B
+points: callers pass ``.T`` views of their (B, q) rows, and a result's
+bits do not depend on the memory layout.  Callers differ only in how a
+point's squares are summed, which decides the last bits: ``RowProjector``
+sums them as ``np.linalg.norm`` does (``_row_squares``), every other
+caller as ``ndarray.dot`` does (``_dot_squares``).
 
 Every value that enters a set's parameters, a ball table, ``as_point``,
-``project``, ``distance_to`` or a ``BallStack`` method is finite and at most ``_LIMIT``
-= 2^480 (about 3.1e144) in magnitude, or ``_check_domain`` raises
-``ValueError``.  Projections of such values stay
-within a few ``_LIMIT``, so the differences the kernels meet stay below
-2^484 and a sum of their squares below 2^968 per term: nothing overflows,
-each kernel has one path, and numpy warns of nothing.  ``RowProjector`` is
-internal and checks nothing; its callers have.
+``project``, ``distance_to`` or a ``BallStack`` method is finite and at
+most ``_LIMIT`` = 2^480 (about 3.1e144) in magnitude, or ``_check_domain``
+raises ``ValueError``.  Projections of such values stay within a few
+``_LIMIT``, so the differences the kernels meet stay below 2^484 and a sum
+of their squares below 2^968 per term: nothing overflows, each kernel has
+one path, and numpy warns of nothing.  ``RowProjector`` is internal and
+checks nothing; its callers have.
 """
 
 from __future__ import annotations
@@ -46,13 +42,19 @@ _LIMIT = 2.0 ** 480
 
 
 def _check_domain(x, what: str) -> None:
-    """Raise ``ValueError`` unless every entry of ``x``, an array or a float,
-    is finite and at most ``_LIMIT`` in magnitude.  A rounded sum of squares
-    is at least each rounded square, and an entry past the power of two
-    ``_LIMIT`` has a rounded square above _LIMIT^2: one dot settles most calls."""
-    if not (np.vdot(x, x) <= _LIMIT * _LIMIT
-            or np.maximum.reduce(np.abs(x), axis=None, initial=0.0) <= _LIMIT):
+    """Raise ``ValueError`` unless every entry of ``x``, an array or a float, is inside (``_inside``)."""
+    if not (np.vdot(x, x) <= _LIMIT * _LIMIT or _inside(np.reshape(x, (1, -1)))):
         raise ValueError(f"{what} must be finite and at most 2**480 (about 3.1e144) in magnitude")
+
+
+def _inside(stack: np.ndarray) -> int:
+    """How many leading members of ``stack`` have every entry finite and at
+    most ``_LIMIT`` in magnitude.  A rounded sum of squares is at least each
+    rounded square, and an entry past the power of two ``_LIMIT`` has a
+    rounded square above _LIMIT^2: one dot settles most calls."""
+    if np.vdot(stack, stack) <= _LIMIT * _LIMIT:
+        return len(stack)
+    return int(np.append(np.abs(stack).reshape(len(stack), -1).max(axis=1) <= _LIMIT, False).argmin())
 
 
 def _check_radii(r) -> None:
@@ -264,13 +266,11 @@ def interval(lo: float, hi: float) -> Box:
 
 
 def _ball_table(pair, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """``pair``, (n, q) centers and (n,) radii, as float arrays, checked as
-    ``Ball`` checks its fields; ``ValueError`` messages name ``what``."""
+    """``pair``, (n, q) centers and (n,) radii, as float arrays checked as ``Ball`` checks its fields."""
     try:
         c, r = (np.asarray(a, dtype=float) for a in pair)
     except (TypeError, ValueError):
-        raise ValueError(f"{what} must be a pair of numeric arrays, (n, q) centers "
-                         f"and (n,) radii") from None
+        raise ValueError(f"{what} must be a pair of numeric arrays, (n, q) centers and (n,) radii") from None
     if c.ndim != 2 or not c.size or r.shape != c.shape[:1]:
         raise ValueError(f"{what} needs (n, q) centers and (n,) radii with "
                          f"n, q >= 1, got shapes {c.shape} and {r.shape}")
@@ -287,9 +287,8 @@ class RowProjector:
     ``.T`` view of x and returns the ``.T`` view of a (q, N) array, so an x
     that is such a view is read and written in contiguous columns.
 
-    Internal: its callers check the table (``_ball_table``), and x must lie
-    within a few ``_LIMIT`` of the origin, as the engine's profiles,
-    centroids and checked steps do, and is not checked.
+    Internal: neither the table nor x is checked, and x must lie within a
+    few ``_LIMIT`` of the origin, as the engine's profiles and steps do.
     """
 
     def __init__(self, centers: np.ndarray, radii: np.ndarray):
@@ -310,29 +309,25 @@ class RowProjector:
         return np.maximum(np.sqrt(_row_squares(xt - c)) - self._radii, 0.0)
 
 
-class _SetRows:
-    """``RowProjector``'s methods for any sets, row n by sets[n]'s formula."""
-
-    def __init__(self, sets):
-        self.sets = sets
+class _SetRows(tuple):
+    """A tuple of sets with ``RowProjector``'s methods: row n by set n's formula."""
 
     def project(self, x: np.ndarray) -> np.ndarray:
-        return np.array([s._project(row) for s, row in zip(self.sets, x)])
+        return np.array([s._project(row) for s, row in zip(self, x)])
 
     def distances(self, x: np.ndarray) -> np.ndarray:
         if x.ndim == 3:
             return np.array([self.distances(member) for member in x]).reshape(x.shape[:2])
-        return np.array([s._distance(row) for s, row in zip(self.sets, x)])
+        return np.array([s._distance(row) for s, row in zip(self, x)])
 
 
 class BallStack:
     """The ball sets of B members with equal (n, q), stacked node-major.
 
-    Each member is a pair of (n, q) centers and (n,) radii, checked as
-    ``Ball`` checks its fields.  ``centers`` is (n, B, q) and ``radii``
-    (n, B), so node j's balls across all members are one contiguous (B, q)
-    slab.  Its methods take one point per member, a (B, q) array in the
-    magnitude domain (``_points``).
+    Each member is a checked ball table (``_ball_table``).  ``centers`` is
+    (n, B, q) and ``radii`` (n, B), so node j's balls across all members
+    are one contiguous (B, q) slab.  Its methods take one point per member,
+    a (B, q) array in the magnitude domain (``_points``).
     """
 
     def __init__(self, members):

@@ -27,7 +27,8 @@ ENGINE = "src/constrained_consensus/engine.py"
 GAME = "src/constrained_consensus/game.py"
 TESTS = ["tests/test_engine.py", "tests/test_game.py", "tests/test_sets.py"]
 
-# (name, the guard it removes, file, line as in the source, mutated line)
+# (name, the guard it removes, file, line as in the source, mutated line);
+# a line that recurs in its file is matched with the line after it
 MUTANTS = [
     ("clash-none", "independence of a round's winners", ENGINE,
      "clashes = int(np.bitwise_or.reduce(words[u] & words[v]))",
@@ -42,16 +43,43 @@ MUTANTS = [
      "if phi is not None:",
      "if False:"),
     ("fixed-point-unchecked", "the round that finds a fixed point is checked", ENGINE,
-     'checked = kept + (stop == "fixed_point" or stop is None and inside < k)',
-     "checked = kept + (stop is None and inside < k)"),
+     'checked = k if stop is None else kept + (stop == "fixed_point")',
+     "checked = k if stop is None else kept"),
     ("domain-cut-off", "a round outside the magnitude domain ends its block", ENGINE,
      "inside = _inside(block[1:k + 1])",
      "inside = k"),
     ("dgpc-domain-off", "the gradient step stays in the magnitude domain", ENGINE,
      '_check_domain(stepped, "gradient step")',
      "pass"),
+    ("domain-rank", "a round outside the magnitude domain fails its own check", ENGINE,
+     "k = min(clash, infeasible, _inside(profs))",
+     "k = min(clash, infeasible, len(profs))"),
     ("start-check", "the starting profile is feasible", ENGINE,
-     "_assert_feasible(inst, prof, None)",
+     "_check_rounds(inst, prof[None], None, None, None)",
+     "pass"),
+    ("tie-rule", "a tie goes to the higher node id", ENGINE,
+     "lost[np.where(metrics[i] > metrics[k], k, i)] = True",
+     "lost[np.where(metrics[i] >= metrics[k], k, i)] = True"),
+    ("tie-fast-path", "ties between neighbors take the edge rule", ENGINE,
+     "if not np.logical_or.reduce(metrics == largest):",
+     "if True:"),
+    ("threshold-rollback", "a block is rolled back to its threshold round", ENGINE,
+     'kept, stop = int(above.argmin()), "threshold"',
+     'kept, stop = inside, "threshold"'),
+    ("metric-domain", "consensus_metric's profile is in the magnitude domain", ENGINE,
+     '_check_domain(prof, "profile entries")',
+     "pass"),
+    ("potential-domain", "potential's profile is in the magnitude domain", GAME,
+     '_check_domain(prof, "profile entries")\n    i, k = inst.edge_pairs',
+     "i, k = inst.edge_pairs"),
+    ("as-profile-domain", "as_profile's profile is in the magnitude domain", GAME,
+     '_check_domain(prof, "profile entries")\n    return prof',
+     "return prof"),
+    ("anchor-domain", "initialize's layout anchors are in the magnitude domain", ENGINE,
+     '_check_domain(anchors, "layout positions")',
+     "pass"),
+    ("pocs-start-domain", "pocs_run's start is in the magnitude domain", ENGINE,
+     '_check_domain(x, "starting point coordinates")',
      "pass"),
     ("from-balls-unchecked", "GameInstance.from_balls checks its ball table", GAME,
      'c, r = _ball_table((centers, radii), "ball table")',
@@ -92,7 +120,7 @@ def main() -> int:
             source = (ROOT / path).read_text()
             if source.count(old) != 1:
                 stale.append(name)
-                print(f"{name:24} STALE   line not found once in {path}: {old}")
+                print(f"{name:24} STALE   line not found once in {path}: {old!r}")
                 continue
             t0 = time.perf_counter()
             (tree / path).write_text(source.replace(old, new))

@@ -21,9 +21,10 @@ memory order, so only C order gives the recorded bits.  The winner rule
 runs edge by edge.  Every result has the bits of the plain row-by-row
 formulas, as does the start: ``initialize`` uses the rounds' projector.
 
-Structural invariants are asserted for every round: updated strategies stay
-in their sets, best-response winners form an independent set, and the
-potential never decreases under best-response rounds.  ``run`` works in
+Structural invariants are asserted for every round and for the start, in
+this order: best-response winners form an independent set, strategies stay
+in their sets, the profile stays in the magnitude domain of ``sets``, and
+the potential never decreases under best-response rounds.  ``run`` works in
 blocks of K rounds: per round it runs only the round itself and stores the
 new profile (on best-response runs also the update metrics, whose largest
 value the fixed-point stop needs, and the winner mask).  Once per block one
@@ -48,7 +49,8 @@ clashing round from the lowest set bit.  A violation raises
 at most K - 1 rounds after it happened and before any later error leaves
 the run; an error raised in a round past the stop is dropped with that
 round.  Violations indicate a bug, not a user error.  A round outside the
-magnitude domain ends its block and, unless the run stops first, raises.
+magnitude domain has no metric, so the stop test ends before it; unless
+the run stops first, its check fails.
 """
 
 from __future__ import annotations
@@ -276,7 +278,7 @@ def _checked_profile(state: EngineState, algo: str) -> np.ndarray:
         isolated = int(np.argmin(inst.degrees))
         raise DegenerateNodeError(f"node {isolated} has no neighbors")
     prof = as_profile(inst, state.profile)
-    _assert_feasible(inst, prof, None)
+    _check_rounds(inst, prof[None], None, None, None)
     if algo == "dgpc":
         if state.step_size is None:
             raise ValueError("gradient-projection rounds need a step size")
@@ -370,13 +372,12 @@ def run(state: EngineState, algo: str, max_iters: int | None = None,
     metric is at most ``DEFAULT.fixed_point`` the profile can never change
     again, so looping further would be vacuous.
 
-    Rounds run in blocks of K.  Both stop tests and every round's invariants
-    (feasibility, winner independence, potential monotonicity) run once per
-    block, and the block is rolled back to its threshold or fixed-point
-    stop: the trace is the round-by-round one, and at most K - 1 rounds past
-    the stop are run and discarded.  The round that finds a fixed point is
-    checked but not kept.  An error raised in a round after the stop is
-    dropped with that round.  See module docstring.
+    Rounds run in blocks of K.  Both stop tests and every round's checks
+    (``_check_rounds``) run once per block, and the block is rolled back to
+    its threshold or fixed-point stop: the trace is the round-by-round one,
+    and at most K - 1 rounds past the stop are run and discarded.  The round
+    that finds a fixed point is checked but not kept.  An error raised in a
+    round after the stop is dropped with that round.  See module docstring.
     """
     prof = _checked_profile(state, algo)
     inst = state.instance
@@ -426,9 +427,11 @@ def run(state: EngineState, algo: str, max_iters: int | None = None,
             settled = maxes[:kept] <= DEFAULT.fixed_point
             if np.logical_or.reduce(settled):
                 kept, stop = int(settled.argmax()), "fixed_point"
-        checked = kept + (stop == "fixed_point" or stop is None and inside < k)
+        checked = k if stop is None else kept + (stop == "fixed_point")
         phis = _check_rounds(inst, block[1:checked + 1], None if wins is None else wins[:checked], t,
                              potentials[-1] if best_response else None, scratch)
+        if phis is None:
+            phis = potential(inst, block[1:kept + 1], scratch)
         metrics.frombytes(ms[:kept].tobytes())
         potentials.frombytes(phis[:kept].tobytes())
         if best_response:
@@ -501,28 +504,29 @@ def _block_length(inst: GameInstance) -> int:
     return max(1, min(_MAX_BLOCK, _BLOCK_ELEMENTS // (inst.n * inst.q)))
 
 
-def _check_rounds(inst: GameInstance, profs: np.ndarray, wins: np.ndarray | None, t: int,
-                  phi: float | None, scratch: np.ndarray | None = None) -> np.ndarray:
+def _check_rounds(inst: GameInstance, profs: np.ndarray, wins: np.ndarray | None, t: int | None,
+                  phi: float | None, scratch: np.ndarray | None = None) -> np.ndarray | None:
     """Check rounds t + 1, ..., t + K, whose profiles are stacked in ``profs``
-    (K, N, q), and return their K potentials.
+    (K, N, q), or with t None the starting profile, as a block of one; return
+    the K potentials if ``phi`` is given, else None.
 
-    Every round's strategies must lie in their sets.  Best-response rounds
-    pass their winner masks ``wins`` (K, N), K <= 64, which must be
-    independent sets, and, unless ``phi`` (the potential before round
-    t + 1) is None, their potentials must not decrease.  The first failing
-    round raises ``InvariantError``, its checks made in a round's order:
-    independence, feasibility, monotonicity.  Each check runs once over the
-    stack; the failing round is found once, and its message built from its
-    mask or, by ``_assert_feasible``, its profile.  ``scratch`` is passed
-    on to ``potential``.
+    A round's checks, in order: best-response rounds pass their winner masks
+    ``wins`` (K, N), K <= 64, which must be independent sets; strategies lie
+    in their sets; the profile lies in the magnitude domain; and, unless
+    ``phi`` (the potential before round t + 1) is None, the potential does
+    not decrease.  The first failing round raises ``InvariantError`` for its
+    first failing check.  Each check runs once over the stack; potentials
+    are taken, with ``scratch``, only for the rounds before the first
+    failure of the other three.
     """
     dists = inst.projector.distances(profs)
-    failed = ~(np.maximum.reduce(dists, axis=-1) <= DEFAULT.membership)
-    k = int(failed.argmax()) if np.logical_or.reduce(failed) else len(profs)
+    failed = ~(np.maximum.reduce(dists, axis=-1) <= DEFAULT.membership)  # a NaN distance fails too
+    infeasible = int(failed.argmax()) if np.logical_or.reduce(failed) else len(profs)
     clash = len(profs) if wins is None else _first_clash(inst, wins)
-    k = min(k, clash)
-    phis = potential(inst, profs[:k], scratch)
+    k = min(clash, infeasible, _inside(profs))
+    phis = None
     if phi is not None:
+        phis = potential(inst, profs[:k], scratch)
         before = np.concatenate(([phi], phis[:-1]))
         drops = phis < before - DEFAULT.monotonicity
         if np.logical_or.reduce(drops):
@@ -530,10 +534,15 @@ def _check_rounds(inst: GameInstance, profs: np.ndarray, wins: np.ndarray | None
             raise InvariantError(f"potential decreased in round {t + i + 1}: "
                                  f"{float(before[i])!r} -> {float(phis[i])!r}")
     if k < len(profs):
+        when = "in the starting profile" if t is None else f"after round {t + k + 1}"
         if k == clash:
             raise InvariantError(f"adjacent winners in round {t + k + 1} update: "
                                  f"{np.flatnonzero(wins[k]).tolist()}")
-        _assert_feasible(inst, profs[k], t + k + 1)
+        if k == infeasible:
+            worst = int(np.argmax(dists[k]))
+            raise InvariantError(f"strategy of node {worst} left its set {when}: "
+                                 f"distance {dists[k, worst]:.3e}")
+        raise InvariantError(f"profile left the magnitude domain {when}")
     return phis
 
 
@@ -550,17 +559,6 @@ def _first_clash(inst: GameInstance, wins: np.ndarray) -> int:
     u, v = inst.edge_pairs
     clashes = int(np.bitwise_or.reduce(words[u] & words[v]))
     return (clashes & -clashes).bit_length() - 1 if clashes else len(wins)
-
-
-def _assert_feasible(inst: GameInstance, prof: np.ndarray, t: int | None) -> None:
-    """Every strategy within ``DEFAULT.membership`` of its set after round
-    ``t`` (None: in the starting profile); a NaN distance fails too."""
-    dists = inst.projector.distances(prof)
-    if not np.maximum.reduce(dists) <= DEFAULT.membership:
-        worst = int(np.argmax(dists))
-        when = "in the starting profile" if t is None else f"after round {t}"
-        raise InvariantError(
-            f"strategy of node {worst} left its set {when}: distance {dists[worst]:.3e}")
 
 
 def pocs_run(inst: GameInstance | BallStack, x0, cycles: int) -> tuple[np.ndarray, list[float]]:

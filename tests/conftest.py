@@ -11,21 +11,8 @@ import numpy as np
 import pytest
 
 from constrained_consensus.game import GameInstance
-from constrained_consensus.graphs import Graph
+from constrained_consensus.selfcheck import random_connected_graph as rand_connected_graph
 from constrained_consensus.sets import Ball, Box, Halfspace
-
-
-def rand_connected_graph(rng: np.random.Generator, n: int) -> Graph:
-    order = rng.permutation(n)
-    edges = set()
-    for i in range(1, n):
-        a, b = int(order[i]), int(order[rng.integers(i)])
-        edges.add((min(a, b), max(a, b)))
-    for _ in range(int(rng.integers(0, n))):
-        i, k = int(rng.integers(n)), int(rng.integers(n))
-        if i != k:
-            edges.add((min(i, k), max(i, k)))
-    return Graph.from_edges(n, edges)
 
 
 def ball_arrays(balls) -> tuple[np.ndarray, np.ndarray]:

@@ -15,7 +15,6 @@ from constrained_consensus.engine import (
     EngineState,
     InvariantError,
     TraceRecord,
-    _assert_feasible,
     _check_rounds,
     _dgpc_kernel,
     _dgtc_kernel,
@@ -203,17 +202,17 @@ def test_assert_independent_rejects_adjacent_winners():
 
 
 def test_assert_feasible_rejects_non_finite():
-    # the all-ball instance takes the vectorized distance path, the interval
-    # instance the per-row one
+    # the block check on a block of one: the all-ball instance takes the
+    # vectorized distance path, the interval instance the per-row one
     g = Graph.from_edges(2, [(0, 1)])
     balls = GameInstance(g, (Ball((0.0, 0.0), 1.0), Ball((0.5, 0.0), 1.0)), 2)
     for inst, good in ((balls, [[0.0, 0.0], [0.5, 0.0]]), (two_node_instance(), [[0.0], [0.5]])):
-        _assert_feasible(inst, np.array(good), 1)
+        _check_rounds(inst, np.array([good]), None, 0, None)
         for bad in (math.nan, math.inf):
-            prof = np.array(good)
-            prof[0, 0] = bad
+            prof = np.array([good])
+            prof[0, 0, 0] = bad
             with pytest.raises(InvariantError, match="node 0 left its set after round 1"):
-                _assert_feasible(inst, prof, 1)
+                _check_rounds(inst, prof, None, 0, None)
 
 
 def _rand_ball_instance(rng, q):
@@ -398,10 +397,10 @@ def test_dgpc_matches_centralized_update(rng):
 
 
 def test_dgpc_round_checks_its_step_once(monkeypatch):
-    # per round the magnitude domain is checked on the (N, q) start profile,
-    # once on the kernel's (q, N) step and once, in potential, on the round's
-    # (1, N, q) block; the projection and the round's feasibility check, in
-    # RowProjector, check nothing
+    # per round the magnitude domain is checked on the (N, q) start profile
+    # and once on the kernel's (q, N) step; the projection, the round's
+    # feasibility check in RowProjector and its domain check, by _inside,
+    # check nothing more, and no potential is taken
     loc = make_localization_instance(30, 2, 0.4, 0.01, seed=5)
     inst = loc.game_instance
     state = initial_state(inst, loc.layout, step_size=default_step_size(inst))
@@ -416,8 +415,7 @@ def test_dgpc_round_checks_its_step_once(monkeypatch):
     for _ in range(5):
         shapes.clear()
         state = dgpc_round(state)
-        assert shapes == [((30, 2), "profile entries"), ((2, 30), "gradient step"),
-                          ((1, 30, 2), "profile entries")]
+        assert shapes == [((30, 2), "profile entries"), ((2, 30), "gradient step")]
 
 
 def test_dgpc_step_size_validation():
@@ -1184,27 +1182,63 @@ def test_pending_failure_is_reported_before_a_later_error(monkeypatch):
     assert str(err.value.__context__) == "metric failed"
 
 
+def half_space_chain(monkeypatch, faults):
+    # five nodes on a path, each with the half-line x <= 0, checked four
+    # rounds at a time; ``faults`` maps a round to a fault on its projection
+    g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    inst = GameInstance(g, tuple(Halfspace((1.0,), 0.0) for _ in range(5)), 1)
+    set_block_length(monkeypatch, inst, 4)
+    proj = inst.projector
+    for bad_round, fault in faults.items():
+        monkeypatch.setattr(proj, "project", on_round(proj.project, bad_round, fault))
+    return EngineState(inst, np.array([[-1.0], [-3.0], [-8.0], [0.0], [-2.0]]), step_size=0.1)
+
+
+def leave_domain(prof):
+    return prof - 2.0 ** 481
+
+
 @pytest.mark.parametrize("algo", ["dgtc", "dgpc"])
 def test_a_round_outside_the_magnitude_domain_ends_its_block(monkeypatch, algo):
     # round 3 sends its movers past 2**480, still inside their half-spaces:
-    # that profile has no metric, so run raises potential's domain error
-    # for it, unless the run stops by round 2, before it
+    # that profile has no metric, so its check fails, from run and from a
+    # single round alike, unless the run stops by round 2, before it
     def state(far):
-        g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-        inst = GameInstance(g, tuple(Halfspace((1.0,), 0.0) for _ in range(5)), 1)
-        set_block_length(monkeypatch, inst, 4)
-        if far:
-            proj = inst.projector
-            monkeypatch.setattr(proj, "project", on_round(proj.project, 3, lambda p: p - 2.0 ** 481))
-        return EngineState(inst, np.array([[-1.0], [-3.0], [-8.0], [0.0], [-2.0]]), step_size=0.1)
+        return half_space_chain(monkeypatch, {3: leave_domain} if far else {})
     clean = run(state(False), algo, 10, 0.0)
     assert clean.iterations_used == 10
-    with pytest.raises(ValueError, match=r"^profile entries must be finite and at most 2\*\*480"):
+    escaped = r"^profile left the magnitude domain after round 3$"
+    with pytest.raises(InvariantError, match=escaped):
         run(state(True), algo, 10, 0.0)
+    single = dgtc_round if algo == "dgtc" else dgpc_round
+    st = state(True)
+    with pytest.raises(InvariantError, match=escaped):
+        for _ in range(3):
+            st = single(st)
+    assert st.t == 2
     threshold = min(clean.metrics[1:3])
     stopped, want = (run(state(far), algo, 10, threshold) for far in (True, False))
     assert stopped.iterations_used == want.iterations_used <= 2 and stopped.converged
     assert stopped.metrics.tobytes() == want.metrics.tobytes()
+
+
+def test_a_decrease_before_a_domain_escape_is_reported(monkeypatch):
+    # round 2 moves node 0 to -100, feasible but lowering the potential, and
+    # round 3 leaves the magnitude domain: the earlier round's failure wins,
+    # within one block and round by round
+    def state():
+        def to_minus_100(prof):
+            prof = prof.copy()
+            prof[0] = -100.0
+            return prof
+        return half_space_chain(monkeypatch, {2: to_minus_100, 3: leave_domain})
+    message = r"^potential decreased in round 2: -8\.5 -> -9413\.5$"
+    with pytest.raises(InvariantError, match=message):
+        run(state(), "dgtc", 10, 0.0)
+    st = state()
+    with pytest.raises(InvariantError, match=message):
+        for _ in range(3):
+            st = dgtc_round(st)
 
 
 def test_trace_records_view_indexing(rng):

@@ -37,10 +37,7 @@ counted, so a run spends at most K - 1 rounds past its stop, and its trace
 is the one a round-by-round loop would give.  K = 2^14 // (N * q) for N
 nodes in dimension q, from 1 to 64 (see ``_BLOCK_ELEMENTS``): 64 for N = 50
 and N = 100 in the plane, 8 for N = 1000.  The block's potentials are one
-``potential`` call, which gathers the edge ends of at most
-2^15 // (E * q) rounds at a time, for E edges, into two buffers allocated
-once per run: 15 rounds for N = 100 with 1078 edges in the plane, 1 for
-N = 1000.  A best-response round's winners are one (N,) mask
+``potential`` call.  A best-response round's winners are one (N,) mask
 from the winner rule to the block check, which tests the stacked masks and
 takes the recorded winner ids from them: it packs each node's K winner bits
 into one uint64, ANDs the two ends of every edge once, and reads the first
@@ -81,14 +78,8 @@ from .tolerances import DEFAULT
 # nodes in dimension q, at least 1 and at most _MAX_BLOCK.  The budget
 # bounds the block's (K + 1, N, q) profiles and, on best-response runs, its
 # (K, N) update metrics: about 128 KiB each in the plane.  The cap is the
-# width of the uint64 that packs a node's K winner bits.  The block's
-# potentials gather their K * E * q edge differences, for E edges, at most
-# _GATHER_ELEMENTS at a time, into two buffers allocated once per run; one
-# round's differences are gathered at a time where they already fill half
-# of it (N = 1000 in the plane: 18500 elements), so there the buffers are
-# the two arrays one round's potential needs anyway.
+# width of the uint64 that packs a node's K winner bits.
 _BLOCK_ELEMENTS = 1 << 14
-_GATHER_ELEMENTS = 1 << 15
 _MAX_BLOCK = 64
 # bit r of a uint64 winner word stands for round r of a block
 _ROUND_BITS = np.arange(_MAX_BLOCK, dtype=np.uint64)
@@ -394,11 +385,6 @@ def run(state: EngineState, algo: str, max_iters: int | None = None,
     length = _block_length(inst)
     block = np.empty((length + 1, inst.n, inst.q))
     block[0] = prof
-    # potential's edge gathers, allocated once: arrays this large, allocated
-    # per block, are mapped and page-faulted anew each time
-    edges = inst.graph.edge_count
-    rows = max(1, min(length, _GATHER_ELEMENTS // (edges * inst.q)))
-    scratch = np.empty((2, rows, edges, inst.q))
     if best_response:
         max_metrics, winners, winner_offsets = array("d"), array("q"), array("q", [0])
         updates, wins = np.empty((length, inst.n)), np.empty((length, inst.n), dtype=bool)
@@ -429,9 +415,9 @@ def run(state: EngineState, algo: str, max_iters: int | None = None,
                 kept, stop = int(settled.argmax()), "fixed_point"
         checked = k if stop is None else kept + (stop == "fixed_point")
         phis = _check_rounds(inst, block[1:checked + 1], None if wins is None else wins[:checked], t,
-                             potentials[-1] if best_response else None, scratch)
+                             potentials[-1] if best_response else None)
         if phis is None:
-            phis = potential(inst, block[1:kept + 1], scratch)
+            phis = potential(inst, block[1:kept + 1])
         metrics.frombytes(ms[:kept].tobytes())
         potentials.frombytes(phis[:kept].tobytes())
         if best_response:
@@ -505,7 +491,7 @@ def _block_length(inst: GameInstance) -> int:
 
 
 def _check_rounds(inst: GameInstance, profs: np.ndarray, wins: np.ndarray | None, t: int | None,
-                  phi: float | None, scratch: np.ndarray | None = None) -> np.ndarray | None:
+                  phi: float | None) -> np.ndarray | None:
     """Check rounds t + 1, ..., t + K, whose profiles are stacked in ``profs``
     (K, N, q), or with t None the starting profile, as a block of one; return
     the K potentials if ``phi`` is given, else None.
@@ -516,8 +502,8 @@ def _check_rounds(inst: GameInstance, profs: np.ndarray, wins: np.ndarray | None
     ``phi`` (the potential before round t + 1) is None, the potential does
     not decrease.  The first failing round raises ``InvariantError`` for its
     first failing check.  Each check runs once over the stack; potentials
-    are taken, with ``scratch``, only for the rounds before the first
-    failure of the other three.
+    are taken only for the rounds before the first failure of the other
+    three.
     """
     dists = inst.projector.distances(profs)
     failed = ~(np.maximum.reduce(dists, axis=-1) <= DEFAULT.membership)  # a NaN distance fails too
@@ -526,7 +512,7 @@ def _check_rounds(inst: GameInstance, profs: np.ndarray, wins: np.ndarray | None
     k = min(clash, infeasible, _inside(profs))
     phis = None
     if phi is not None:
-        phis = potential(inst, profs[:k], scratch)
+        phis = potential(inst, profs[:k])
         before = np.concatenate(([phi], phis[:-1]))
         drops = phis < before - DEFAULT.monotonicity
         if np.logical_or.reduce(drops):

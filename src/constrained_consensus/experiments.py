@@ -129,7 +129,6 @@ class PocsResult:
 
 @dataclass(eq=False)
 class ValidationResult:
-    base_seed: int
     seeds: list[int]
     dgtc: list[Trace]
     dgpc: list[Trace]
@@ -172,7 +171,7 @@ def validation_study(n: int, q: int, rho: float, epsilon: float, trials: int,
     x, disp = pocs_run(stack, np.zeros((trials, q)), pocs_cycles)
     pocs_results = [PocsResult(disp[b * pocs_cycles:(b + 1) * pocs_cycles], dmax)
                     for b, dmax in enumerate(stack.max_distances(x).tolist())]
-    return ValidationResult(base_seed, seeds, dgtc_traces, dgpc_traces, pocs_results)
+    return ValidationResult(seeds, dgtc_traces, dgpc_traces, pocs_results)
 
 
 def _run_pair(loc: LocalizationInstance, max_iters: int | None, threshold: float,
@@ -296,15 +295,15 @@ def validation_csv_chunks(result: ValidationResult) -> Iterator[str]:
     yield "algo,trial,seed,t,consensus_metric,potential\n"
     for algo, traces in (("dgtc", result.dgtc), ("dgpc", result.dgpc)):
         for trial, tr in enumerate(traces):
-            # the columns hold Python floats, and %r writes float_text's repr
-            row = f"{algo},{trial},{result.seeds[trial]},%d,%r,%r\n".__mod__
+            head = f"{algo},{trial},{result.seeds[trial]},"
             rows = len(tr.metrics)
             for lo in range(0, rows, _CSV_CHUNK):
                 hi = min(lo + _CSV_CHUNK, rows)
-                yield "".join(map(row, zip(range(lo, hi), tr.metrics[lo:hi], tr.potentials[lo:hi])))
+                yield "".join(f"{head}{t},{float_text(m)},{float_text(phi)}\n"
+                              for t, m, phi in zip(range(lo, hi), tr.metrics[lo:hi], tr.potentials[lo:hi]))
     for trial, pr in enumerate(result.pocs):
-        row = f"pocs,{trial},{result.seeds[trial]},%d,%r,nan\n".__mod__
-        yield "".join(map(row, enumerate(pr.displacements, start=1)))
+        head = f"pocs,{trial},{result.seeds[trial]},"
+        yield "".join(f"{head}{t},{float_text(d)},nan\n" for t, d in enumerate(pr.displacements, start=1))
 
 
 def validation_csv_text(result: ValidationResult) -> str:

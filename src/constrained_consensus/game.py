@@ -32,6 +32,14 @@ from .graphs import Graph, _node_id
 from .sets import Ball, ConvexSet, RowProjector, _ball_table, _check_domain, _SetRows
 
 
+# ``potential`` gathers a stack's edge ends, E * q per profile for E edges,
+# into two buffers of at most _GATHER_ELEMENTS, a few profiles at a time: 15
+# for N = 100 with 1078 edges in the plane.  Where one profile fills more
+# than half of that (N = 1000 in the plane: 18500 elements) it goes one at
+# a time, and the buffers are the two arrays one potential needs anyway.
+_GATHER_ELEMENTS = 1 << 15
+
+
 class DegenerateNodeError(ValueError):
     """The operation needs the node to have at least one neighbor."""
 
@@ -129,19 +137,15 @@ def utility(inst: GameInstance, p, n: int) -> float:
     return -float(np.sum(diffs * diffs))
 
 
-def potential(inst: GameInstance, p, scratch: np.ndarray | None = None):
+def potential(inst: GameInstance, p):
     """Exact potential: the negated sum of squared differences over edges.
 
     Equals zero iff neighboring strategies agree (consensus, on a connected
     graph); computed edge-wise so it is nonpositive in exact arithmetic and
     in floating point alike.  ``p`` is one profile (N, q), giving a float, or
     a stack (K, N, q) of them, giving the K potentials as an array, each
-    with its own profile's bits.
-
-    For a stack, ``scratch`` may be a float array of shape (2, R, E, q) for
-    E edges: the stack is walked R profiles at a time, their edge gathers
-    written into ``scratch``, which a caller that checks stacks round after
-    round allocates once.  The result is the same.
+    with its own profile's bits.  A stack is walked a few profiles at a
+    time (see ``_GATHER_ELEMENTS``); the result is the same.
     """
     prof = np.asarray(p, dtype=float)
     if prof.ndim not in (2, 3) or prof.shape[-2:] != (inst.n, inst.q):
@@ -150,15 +154,14 @@ def potential(inst: GameInstance, p, scratch: np.ndarray | None = None):
     _check_domain(prof, "profile entries")
     i, k = inst.edge_pairs
     stack = prof[None] if prof.ndim == 2 else prof
-    if scratch is None:
-        scratch = np.empty((2, max(1, len(stack)), i.size, inst.q))
-    rows = len(scratch[0])
+    rows = max(1, min(len(stack), _GATHER_ELEMENTS // max(1, i.size * inst.q)))
+    gathers = np.empty((2, rows, i.size, inst.q))
     phis = np.empty(len(stack))
     for lo in range(0, len(stack), rows):
         chunk = stack[lo:lo + rows]
         # mode="clip" (the ids are in range) writes straight into out,
         # where the default mode would buffer the result first
-        diffs, other = scratch[0, :len(chunk)], scratch[1, :len(chunk)]
+        diffs, other = gathers[0, :len(chunk)], gathers[1, :len(chunk)]
         np.take(chunk, i, axis=1, out=diffs, mode="clip")
         np.take(chunk, k, axis=1, out=other, mode="clip")
         diffs -= other

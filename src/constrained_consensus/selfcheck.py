@@ -32,10 +32,10 @@ class CheckResult:
 SET_KINDS = ("ball", "halfspace", "box")
 
 
-def random_set(rng: np.random.Generator, q: int, kind: str | None = None,
-               around: np.ndarray | None = None) -> sets.ConvexSet:
-    """A random set of moderate extent; contains ``around`` when given."""
-    kind = kind or SET_KINDS[rng.integers(len(SET_KINDS))]
+def random_set(rng: np.random.Generator, q: int, around: np.ndarray | None = None) -> sets.ConvexSet:
+    """A random ball, half-space or box of moderate extent; contains
+    ``around`` when given."""
+    kind = SET_KINDS[rng.integers(len(SET_KINDS))]
     anchor = around if around is not None else rng.uniform(-2, 2, q)
     if kind == "ball":
         center = anchor + rng.uniform(-1, 1, q)
@@ -47,11 +47,9 @@ def random_set(rng: np.random.Generator, q: int, kind: str | None = None,
             normal = rng.normal(size=q)
         offset = float(normal @ anchor) + rng.uniform(0.1, 1.5)
         return sets.Halfspace(normal, offset)
-    if kind == "box":
-        lower = anchor - rng.uniform(0.1, 1.5, q)
-        upper = anchor + rng.uniform(0.1, 1.5, q)
-        return sets.Box(lower, upper)
-    raise ValueError(f"unknown set kind {kind!r}")
+    lower = anchor - rng.uniform(0.1, 1.5, q)
+    upper = anchor + rng.uniform(0.1, 1.5, q)
+    return sets.Box(lower, upper)
 
 
 def sample_in(s: sets.ConvexSet, rng: np.random.Generator) -> np.ndarray:
@@ -81,16 +79,14 @@ def random_connected_graph(rng: np.random.Generator, n: int) -> graphs.Graph:
     return graphs.Graph.from_edges(n, edges)
 
 
-def random_feasible_instance(rng: np.random.Generator, n_lo: int = 4, n_hi: int = 10,
-                             q_lo: int = 1, q_hi: int = 4,
-                             kinds=SET_KINDS) -> tuple[game.GameInstance, np.ndarray]:
-    """Connected instance whose sets share a known common point."""
-    n = int(rng.integers(n_lo, n_hi + 1))
-    q = int(rng.integers(q_lo, q_hi + 1))
+def random_feasible_instance(rng: np.random.Generator) -> tuple[game.GameInstance, np.ndarray]:
+    """Connected instance of 4 to 10 nodes in 1 to 4 dimensions whose sets
+    share a known common point."""
+    n = int(rng.integers(4, 11))
+    q = int(rng.integers(1, 5))
     common = rng.uniform(-1, 1, q)
     g = random_connected_graph(rng, n)
-    cs = tuple(random_set(rng, q, kind=kinds[rng.integers(len(kinds))], around=common)
-               for _ in range(n))
+    cs = tuple(random_set(rng, q, around=common) for _ in range(n))
     return game.GameInstance(g, cs, q), common
 
 

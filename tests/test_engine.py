@@ -758,7 +758,7 @@ def test_run_equals_single_rounds_bit_for_bit(monkeypatch):
     # of the complete graph's edge differences fills more than half the
     # gather budget, so its potentials are gathered one round at a time
     assert engine._block_length(wide) == 64
-    assert engine._GATHER_ELEMENTS // (wide.graph.edge_count * wide.q) == 1
+    assert game._GATHER_ELEMENTS // (wide.graph.edge_count * wide.q) == 1
     starts = (initialize(balls, loc.layout), rand_feasible_profile(mixed, rng),
               np.array([[0.01 * i + 0.9 * math.sin(i)] for i in range(200)]))
     for inst, start in zip((balls, mixed, wide), starts):
@@ -1094,7 +1094,7 @@ def test_a_64_round_block_reports_faults_as_single_rounds(monkeypatch, algo, fau
     loc = make_localization_instance(100, 2, 0.3, 0.01, seed=1)
     inst = loc.game_instance
     assert engine._block_length(inst) == 64
-    assert engine._GATHER_ELEMENTS // (inst.graph.edge_count * inst.q) == 15
+    assert game._GATHER_ELEMENTS // (inst.graph.edge_count * inst.q) == 15
     state = initial_state(inst, loc.layout, step_size=default_step_size(inst))
     start, proj = state.profile, inst.projector
     i, k = inst.edge_pairs

@@ -316,7 +316,7 @@ def test_validation_csv_rows_are_float_text_bytes():
               for rows in (1023, 1024, 1025)]
     pocs = [PocsResult([values[(c + trial) % len(values)] for c in range(5)], 0.0)
             for trial in range(3)]
-    result = ValidationResult(7, [7, 70, 700], traces, traces[::-1], pocs)
+    result = ValidationResult([7, 70, 700], traces, traces[::-1], pocs)
     expected = ["algo,trial,seed,t,consensus_metric,potential\n"]
     for algo, group in (("dgtc", result.dgtc), ("dgpc", result.dgpc)):
         for trial, tr in enumerate(group):

@@ -1,10 +1,12 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 
 from conftest import rand_connected_graph, rand_feasible_instance, rand_feasible_profile, rand_set, sample_point
+from constrained_consensus import game
 from constrained_consensus.game import (
     DegenerateInstanceError,
     DegenerateNodeError,
@@ -62,11 +64,11 @@ def test_potential_is_nonpositive(rng):
         assert potential(inst, rng.uniform(-5, 5, (inst.n, inst.q))) <= 0.0
 
 
-def test_potential_of_a_stack_in_scratch_chunks_matches_each_profile(rng):
-    # stacks of 1, 7, 15 and 64 profiles walked 1, 3 or 15 at a time
-    # through a scratch buffer, the last chunk partial where the rows do not
-    # divide the stack: each potential has its own profile's bits, and no
-    # stale scratch entry leaks in
+def test_potential_of_a_stack_in_chunks_matches_each_profile(rng, monkeypatch):
+    # stacks of 1, 7, 15 and 64 profiles walked 1, 3 or 15 at a time, the
+    # gather budget set to that many profiles' edge differences, the last
+    # chunk partial where the rows do not divide the stack: each potential
+    # has its own profile's bits
     for _ in range(4):
         inst, _ = rand_feasible_instance(rng, n_max=40)
         edges = inst.graph.edge_count
@@ -75,11 +77,23 @@ def test_potential_of_a_stack_in_scratch_chunks_matches_each_profile(rng):
             own = np.array([potential(inst, p) for p in stack])
             assert potential(inst, stack).tobytes() == own.tobytes()
             for rows in (1, 3, 15):
-                scratch = np.full((2, rows, edges, inst.q), np.nan)
-                phis = potential(inst, stack, scratch)
+                monkeypatch.setattr(game, "_GATHER_ELEMENTS", rows * edges * inst.q)
+                phis = potential(inst, stack)
                 assert phis.shape == (k,)
                 assert phis.tobytes() == own.tobytes(), (k, rows)
-            assert potential(inst, stack[:0], scratch).shape == (0,)
+                assert potential(inst, stack[:0]).shape == (0,)
+            monkeypatch.undo()
+
+
+def test_potential_without_edges_is_zero():
+    # E = 0: the gather budget divides by no edge count
+    inst = GameInstance(Graph(2, ((), ())), (Ball((0.0, 0.0), 1.0), Ball((3.0, 0.0), 1.0)), 2)
+    profile = np.array([[0.0, 0.0], [3.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert potential(inst, profile) == 0.0
+        phis = potential(inst, np.stack([profile] * 3))
+    assert phis.shape == (3,) and np.all(phis == 0.0)
 
 
 def test_utility_gradient_examples():

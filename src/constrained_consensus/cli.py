@@ -186,7 +186,7 @@ def cmd_run(cfg: dict) -> int:
     med = result.median_iterations()
     print(f"trials: {cfg['trials']}")
     print(f"median iterations: best-response {med['dgtc']}, gradient-projection {med['dgpc']}")
-    final_disp = statistics.median(p.displacements[-1] for p in result.pocs)
+    final_disp = statistics.median(result.pocs_displacements[:, -1].tolist())
     print(f"baseline median final cycle displacement: {final_disp:.3e}")
     print(f"wrote {cfg['out']}")
     return EXIT_OK

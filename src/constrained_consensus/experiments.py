@@ -110,7 +110,7 @@ def _localization_from_rng(rng: np.random.Generator, n: int, q: int, rho: float,
         return None
     source = 0.25 + 0.5 * rng.random(q)
     return LocalizationInstance(
-        layout=GeometricLayout(positions, rho),
+        layout=GeometricLayout(positions),
         graph=graph,
         source=source,
         radii=localization_radii(positions, source, epsilon),
@@ -119,20 +119,17 @@ def _localization_from_rng(rng: np.random.Generator, n: int, q: int, rho: float,
 
 
 @dataclass(eq=False)
-class PocsResult:
-    """Baseline outcome: per-cycle displacement and the final point's largest
-    distance to any set."""
-
-    displacements: list[float]
-    max_set_distance: float
-
-
-@dataclass(eq=False)
 class ValidationResult:
+    """Per trial, the seed and both traces; the baseline as ``pocs_study``
+    returns it: ``pocs_displacements`` (trials, pocs_cycles), each cycle's
+    displacement, and ``pocs_distances`` (trials,), the final point's
+    largest distance to any set."""
+
     seeds: list[int]
     dgtc: list[Trace]
     dgpc: list[Trace]
-    pocs: list[PocsResult]
+    pocs_displacements: np.ndarray
+    pocs_distances: np.ndarray
 
     def median_iterations(self) -> dict[str, float]:
         return {
@@ -169,9 +166,8 @@ def validation_study(n: int, q: int, rho: float, epsilon: float, trials: int,
     # the baseline of every trial in one lockstep pass
     stack = BallStack(member_balls)
     x, disp = pocs_run(stack, np.zeros((trials, q)), pocs_cycles)
-    pocs_results = [PocsResult(disp[b * pocs_cycles:(b + 1) * pocs_cycles], dmax)
-                    for b, dmax in enumerate(stack.max_distances(x).tolist())]
-    return ValidationResult(seeds, dgtc_traces, dgpc_traces, pocs_results)
+    return ValidationResult(seeds, dgtc_traces, dgpc_traces,
+                            np.reshape(disp, (trials, pocs_cycles)), stack.max_distances(x))
 
 
 def _run_pair(loc: LocalizationInstance, max_iters: int | None, threshold: float,
@@ -301,9 +297,9 @@ def validation_csv_chunks(result: ValidationResult) -> Iterator[str]:
                 hi = min(lo + _CSV_CHUNK, rows)
                 yield "".join(f"{head}{t},{float_text(m)},{float_text(phi)}\n"
                               for t, m, phi in zip(range(lo, hi), tr.metrics[lo:hi], tr.potentials[lo:hi]))
-    for trial, pr in enumerate(result.pocs):
+    for trial, disps in enumerate(result.pocs_displacements.tolist()):
         head = f"pocs,{trial},{result.seeds[trial]},"
-        yield "".join(f"{head}{t},{float_text(d)},nan\n" for t, d in enumerate(pr.displacements, start=1))
+        yield "".join(f"{head}{t},{float_text(d)},nan\n" for t, d in enumerate(disps, start=1))
 
 
 def validation_csv_text(result: ValidationResult) -> str:

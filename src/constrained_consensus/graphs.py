@@ -215,10 +215,9 @@ def _first_fault(n: int, nbrs: tuple[tuple, ...]) -> str:
 
 @dataclass(frozen=True, eq=False)
 class GeometricLayout:
-    """Node positions in the unit box plus the communication range used."""
+    """Node positions in the unit box."""
 
     positions: np.ndarray
-    range: float
 
     def __post_init__(self):
         pos = np.array(self.positions, dtype=float)
@@ -229,9 +228,6 @@ class GeometricLayout:
             raise ValueError("positions must lie in the unit box")
         pos.flags.writeable = False
         object.__setattr__(self, "positions", pos)
-        object.__setattr__(self, "range", float(self.range))
-        if not self.range > 0.0:  # inf stays legal: the complete graph
-            raise ValueError(f"communication range must be positive, got {self.range}")
 
 
 # coordinate differences per block in graph_from_positions, 256 KiB of

@@ -62,7 +62,7 @@ def test_initialize_projects_anchor():
 def test_initialize_uses_layout_anchor():
     g = Graph.from_edges(2, [(0, 1)])
     inst = GameInstance(g, (Ball((0.4, 0.4), 5.0), Ball((0.9, 0.9), 5.0)), 2)
-    layout = GeometricLayout(np.array([[0.2, 0.2], [0.8, 0.8]]), 1.0)
+    layout = GeometricLayout(np.array([[0.2, 0.2], [0.8, 0.8]]))
     prof = initialize(inst, layout)
     # anchors already feasible: kept bitwise
     assert np.array_equal(prof, layout.positions)
@@ -82,7 +82,7 @@ def test_initialize_is_the_rounds_projection_bit_for_bit(rng):
         n = int(rng.integers(5, 30))
         centers, radii = rng.uniform(0.3, 0.7, (n, q)), rng.uniform(0.0, 0.25, n)
         graph = rand_connected_graph(rng, n)
-        layout = GeometricLayout(rng.random((n, q)), 1.0)
+        layout = GeometricLayout(rng.random((n, q)))
         assert np.count_nonzero(np.linalg.norm(layout.positions - centers, axis=1) > radii) >= 2
         for inst in (GameInstance.from_balls(graph, centers, radii),
                      GameInstance(graph, tuple(map(Ball, centers, radii)), q)):

@@ -12,7 +12,6 @@ from constrained_consensus.engine import StepSizeWarning, Trace, initial_state, 
 from constrained_consensus.experiments import (
     _CSV_CHUNK,
     GenerationError,
-    PocsResult,
     ValidationResult,
     float_text,
     localization_radii,
@@ -200,13 +199,13 @@ def test_studies_build_no_ball(monkeypatch):
 def test_validation_study_small():
     result = validation_study(n=12, q=2, rho=0.45, epsilon=0.01, trials=3,
                               threshold=1e-6, max_iters=20000, base_seed=5)
-    assert len(result.dgtc) == len(result.dgpc) == len(result.pocs) == 3
+    assert len(result.dgtc) == len(result.dgpc) == 3
     for tr in result.dgtc + result.dgpc:
         assert tr.converged
         assert tr.final_metric <= 1e-6
-    for pr in result.pocs:
-        assert len(pr.displacements) == 40
-        assert pr.max_set_distance <= 1e-6
+    assert result.pocs_displacements.shape == (3, 40)
+    assert result.pocs_distances.shape == (3,)
+    assert result.pocs_distances.max() <= 1e-6
     med = result.median_iterations()
     assert med["dgtc"] >= 1 and med["dgpc"] >= 1
 
@@ -216,11 +215,23 @@ def test_validation_pocs_distance_matches_scalar_sets():
     # bit for bit the scalar ConvexSet.distance_to
     result = validation_study(n=12, q=2, rho=0.45, epsilon=0.01, trials=3,
                               threshold=1e-3, base_seed=5, pocs_cycles=2)
-    for seed, pr in zip(result.seeds, result.pocs):
+    for seed, dmax in zip(result.seeds, result.pocs_distances.tolist()):
         inst = make_localization_instance(12, 2, 0.45, 0.01, seed).game_instance
         x, _ = pocs_run(inst, np.zeros(2), 2)
-        assert pr.max_set_distance == max(s.distance_to(x) for s in inst.sets)
-    assert max(pr.max_set_distance for pr in result.pocs) > 0.0
+        assert dmax == max(s.distance_to(x) for s in inst.sets)
+    assert result.pocs_distances.max() > 0.0
+
+
+@pytest.mark.parametrize("n, rho, trials, base_seed", [(12, 0.6, 3, 0), (30, 0.4, 2, 7)])
+def test_validation_baseline_is_the_pocs_study_baseline(n, rho, trials, base_seed):
+    # one lockstep pocs_run of all cycles gives, bit for bit, the baseline of
+    # pocs_study's one call per cycle, and its last cycle's set distances
+    r = validation_study(n=n, q=2, rho=rho, epsilon=0.01, trials=trials, max_iters=50,
+                         base_seed=base_seed, pocs_cycles=15)
+    disp, dist = pocs_study(n=n, q=2, rho=rho, epsilon=0.01, trials=trials, cycles=15,
+                            base_seed=base_seed)
+    assert np.array_equal(r.pocs_displacements, disp)
+    assert np.array_equal(r.pocs_distances, dist[:, -1])
 
 
 def test_pocs_study_matches_the_scalar_path():
@@ -314,17 +325,16 @@ def test_validation_csv_rows_are_float_text_bytes():
         return array("d", (values[(t + shift) % len(values)] for t in range(rows)))
     traces = [Trace("dgtc", column(rows, 0), column(rows, 3), np.zeros((1, 1)), False, rows - 1)
               for rows in (1023, 1024, 1025)]
-    pocs = [PocsResult([values[(c + trial) % len(values)] for c in range(5)], 0.0)
-            for trial in range(3)]
-    result = ValidationResult([7, 70, 700], traces, traces[::-1], pocs)
+    pocs = np.array([[values[(c + trial) % len(values)] for c in range(5)] for trial in range(3)])
+    result = ValidationResult([7, 70, 700], traces, traces[::-1], pocs, np.zeros(3))
     expected = ["algo,trial,seed,t,consensus_metric,potential\n"]
     for algo, group in (("dgtc", result.dgtc), ("dgpc", result.dgpc)):
         for trial, tr in enumerate(group):
             expected += [f"{algo},{trial},{result.seeds[trial]},{t},{float_text(m)},{float_text(p)}\n"
                          for t, (m, p) in enumerate(zip(tr.metrics, tr.potentials))]
-    for trial, pr in enumerate(result.pocs):
+    for trial, disps in enumerate(pocs):
         expected += [f"pocs,{trial},{result.seeds[trial]},{cycle},{float_text(d)},nan\n"
-                     for cycle, d in enumerate(pr.displacements, 1)]
+                     for cycle, d in enumerate(disps, 1)]
     chunks = list(validation_csv_chunks(result))
     assert "".join(chunks).encode("ascii") == "".join(expected).encode("ascii")
     # the header, 1 + 1 + 2 chunks per algorithm, one per baseline trial

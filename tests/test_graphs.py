@@ -326,18 +326,16 @@ def test_block_build_matches_one_shot_formula(rng, monkeypatch):
 
 
 def test_layout_validation():
-    # an infinite range is the complete graph, as graph_from_positions(rho=inf) builds it
-    layout = GeometricLayout(np.array([[0.0, 1.0], [0.5, 0.5]]), math.inf)
-    assert layout.range == math.inf
+    # the unit box's faces are inside it
+    layout = GeometricLayout(np.array([[0.0, 1.0], [0.5, 0.5]]))
+    assert not layout.positions.flags.writeable
+    # an infinite range is the complete graph
     corners = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
     assert graph_from_positions(corners, math.inf).edge_count == 6
     for pos in ([[math.nan, 0.5]], [[0.5, math.nan], [0.2, 0.2]], [[-0.1, 0.5]],
                 [[0.5, 1.5]], [[math.inf, 0.5]], [0.5, 0.5]):
         with pytest.raises(ValueError):
-            GeometricLayout(np.array(pos), 0.3)
-    for r in (0.0, -1.0, math.nan, -math.inf):
-        with pytest.raises(ValueError, match="range must be positive"):
-            GeometricLayout(np.array([[0.5, 0.5]]), r)
+            GeometricLayout(np.array(pos))
 
 
 def test_graph_validation():

@@ -2,10 +2,14 @@
 """Mutant check for the engine's per-round invariants and its entry checks.
 
 Each mutant below is a one-line edit of the package source that removes
-one guard.  The script copies ``src/``, ``tests/`` and ``pyproject.toml``
-into a temporary directory, applies one mutant at a time, and runs a fast
-test subset (engine, game and sets: a few seconds).  A mutant under which
-the subset still passes has survived: the guard it removes is untested.
+one guard; one edits two lines, a cycle's pass bound and its step to the
+next ball, which only together can hang the tests.  The script copies
+``src/``, ``tests/`` and ``pyproject.toml`` into a temporary directory,
+applies one mutant at a time, and runs a fast test subset (engine, game
+and sets: a few seconds).  A mutant under which the subset still passes
+has survived: the guard it removes is untested.  A run that outlasts ten
+times the unmutated run (at least 60 s) is stopped and counted as killed:
+a mutant that hangs the tests is caught by them.
 
 It exits 1 if any mutant survives, if a mutant's line is no longer in the
 source (a guard that moved must be updated here), or if the unmutated copy
@@ -25,6 +29,7 @@ import time
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 ENGINE = "src/constrained_consensus/engine.py"
 GAME = "src/constrained_consensus/game.py"
+SETS = "src/constrained_consensus/sets.py"
 TESTS = ["tests/test_engine.py", "tests/test_game.py", "tests/test_sets.py"]
 
 # (name, the guard it removes, file, line as in the source, mutated line);
@@ -84,15 +89,30 @@ MUTANTS = [
     ("from-balls-unchecked", "GameInstance.from_balls checks its ball table", GAME,
      'c, r = _ball_table((centers, radii), "ball table")',
      "c, r = np.asarray(centers, dtype=float), np.asarray(radii, dtype=float)"),
+    ("cycle-skips-a-ball", "a moved point is tested against the very next ball", SETS,
+     "excluded = self._excluded(x[moving], moving) & (ids > landed)",
+     "excluded = self._excluded(x[moving], moving) & (ids > landed + 1)"),
+    ("cycle-starts-at-ball-1", "a cycle's first pass tests ball 0", SETS,
+     "moving, landed = np.arange(self.size), -1",
+     "moving, landed = np.arange(self.size), 0"),
+    ("cycle-retests-landed", "a projected point is not projected onto its ball again", SETS,
+     "excluded = self._excluded(x[moving], moving) & (ids > landed)",
+     "excluded = self._excluded(x[moving], moving) & (ids >= landed)"),
+    ("cycle-unbounded-retest", "a cycle ends: n passes, each one ball on", SETS,
+     "for _ in ids:  # at most n passes: each moves every member in it at least one ball on\n"
+     "            excluded = self._excluded(x[moving], moving) & (ids > landed)",
+     "while True:\n"
+     "            excluded = self._excluded(x[moving], moving) & (ids >= landed)"),
 ]
 
 
-def passes(tree: pathlib.Path) -> bool:
-    """True if the test subset passes on ``tree``; stops at the first failure."""
+def passes(tree: pathlib.Path, timeout: float | None = None) -> bool:
+    """True if the test subset passes on ``tree``; stops at the first failure,
+    and raises ``subprocess.TimeoutExpired`` after ``timeout`` seconds."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *TESTS]
     return subprocess.run(cmd, cwd=tree, env=env, stdout=subprocess.DEVNULL,
-                          stderr=subprocess.DEVNULL).returncode == 0
+                          stderr=subprocess.DEVNULL, timeout=timeout).returncode == 0
 
 
 def imported_from(tree: pathlib.Path) -> str:
@@ -112,9 +132,11 @@ def main() -> int:
         if not imported_from(tree).startswith(str(tree)):
             print("the package is not imported from the copy; nothing was checked")
             return 1
+        t0 = time.perf_counter()
         if not passes(tree):
             print("the unmutated copy fails the test subset; nothing was checked")
             return 1
+        timeout = max(60.0, 10 * (time.perf_counter() - t0))
         survivors, stale = [], []
         for name, guard, path, old, new in MUTANTS:
             source = (ROOT / path).read_text()
@@ -125,13 +147,15 @@ def main() -> int:
             t0 = time.perf_counter()
             (tree / path).write_text(source.replace(old, new))
             try:
-                killed = not passes(tree)
+                killed = not passes(tree, timeout)
+                verdict = "killed" if killed else "SURVIVED"
+            except subprocess.TimeoutExpired:
+                killed, verdict = True, "killed (timeout)"
             finally:
                 (tree / path).write_text(source)
             if not killed:
                 survivors.append(name)
-            verdict = "killed" if killed else "SURVIVED"
-            print(f"{name:24} {verdict:8} {time.perf_counter() - t0:5.1f} s  {guard}")
+            print(f"{name:24} {verdict:16} {time.perf_counter() - t0:5.1f} s  {guard}")
     print(f"{len(MUTANTS) - len(survivors) - len(stale)} of {len(MUTANTS)} mutants killed")
     return 1 if survivors or stale else 0
 

@@ -558,8 +558,9 @@ def pocs_run(inst: GameInstance | BallStack, x0, cycles: int) -> tuple[np.ndarra
     ``b * cycles + k``.  The per-cycle displacement is nonincreasing (the
     cycle map is nonexpansive) and goes to zero on feasible instances.
 
-    A ``BallStack`` projects a node's balls for all members at once;
-    otherwise each set projects with its own formula.  Both give
+    A ``BallStack`` tests every member's balls at once and projects only
+    where a ball excludes the point; otherwise each set projects with its
+    own formula.  Both give
     ``ConvexSet.project``'s bits, and the displacement is the norm
     ``ConvexSet.distance_to`` takes.  The start must lie in the magnitude
     domain of ``sets``.

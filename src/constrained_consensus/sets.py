@@ -13,12 +13,14 @@ fixed points.
 Every ball projection (``Ball.project`` and the ball tables of
 ``RowProjector`` and the lockstep ``BallStack``: (n, q) centers and (n,)
 radii, checked by ``_ball_table``) runs through one kernel,
-``_project_rows``.  It works on coordinate-first arrays, (q, B) for B
-points: callers pass ``.T`` views of their (B, q) rows, and a result's
-bits do not depend on the memory layout.  Callers differ only in how a
-point's squares are summed, which decides the last bits: ``RowProjector``
-sums them as ``np.linalg.norm`` does (``_row_squares``), every other
-caller as ``ndarray.dot`` does (``_dot_squares``).
+``_project_rows``; a ``BallStack`` hands it only the points that a ball
+excludes, found by the kernel's own test over the whole table.  It works
+on coordinate-first arrays, (q, B) for B points: callers pass ``.T``
+views of their (B, q) rows, and a result's bits do not depend on the
+memory layout.  Callers differ only in how a point's squares are summed,
+which decides the last bits: ``RowProjector`` sums them as
+``np.linalg.norm`` does (``_row_squares``), every other caller as
+``ndarray.dot`` does (``_dot_squares``).
 
 Every value that enters a set's parameters, a ball table, ``as_point``,
 ``project``, ``distance_to`` or a ``BallStack`` method is finite and at
@@ -328,6 +330,16 @@ class BallStack:
     (n, B, q) and ``radii`` (n, B), so node j's balls across all members
     are one contiguous (B, q) slab.  Its methods take one point per member,
     a (B, q) array in the magnitude domain (``_points``).
+
+    Both methods test every ball at once (``_excluded``) and hand only the
+    (ball, member) pairs whose ball excludes the point to ``_project_rows``:
+    ball j excludes member b's point x iff ``~(sqrt(_dot_squares(x - c)) <=
+    r)``.  That is the kernel's own test through the same sum, so a ball
+    that does not exclude x would return it as is, skipping it keeps every
+    bit of ``Ball._project``, and NaN excludes, as it does there.  A cycle
+    runs in passes: each pass projects every member still moving onto its
+    first excluding ball after the one it last landed on, so each pass moves
+    it at least one ball on and a cycle takes at most n passes.
     """
 
     def __init__(self, members):
@@ -342,8 +354,6 @@ class BallStack:
             raise ValueError("a BallStack needs at least one member")
         self.centers = np.stack(centers, axis=1)
         self.radii = np.stack(radii, axis=1)
-        # node j's slab as the kernels take it: its (q, B) centers and (B,) radii
-        self._slabs = [(c.T, r) for c, r in zip(self.centers, self.radii)]
 
     @property
     def size(self) -> int:
@@ -354,15 +364,35 @@ class BallStack:
     def q(self) -> int:
         return self.centers.shape[2]
 
+    def _excluded(self, x: np.ndarray, members) -> np.ndarray:
+        """(n, A) mask of the balls that exclude each point: ball j of member
+        ``members[a]`` excludes x[a], one of A points, as ``_project_rows``
+        tests it; a NaN distance excludes.  ``members`` is ascending, so all
+        B of them are the whole table."""
+        c, r = self.centers, self.radii
+        if len(members) < self.size:  # take gathers faster than [:, members]
+            c, r = np.take(c, members, axis=1), np.take(r, members, axis=1)
+        diff = x - c
+        return ~(np.sqrt(_dot_squares(diff.T)).T <= r)
+
     def _cycle(self, x: np.ndarray) -> np.ndarray:
         """Member b's point x[b] projected onto its balls in ascending node
-        order, all members in lockstep, with ``Ball._project``'s bits.
-        Unchecked: a cycle's result, up to |center| + radius from the
-        origin, may be past ``_LIMIT`` and is cycled again."""
-        xt = x.T
-        for c, r in self._slabs:
-            xt = _project_rows(xt, c, r, _dot_squares)
-        return xt.T
+        order, all members in lockstep, with ``Ball._project``'s bits; only
+        moved members are tested again, against the balls after the one
+        they landed on.  Unchecked: a cycle's result, up to |center| +
+        radius from the origin, may be past ``_LIMIT`` and is cycled again."""
+        x = x.copy()
+        ids = np.arange(len(self.radii))[:, None]
+        moving, landed = np.arange(self.size), -1
+        for _ in ids:  # at most n passes: each moves every member in it at least one ball on
+            excluded = self._excluded(x[moving], moving) & (ids > landed)
+            hit = excluded.any(axis=0)
+            if not hit.any():
+                break
+            moving, landed = moving[hit], excluded[:, hit].argmax(axis=0)
+            x[moving] = _project_rows(x[moving].T, self.centers[landed, moving].T,
+                                      self.radii[landed, moving], _dot_squares).T
+        return x
 
     def _points(self, x) -> np.ndarray:
         """x as a new (B, q) float array, one point per member, or
@@ -376,12 +406,12 @@ class BallStack:
 
     def max_distances(self, x) -> np.ndarray:
         """``max(s.distance_to(x[b]) for s in member b's balls)`` per member,
-        bit for bit, computed one node at a time over (B, q) slabs."""
-        best = np.zeros(self.size)
-        xt = self._points(x).T
-        for c, r in self._slabs:
-            p = _project_rows(xt, c, r, _dot_squares)
-            if p is not xt:  # a slab with every row inside adds only zero distances
-                np.maximum(best, np.sqrt(_dot_squares(xt - p)), out=best)
-        return best
-
+        bit for bit: only the (ball, member) pairs whose ball excludes the
+        point are projected, and every other distance is zero."""
+        x = self._points(x)
+        node, member = divmod(np.flatnonzero(self._excluded(x, np.arange(self.size))), self.size)
+        xt = x[member].T
+        p = _project_rows(xt, self.centers[node, member].T, self.radii[node, member], _dot_squares)
+        dist = np.zeros(self.radii.shape)
+        dist[node, member] = np.sqrt(_dot_squares(xt - p))
+        return dist.max(axis=0)

@@ -555,6 +555,55 @@ def test_pocs_ball_stack_matches_reference_bit_for_bit(rng):
                 assert disp[:cycles] == [0.0] * cycles
 
 
+def test_pocs_ball_stack_projects_only_where_a_ball_excludes_the_point(rng, monkeypatch):
+    # one cycle projects as many columns as the per-set loop has
+    # (ball, member) steps that move a point
+    columns, kernel = [], sets._project_rows
+
+    def counting(x, c, r, squares):
+        columns.append(x.shape[1])
+        return kernel(x, c, r, squares)
+
+    monkeypatch.setattr(sets, "_project_rows", counting)
+    for q in (1, 2, 3):
+        for B in (1, 6):
+            n = int(rng.integers(2, 12))
+            members = [_ball_member(rng, n, q) for _ in range(B)]
+            x0 = rng.uniform(-1.5, 1.5, (B, q))
+            moves = 0
+            for inst, x in zip(members, x0):
+                for s in inst.sets:
+                    y = s.project(x)
+                    moves += not np.array_equal(y, x)
+                    x = y
+            columns.clear()
+            pocs_run(BallStack(ball_arrays(m.sets) for m in members), x0, 1)
+            assert sum(columns) == moves > 0, (q, B)
+            # members that start inside every ball: nothing is projected
+            holding = rng.uniform(-0.5, 0.5, (B, q))
+            stack = BallStack(ball_arrays(_ball_member(rng, n, q, holding=h).sets) for h in holding)
+            columns.clear()
+            x, disp = pocs_run(stack, holding, 3)
+            assert columns == []
+            assert np.array_equal(x, holding) and disp == [0.0] * (3 * B)
+
+
+def test_pocs_ball_stack_matches_reference_on_localization_tables():
+    # the pocs command's shape: N = 100 localization balls per member, from
+    # the origin, with a point's largest set distance after cycles 1 and 40
+    insts = [make_localization_instance(100, 2, 0.3, 0.01, seed).game_instance for seed in range(20)]
+    stack = BallStack(ball_arrays(inst.sets) for inst in insts)
+    x1, disp1 = pocs_run(stack, np.zeros((20, 2)), 1)
+    x40, disp = pocs_run(stack, x1, 39)
+    for after, x in ((1, x1), (40, x40)):
+        for b, inst in enumerate(insts):
+            ref_x, ref_disp = reference_pocs(inst, np.zeros(2), after)
+            assert np.array_equal(x[b], ref_x), (after, b)
+            assert ([disp1[b]] + disp[b * 39:(b + 1) * 39])[:after] == ref_disp, (after, b)
+        assert stack.max_distances(x).tolist() == [max(s.distance_to(p) for s in inst.sets)
+                                                    for inst, p in zip(insts, x)]
+
+
 def test_pocs_ball_stack_validation():
     stack = BallStack([([[0.0], [1.0]], [1.0, 1.0])] * 3)
     with pytest.raises(ValueError, match="cycles must be positive"):

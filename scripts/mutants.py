@@ -2,18 +2,19 @@
 """Mutant check for the engine's per-round invariants and its entry checks.
 
 Each mutant below is a one-line edit of the package source that removes
-one guard; one edits two lines, a cycle's pass bound and its step to the
-next ball, which only together can hang the tests.  The script copies
-``src/``, ``tests/`` and ``pyproject.toml`` into a temporary directory,
-applies one mutant at a time, and runs a fast test subset (engine, game
-and sets: a few seconds).  A mutant under which the subset still passes
-has survived: the guard it removes is untested.  A run that outlasts ten
+one guard; one edits two lines, the ball a cycle's next pass starts at and
+its step past the ball a point landed on, which only together can hang
+the tests.  The script copies ``src/``, ``tests/`` and ``pyproject.toml``
+into a temporary directory, applies one mutant at a time, and runs a fast
+test subset (engine, game and sets: a few seconds), its Hypothesis
+properties drawn from one fixed seed.  A mutant under which the subset
+still passes has survived: the guard it removes is untested.  A run that outlasts ten
 times the unmutated run (at least 60 s) is stopped and counted as killed:
 a mutant that hangs the tests is caught by them.
 
 It exits 1 if any mutant survives, if a mutant's line is no longer in the
 source (a guard that moved must be updated here), or if the unmutated copy
-fails.  Usage:
+fails, whose pytest output it then prints.  Usage:
 
     python scripts/mutants.py
 """
@@ -90,29 +91,49 @@ MUTANTS = [
      'c, r = _ball_table((centers, radii), "ball table")',
      "c, r = np.asarray(centers, dtype=float), np.asarray(radii, dtype=float)"),
     ("cycle-skips-a-ball", "a moved point is tested against the very next ball", SETS,
-     "excluded = self._excluded(x[moving], moving) & (ids > landed)",
-     "excluded = self._excluded(x[moving], moving) & (ids > landed + 1)"),
+     "excluded &= np.arange(first, n)[:, None] > landed",
+     "excluded &= np.arange(first, n)[:, None] > landed + 1"),
     ("cycle-starts-at-ball-1", "a cycle's first pass tests ball 0", SETS,
-     "moving, landed = np.arange(self.size), -1",
-     "moving, landed = np.arange(self.size), 0"),
+     "moving, landed, first = np.arange(len(x)), -1, 0",
+     "moving, landed, first = np.arange(len(x)), 0, 1"),
     ("cycle-retests-landed", "a projected point is not projected onto its ball again", SETS,
-     "excluded = self._excluded(x[moving], moving) & (ids > landed)",
-     "excluded = self._excluded(x[moving], moving) & (ids >= landed)"),
-    ("cycle-unbounded-retest", "a cycle ends: n passes, each one ball on", SETS,
-     "for _ in ids:  # at most n passes: each moves every member in it at least one ball on\n"
-     "            excluded = self._excluded(x[moving], moving) & (ids > landed)",
-     "while True:\n"
-     "            excluded = self._excluded(x[moving], moving) & (ids >= landed)"),
+     "excluded &= np.arange(first, n)[:, None] > landed",
+     "excluded &= np.arange(first, n)[:, None] >= landed"),
+    ("cycle-unbounded-retest", "a cycle ends: each pass moves its first ball on", SETS,
+     "excluded &= np.arange(first, n)[:, None] > landed\n"
+     "            hit = excluded.any(axis=0)\n"
+     "            if not hit.any():\n"
+     "                break\n"
+     "            moving, landed = moving[hit], first + excluded[:, hit].argmax(axis=0)\n"
+     "            first = landed.min() + 1",
+     "excluded &= np.arange(first, n)[:, None] >= landed\n"
+     "            hit = excluded.any(axis=0)\n"
+     "            if not hit.any():\n"
+     "                break\n"
+     "            moving, landed = moving[hit], first + excluded[:, hit].argmax(axis=0)\n"
+     "            first = landed.min()"),
+    ("pass-starts-at-landed", "a pass tests only the balls past the lowest landing", SETS,
+     "first = landed.min() + 1",
+     "first = landed.min()"),
+    ("settle-on-zero-move", "a member settles on equal bits, not a 0.0 displacement", ENGINE,
+     "moved = (end.view(np.uint64) != start.view(np.uint64)).any(axis=1)",
+     "moved = disp[moving, k] != 0.0"),
+    ("distance-not-refreshed", "a moving member's set distance is taken every cycle", ENGINE,
+     "dist[moving, k] = inst._distances(end, moving)",
+     "dist[moving, k] = inst._distances(end, moving) if not k else dist[moving, k - 1]"),
 ]
 
 
-def passes(tree: pathlib.Path, timeout: float | None = None) -> bool:
-    """True if the test subset passes on ``tree``; stops at the first failure,
-    and raises ``subprocess.TimeoutExpired`` after ``timeout`` seconds."""
+def run_subset(tree: pathlib.Path, timeout: float | None = None) -> subprocess.CompletedProcess:
+    """The test subset on ``tree``, stopped at the first failure, its output
+    captured; raises ``subprocess.TimeoutExpired`` after ``timeout`` seconds.
+    Hypothesis draws from one fixed seed, so a verdict does not depend on
+    the draw (tier 1 runs the properties unseeded)."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
-    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *TESTS]
-    return subprocess.run(cmd, cwd=tree, env=env, stdout=subprocess.DEVNULL,
-                          stderr=subprocess.DEVNULL, timeout=timeout).returncode == 0
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+           "--hypothesis-seed=0", *TESTS]
+    return subprocess.run(cmd, cwd=tree, env=env, stdout=subprocess.PIPE,
+                          stderr=subprocess.STDOUT, text=True, timeout=timeout)
 
 
 def imported_from(tree: pathlib.Path) -> str:
@@ -133,7 +154,9 @@ def main() -> int:
             print("the package is not imported from the copy; nothing was checked")
             return 1
         t0 = time.perf_counter()
-        if not passes(tree):
+        clean = run_subset(tree)
+        if clean.returncode:
+            print(clean.stdout)
             print("the unmutated copy fails the test subset; nothing was checked")
             return 1
         timeout = max(60.0, 10 * (time.perf_counter() - t0))
@@ -147,7 +170,7 @@ def main() -> int:
             t0 = time.perf_counter()
             (tree / path).write_text(source.replace(old, new))
             try:
-                killed = not passes(tree, timeout)
+                killed = run_subset(tree, timeout).returncode != 0
                 verdict = "killed" if killed else "SURVIVED"
             except subprocess.TimeoutExpired:
                 killed, verdict = True, "killed (timeout)"

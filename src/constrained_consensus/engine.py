@@ -547,7 +547,7 @@ def _first_clash(inst: GameInstance, wins: np.ndarray) -> int:
     return (clashes & -clashes).bit_length() - 1 if clashes else len(wins)
 
 
-def pocs_run(inst: GameInstance | BallStack, x0, cycles: int) -> tuple[np.ndarray, list[float]]:
+def pocs_run(inst: GameInstance | BallStack, x0, cycles: int) -> tuple:
     """Cyclic projections onto every node's set, in ascending node order.
 
     ``inst`` is one instance with a start point of shape (q,), or a
@@ -556,36 +556,49 @@ def pocs_run(inst: GameInstance | BallStack, x0, cycles: int) -> tuple[np.ndarra
     Returns the final point(s) and the displacement of each full cycle as
     Python floats, member-major: member b's cycle k (from 0) is entry
     ``b * cycles + k``.  The per-cycle displacement is nonincreasing (the
-    cycle map is nonexpansive) and goes to zero on feasible instances.
+    cycle map is nonexpansive) and goes to zero on feasible instances.  A
+    ``BallStack`` also returns each cycle's point's largest set distance
+    (``BallStack.max_distances``), a (B, cycles) array.
 
     A ``BallStack`` tests every member's balls at once and projects only
     where a ball excludes the point; otherwise each set projects with its
-    own formula.  Both give
-    ``ConvexSet.project``'s bits, and the displacement is the norm
-    ``ConvexSet.distance_to`` takes.  The start must lie in the magnitude
-    domain of ``sets``.
+    own formula.  Both give ``ConvexSet.project``'s bits, and the
+    displacement is the norm ``ConvexSet.distance_to`` takes.  The start
+    must lie in the magnitude domain of ``sets``.
+
+    A member whose point a cycle leaves with the same bits is settled: the
+    cycle map is deterministic, so every later cycle gives it the same
+    point, a displacement of 0.0 and the same distance, and it leaves the
+    stack's work.  A displacement of 0.0 alone does not settle a member,
+    since a move whose square underflows reads 0.0 too.
     """
     cycles = _count(cycles, "cycles")
     # x is checked once here, so the cycles (BallStack._cycle or the sets'
     # _project) skip the per-call checks of ConvexSet.project
     if isinstance(inst, BallStack):
         x = inst._points(x0)
-        cycle = inst._cycle
-    else:
-        x = np.array(x0, dtype=float)
-        if x.shape != (inst.q,):
-            raise ValueError(f"expected a starting point of dimension {inst.q}, got shape {x.shape}")
-        _check_domain(x, "starting point coordinates")
-        projections = [s._project for s in inst.sets]
-
-        def cycle(x):
-            for project in projections:
-                x = project(x)
-            return x
-    # (cycles,) or (cycles, B) displacements, returned member-major
-    displacements = np.empty((cycles,) + x.shape[:-1])
-    for k in range(cycles):
+        disp, dist = np.zeros((inst.size, cycles)), np.empty((inst.size, cycles))
+        moving = np.arange(inst.size)
+        for k in range(cycles):
+            start = x[moving]
+            x[moving] = end = inst._cycle(start, moving)
+            disp[moving, k] = np.sqrt(_dot_squares(end.T - start.T))
+            dist[moving, k] = inst._distances(end, moving)
+            moved = (end.view(np.uint64) != start.view(np.uint64)).any(axis=1)
+            settled = moving[~moved]  # its distance repeats: filled in once, as it settles
+            dist[settled, k + 1:] = dist[settled, k:k + 1]
+            moving = moving[moved]
+            if not moving.size:
+                break
+        return x, disp.ravel().tolist(), dist
+    x = np.array(x0, dtype=float)
+    if x.shape != (inst.q,):
+        raise ValueError(f"expected a starting point of dimension {inst.q}, got shape {x.shape}")
+    _check_domain(x, "starting point coordinates")
+    displacements = []
+    for _ in range(cycles):
         start = x
-        x = cycle(x)
-        displacements[k] = np.sqrt(_dot_squares(x.T - start.T))
-    return x, displacements.T.ravel().tolist()
+        for s in inst.sets:
+            x = s._project(x)
+        displacements.append(float(np.sqrt(_dot_squares(x - start))))
+    return x, displacements

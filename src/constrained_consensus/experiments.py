@@ -164,10 +164,9 @@ def validation_study(n: int, q: int, rho: float, epsilon: float, trials: int,
         dgpc_traces.append(tr_dgpc)
         member_balls.append((loc.centers, loc.radii))
     # the baseline of every trial in one lockstep pass
-    stack = BallStack(member_balls)
-    x, disp = pocs_run(stack, np.zeros((trials, q)), pocs_cycles)
+    _, disp, dist = pocs_run(BallStack(member_balls), np.zeros((trials, q)), pocs_cycles)
     return ValidationResult(seeds, dgtc_traces, dgpc_traces,
-                            np.reshape(disp, (trials, pocs_cycles)), stack.max_distances(x))
+                            np.reshape(disp, (trials, pocs_cycles)), dist[:, -1])
 
 
 def _run_pair(loc: LocalizationInstance, max_iters: int | None, threshold: float,
@@ -194,13 +193,8 @@ def pocs_study(n: int, q: int, rho: float, epsilon: float, trials: int, cycles: 
     instances = (make_localization_instance(n, q, rho, epsilon, base_seed + trial, max_attempts)
                  for trial in range(trials))
     stack = BallStack((loc.centers, loc.radii) for loc in instances)
-    x = np.zeros((trials, q))
-    # one pocs_run call per cycle, because the distance needs every cycle's point
-    disp, dist = np.empty((trials, cycles)), np.empty((trials, cycles))
-    for k in range(cycles):
-        x, disp[:, k] = pocs_run(stack, x, 1)
-        dist[:, k] = stack.max_distances(x)
-    return disp, dist
+    _, disp, dist = pocs_run(stack, np.zeros((trials, q)), cycles)
+    return np.reshape(disp, (trials, cycles)), dist
 
 
 @dataclass(frozen=True)

@@ -331,15 +331,18 @@ class BallStack:
     are one contiguous (B, q) slab.  Its methods take one point per member,
     a (B, q) array in the magnitude domain (``_points``).
 
-    Both methods test every ball at once (``_excluded``) and hand only the
-    (ball, member) pairs whose ball excludes the point to ``_project_rows``:
-    ball j excludes member b's point x iff ``~(sqrt(_dot_squares(x - c)) <=
-    r)``.  That is the kernel's own test through the same sum, so a ball
-    that does not exclude x would return it as is, skipping it keeps every
-    bit of ``Ball._project``, and NaN excludes, as it does there.  A cycle
-    runs in passes: each pass projects every member still moving onto its
-    first excluding ball after the one it last landed on, so each pass moves
-    it at least one ball on and a cycle takes at most n passes.
+    A cycle (``_cycle``) and a set distance (``_distances``) work on any
+    ascending subset of the members, so ``engine.pocs_run`` can drop the
+    members that have settled.  Both test the subset's balls at once
+    (``_excluded``) and hand only the (ball, member) pairs whose ball
+    excludes the point to ``_project_rows``: ball j excludes member b's
+    point x iff ``~(sqrt(_dot_squares(x - c)) <= r)``.  That is the
+    kernel's own test through the same sum, so a ball that does not exclude
+    x would return it as is, skipping it keeps every bit of
+    ``Ball._project``, and NaN excludes, as it does there.  A cycle runs in
+    passes: each pass projects every member still moving onto its first
+    excluding ball after the one it last landed on, so each pass moves it
+    at least one ball on and a cycle takes at most n passes.
     """
 
     def __init__(self, members):
@@ -364,34 +367,40 @@ class BallStack:
     def q(self) -> int:
         return self.centers.shape[2]
 
-    def _excluded(self, x: np.ndarray, members) -> np.ndarray:
-        """(n, A) mask of the balls that exclude each point: ball j of member
-        ``members[a]`` excludes x[a], one of A points, as ``_project_rows``
-        tests it; a NaN distance excludes.  ``members`` is ascending, so all
-        B of them are the whole table."""
-        c, r = self.centers, self.radii
+    def _excluded(self, x: np.ndarray, members, first: int = 0) -> np.ndarray:
+        """(n - first, A) mask of the balls from ``first`` on that exclude each
+        point: row i, column a is ball first + i of member ``members[a]``
+        against x[a], one of A points, as ``_project_rows`` tests it; a NaN
+        distance excludes.  ``members`` is ascending, so all B of them are
+        the whole table."""
+        c, r = self.centers[first:], self.radii[first:]
         if len(members) < self.size:  # take gathers faster than [:, members]
             c, r = np.take(c, members, axis=1), np.take(r, members, axis=1)
         diff = x - c
         return ~(np.sqrt(_dot_squares(diff.T)).T <= r)
 
-    def _cycle(self, x: np.ndarray) -> np.ndarray:
-        """Member b's point x[b] projected onto its balls in ascending node
-        order, all members in lockstep, with ``Ball._project``'s bits; only
-        moved members are tested again, against the balls after the one
-        they landed on.  Unchecked: a cycle's result, up to |center| +
-        radius from the origin, may be past ``_LIMIT`` and is cycled again."""
+    def _cycle(self, x: np.ndarray, members) -> np.ndarray:
+        """x[a], the point of member ``members[a]`` (ascending), projected onto
+        its balls in ascending node order, all in lockstep, with
+        ``Ball._project``'s bits; x itself is kept.  Only moved points are
+        tested again, against the balls from one past the lowest ball any
+        of them landed on, each masked to the balls after its own.
+        Unchecked: a cycle's result, up to |center| + radius from the
+        origin, may be past ``_LIMIT`` and is cycled again."""
         x = x.copy()
-        ids = np.arange(len(self.radii))[:, None]
-        moving, landed = np.arange(self.size), -1
-        for _ in ids:  # at most n passes: each moves every member in it at least one ball on
-            excluded = self._excluded(x[moving], moving) & (ids > landed)
+        n = len(self.radii)
+        moving, landed, first = np.arange(len(x)), -1, 0
+        while first < n:  # at most n passes: each moves first at least one ball on
+            excluded = self._excluded(x[moving], members[moving], first)
+            excluded &= np.arange(first, n)[:, None] > landed
             hit = excluded.any(axis=0)
             if not hit.any():
                 break
-            moving, landed = moving[hit], excluded[:, hit].argmax(axis=0)
-            x[moving] = _project_rows(x[moving].T, self.centers[landed, moving].T,
-                                      self.radii[landed, moving], _dot_squares).T
+            moving, landed = moving[hit], first + excluded[:, hit].argmax(axis=0)
+            first = landed.min() + 1
+            ids = members[moving]
+            x[moving] = _project_rows(x[moving].T, self.centers[landed, ids].T,
+                                      self.radii[landed, ids], _dot_squares).T
         return x
 
     def _points(self, x) -> np.ndarray:
@@ -404,14 +413,18 @@ class BallStack:
         _check_domain(x, "point coordinates")
         return x
 
-    def max_distances(self, x) -> np.ndarray:
-        """``max(s.distance_to(x[b]) for s in member b's balls)`` per member,
-        bit for bit: only the (ball, member) pairs whose ball excludes the
-        point are projected, and every other distance is zero."""
-        x = self._points(x)
-        node, member = divmod(np.flatnonzero(self._excluded(x, np.arange(self.size))), self.size)
-        xt = x[member].T
-        p = _project_rows(xt, self.centers[node, member].T, self.radii[node, member], _dot_squares)
-        dist = np.zeros(self.radii.shape)
-        dist[node, member] = np.sqrt(_dot_squares(xt - p))
+    def _distances(self, x: np.ndarray, members) -> np.ndarray:
+        """``max(s.distance_to(x[a]) for s in member members[a]'s balls)`` for
+        each of A points, members ascending, bit for bit: only the (ball,
+        point) pairs whose ball excludes the point are projected, and every
+        other distance is zero."""
+        node, a = divmod(np.flatnonzero(self._excluded(x, members)), len(members))
+        xt, ids = x[a].T, members[a]
+        p = _project_rows(xt, self.centers[node, ids].T, self.radii[node, ids], _dot_squares)
+        dist = np.zeros((len(self.radii), len(members)))
+        dist[node, a] = np.sqrt(_dot_squares(xt - p))
         return dist.max(axis=0)
+
+    def max_distances(self, x) -> np.ndarray:
+        """``_distances`` of every member, x one point per member (``_points``)."""
+        return self._distances(self._points(x), np.arange(self.size))

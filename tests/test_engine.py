@@ -542,7 +542,7 @@ def test_pocs_ball_stack_matches_reference_bit_for_bit(rng):
                 with warnings.catch_warnings():
                     # d = 0 rows must not divide
                     warnings.simplefilter("error")
-                    x, disp = pocs_run(stack, x0, cycles)
+                    x, disp, _ = pocs_run(stack, x0, cycles)
                 assert x.shape == (B, q)
                 assert len(disp) == B * cycles
                 assert all(type(v) is float for v in disp)
@@ -555,9 +555,16 @@ def test_pocs_ball_stack_matches_reference_bit_for_bit(rng):
                 assert disp[:cycles] == [0.0] * cycles
 
 
+def _excludes(ball, x):
+    # the kernel's own test: the ball excludes x iff not sqrt(d . d) <= r
+    d = x - ball.center
+    return not np.sqrt(d @ d) <= ball.radius
+
+
 def test_pocs_ball_stack_projects_only_where_a_ball_excludes_the_point(rng, monkeypatch):
     # one cycle projects as many columns as the per-set loop has
-    # (ball, member) steps that move a point
+    # (ball, member) steps that move a point, and its set distances as many
+    # as there are balls that exclude the end point by the kernel's own test
     columns, kernel = [], sets._project_rows
 
     def counting(x, c, r, squares):
@@ -576,6 +583,7 @@ def test_pocs_ball_stack_projects_only_where_a_ball_excludes_the_point(rng, monk
                     y = s.project(x)
                     moves += not np.array_equal(y, x)
                     x = y
+                moves += sum(_excludes(s, x) for s in inst.sets)
             columns.clear()
             pocs_run(BallStack(ball_arrays(m.sets) for m in members), x0, 1)
             assert sum(columns) == moves > 0, (q, B)
@@ -583,8 +591,8 @@ def test_pocs_ball_stack_projects_only_where_a_ball_excludes_the_point(rng, monk
             holding = rng.uniform(-0.5, 0.5, (B, q))
             stack = BallStack(ball_arrays(_ball_member(rng, n, q, holding=h).sets) for h in holding)
             columns.clear()
-            x, disp = pocs_run(stack, holding, 3)
-            assert columns == []
+            x, disp, _ = pocs_run(stack, holding, 3)
+            assert sum(columns) == 0
             assert np.array_equal(x, holding) and disp == [0.0] * (3 * B)
 
 
@@ -593,8 +601,8 @@ def test_pocs_ball_stack_matches_reference_on_localization_tables():
     # the origin, with a point's largest set distance after cycles 1 and 40
     insts = [make_localization_instance(100, 2, 0.3, 0.01, seed).game_instance for seed in range(20)]
     stack = BallStack(ball_arrays(inst.sets) for inst in insts)
-    x1, disp1 = pocs_run(stack, np.zeros((20, 2)), 1)
-    x40, disp = pocs_run(stack, x1, 39)
+    x1, disp1, _ = pocs_run(stack, np.zeros((20, 2)), 1)
+    x40, disp, _ = pocs_run(stack, x1, 39)
     for after, x in ((1, x1), (40, x40)):
         for b, inst in enumerate(insts):
             ref_x, ref_disp = reference_pocs(inst, np.zeros(2), after)
@@ -602,6 +610,121 @@ def test_pocs_ball_stack_matches_reference_on_localization_tables():
             assert ([disp1[b]] + disp[b * 39:(b + 1) * 39])[:after] == ref_disp, (after, b)
         assert stack.max_distances(x).tolist() == [max(s.distance_to(p) for s in inst.sets)
                                                     for inst, p in zip(insts, x)]
+
+
+def _scalar_cycles(inst, x, cycles):
+    # one scalar pocs_run cycle at a time: each cycle's point, displacement
+    # and largest ConvexSet.distance_to
+    points, disp, dist = [], [], []
+    for _ in range(cycles):
+        x, (d,) = pocs_run(inst, x, 1)
+        points.append(x)
+        disp.append(d)
+        dist.append(max(s.distance_to(x) for s in inst.sets))
+    return points, disp, dist
+
+
+def _spy_cycles(monkeypatch):
+    # how many members each BallStack._cycle call works on
+    sizes, cycle = [], BallStack._cycle
+
+    def spy(self, x, members):
+        sizes.append(len(members))
+        return cycle(self, x, members)
+
+    monkeypatch.setattr(BallStack, "_cycle", spy)
+    return sizes
+
+
+def test_pocs_ball_stack_move_whose_square_underflows_does_not_settle():
+    # two balls of radius 2^-500 that touch at the origin: near it a cycle
+    # moves the point by about 1e-160, whose square underflows, so every
+    # displacement reads 0.0 while the point still changes in every cycle
+    s = 2.0 ** -500
+    inst = GameInstance(Graph.from_edges(2, [(0, 1)]), (Ball((-s, 0.0), s), Ball((s, 0.0), s)), 2)
+    x0, _ = pocs_run(inst, np.full(2, 2.0 ** -515), 1)
+    points, disp, dist = _scalar_cycles(inst, x0, 6)
+    assert disp == [0.0] * 6
+    assert all(a.tobytes() != b.tobytes() for a, b in zip([x0] + points, points))
+    stack = BallStack([ball_arrays(inst.sets)])
+    for cycles in range(1, 7):
+        x, got_disp, got_dist = pocs_run(stack, x0[None], cycles)
+        assert x[0].tobytes() == points[cycles - 1].tobytes(), cycles
+        assert got_disp == disp[:cycles] and got_dist[0].tolist() == dist[:cycles]
+
+
+def test_pocs_ball_stack_members_settle_at_different_cycles(monkeypatch):
+    # N = 12 localization members from the origin settle after 1 to 53
+    # cycles, and member 0, started at its source, after none: every
+    # cycle's displacement and largest set distance match the scalar path
+    # bit for bit, and a cycle works only on the members not yet settled
+    insts = [make_localization_instance(12, 2, 0.6, 0.01, seed) for seed in range(8)]
+    x0 = np.zeros((8, 2))
+    x0[0] = insts[0].source
+    insts = [loc.game_instance for loc in insts]
+    stack = BallStack(ball_arrays(inst.sets) for inst in insts)
+    sizes = _spy_cycles(monkeypatch)
+    x, disp, dist = pocs_run(stack, x0, 60)
+    settled = []
+    for b, inst in enumerate(insts):
+        points, ref_disp, ref_dist = _scalar_cycles(inst, x0[b], 60)
+        assert x[b].tobytes() == points[-1].tobytes(), b
+        assert disp[b * 60:(b + 1) * 60] == ref_disp, b
+        assert dist[b].tolist() == ref_dist, b
+        # the first cycle that leaves the point's bits as they were
+        starts = [x0[b]] + points
+        settled.append(next(k for k in range(60) if points[k].tobytes() == starts[k].tobytes()))
+    assert len(set(settled)) >= 5 and settled[0] == 0 and max(settled) > 40
+    assert sizes == [sum(k <= last for last in settled) for k in range(max(settled) + 1)]
+
+
+def test_pocs_ball_stack_reads_zero_and_repeats_distances_once_all_settle(monkeypatch):
+    # three pairs of disjoint balls, whose points settle after 1 or 2
+    # cycles at a positive distance, and one pair that holds the origin:
+    # once all have settled, no cycle does any work, every displacement
+    # reads 0.0 and each member's distance is its last one
+    members = [([[0.0, 0.0], [3.0, 0.0]], [1.0, 1.0]), ([[0.0, 0.0], [3.0, 4.0]], [1.0, 2.0]),
+               ([[1.0, -1.0], [-2.0, 2.0]], [0.5, 1.5]), ([[0.0, 0.0], [0.5, 0.0]], [1.0, 1.0])]
+    sizes = _spy_cycles(monkeypatch)
+    _, disp, dist = pocs_run(BallStack(members), np.zeros((4, 2)), 10)
+    assert sizes == [4, 3, 1]
+    assert np.reshape(disp, (4, 10))[:, 3:].tolist() == [[0.0] * 7] * 4
+    assert (dist[:, 2:] == dist[:, 2:3]).all()
+    assert dist[:, -1] == pytest.approx([1.0, 2.0, 3 * math.sqrt(2) - 2, 0.0], abs=1e-15)
+
+
+def test_pocs_ball_stack_pass_tests_only_balls_after_the_lowest_landing(rng, monkeypatch):
+    # after each pass the moved points are tested against the balls from
+    # one past the lowest ball any of them landed on: a pass over A points
+    # tests (n - that ball - 1, A) (ball, point) pairs
+    shapes, excluded = [], BallStack._excluded
+
+    def spy(self, x, members, first=0):
+        mask = excluded(self, x, members, first)
+        shapes.append(mask.shape)
+        return mask
+
+    monkeypatch.setattr(BallStack, "_excluded", spy)
+    for q in (1, 2):
+        for B in (1, 5):
+            n = int(rng.integers(3, 12))
+            members = [_ball_member(rng, n, q) for _ in range(B)]
+            x0 = rng.uniform(-1.5, 1.5, (B, q))
+            landings = []  # the balls each member's point lands on, by the kernel's test
+            for inst, x in zip(members, x0):
+                landings.append([])
+                for j, s in enumerate(inst.sets):
+                    if _excludes(s, x):
+                        landings[-1].append(j)
+                        x = s.project(x)
+            want = [(n, B)]
+            for p in range(max(map(len, landings))):
+                landed = [hits[p] for hits in landings if len(hits) > p]
+                want.append((n - min(landed) - 1, len(landed)))
+            shapes.clear()
+            BallStack(ball_arrays(m.sets) for m in members)._cycle(x0, np.arange(B))
+            # a cycle ends once no ball is left to test
+            assert shapes == [w for w in want if w[0]], (q, B)
 
 
 def test_pocs_ball_stack_validation():

@@ -224,8 +224,8 @@ def test_validation_pocs_distance_matches_scalar_sets():
 
 @pytest.mark.parametrize("n, rho, trials, base_seed", [(12, 0.6, 3, 0), (30, 0.4, 2, 7)])
 def test_validation_baseline_is_the_pocs_study_baseline(n, rho, trials, base_seed):
-    # one lockstep pocs_run of all cycles gives, bit for bit, the baseline of
-    # pocs_study's one call per cycle, and its last cycle's set distances
+    # validation_study's baseline is, bit for bit, pocs_study's, and its
+    # distances are pocs_study's last cycle's
     r = validation_study(n=n, q=2, rho=rho, epsilon=0.01, trials=trials, max_iters=50,
                          base_seed=base_seed, pocs_cycles=15)
     disp, dist = pocs_study(n=n, q=2, rho=rho, epsilon=0.01, trials=trials, cycles=15,

@@ -348,7 +348,7 @@ def test_values_at_the_domain_edge_stay_finite_and_exact():
         assert rows.distances(np.array([x, -x])) == pytest.approx([hypot - L, 0.0], rel=1e-15)
         stack = BallStack([ball_arrays([ball, Ball((-L, L), L)])])
         assert stack.max_distances(x[None]) == pytest.approx([hypot - L], rel=1e-15)
-        end, disp = pocs_run(stack, x[None], 3)
+        end, disp, _ = pocs_run(stack, x[None], 3)
         assert np.isfinite(end).all() and disp[0] == pytest.approx(math.hypot(*(end[0] - x)), rel=1e-15)
         # the engine's sums of squares over a profile at the edge
         inst = GameInstance(Graph.from_edges(3, [(0, 1), (1, 2)]), (ball, ball, ball), 2)
